@@ -13,8 +13,14 @@ nonzero int coefficients.  The packed key of a monomial with exponents
 with field width W = 24 bits.  Putting the total degree in the topmost
 field makes plain integer comparison of keys agree with graded
 lexicographic order on the declared symbols, so max(terms) is the leading
-monomial, and key addition is exponent-vector addition.  Fields never
-overflow at the degrees reachable here (< 2**24).
+monomial, and key addition is exponent-vector addition.  Both need every
+field below 2**24, which is enforced, not assumed: `SymbolTable.pack` and
+`MultiPoly.__mul__` raise StructureError when an exponent could reach it.
+
+Multiplication.  A one-term factor shifts the other's keys.  Any other
+product is a Kronecker substitution in the first symbol (q in every table
+the package builds): each run of q-powers becomes one Python int, so that
+CPython's big-int multiply does the convolution (see _kron_mul).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -26,25 +32,23 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Sequence, Union
-
-import numpy as np
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, PoleError, StructureError
 
 _WIDTH = 24
-_MASK = (1 << _WIDTH) - 1
+_LIMIT = 1 << _WIDTH
+_MASK = _LIMIT - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# dense int64 fast-path bounds for _mul_terms: only engage when the dict
-# walk would dominate, the repacked exponents fit a small accumulator, and
-# coefficient growth provably cannot overflow 64-bit arithmetic
-_NP_MIN_PAIRS = 1 << 16
-_NP_MAX_BITS = 24
-_NP_COEF_CAP = 1 << 62
+# unsigned array typecodes by item size, for packing Kronecker slots in C
+_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"}
+_ORDER = sys.byteorder
 
 
 class SymbolTable:
@@ -83,7 +87,11 @@ class SymbolTable:
         return SymbolTable(self.names + tuple(new))
 
     def pack(self, exps: Sequence[int]) -> int:
-        key = sum(exps) << self._degshift
+        total = sum(exps)
+        # exponents are nonnegative, so the sum bounds each of them
+        if total >= _LIMIT:
+            raise StructureError(f"exponents {tuple(exps)} reach the field bound 2**{_WIDTH}")
+        key = total << self._degshift
         for e, sh in zip(exps, self._shifts):
             key |= e << sh
         return key
@@ -105,92 +113,8 @@ def _check_tables(x, y) -> None:
         )
 
 
-def _np_info(p: "MultiPoly"):
-    """Cached per-symbol exponent columns of a poly as int64 arrays, plus
-    coefficient values (None if any exceeds int64), mins/maxs, max |coeff|."""
-    info = p._cols
-    if info is None:
-        terms = p.terms
-        n = len(terms)
-        cols, mins, maxs = [], [], []
-        for sh in p.table._shifts:
-            col = np.fromiter(((k >> sh) & _MASK for k in terms), np.int64, n)
-            cols.append(col)
-            mins.append(int(col.min()))
-            maxs.append(int(col.max()))
-        cmax = max(abs(c) for c in terms.values())
-        try:
-            vals = np.fromiter(terms.values(), np.int64, n)
-        except OverflowError:
-            vals = None
-        info = (cols, vals, mins, maxs, cmax)
-        p._cols = info
-    return info
-
-
-def _dense_mul(small: "MultiPoly", big: "MultiPoly"):
-    """Exact product via an int64 accumulator, or None when the a-priori
-    guards (index width, coefficient growth) cannot certify exactness."""
-    table = small.table
-    cols1, vals1, mins1, maxs1, cmax1 = _np_info(small)
-    cols2, vals2, mins2, maxs2, cmax2 = _np_info(big)
-    if vals1 is None or vals2 is None:
-        return None
-    # every accumulator slot collects at most len(small.terms) pair products
-    if cmax1 * cmax2 * len(small.terms) >= _NP_COEF_CAP:
-        return None
-    widths = [
-        (h1 - l1 + h2 - l2).bit_length()
-        for l1, h1, l2, h2 in zip(mins1, maxs1, mins2, maxs2)
-    ]
-    total = sum(widths)
-    if total > _NP_MAX_BITS or (1 << total) > 32 * len(small.terms) * len(big.terms):
-        return None
-    offs = []
-    pos = total
-    for w in widths:
-        pos -= w
-        offs.append(pos)
-    idx1 = np.zeros(len(small.terms), dtype=np.int64)
-    idx2 = np.zeros(len(big.terms), dtype=np.int64)
-    for col, mn, off in zip(cols1, mins1, offs):
-        idx1 |= (col - mn) << off
-    for col, mn, off in zip(cols2, mins2, offs):
-        idx2 |= (col - mn) << off
-    acc = np.zeros(1 << total, dtype=np.int64)
-    # walk the short factor in Python; each step is one scatter-add whose
-    # indices are distinct (shifting distinct keys by a constant)
-    for s, v in zip(idx1.tolist(), vals1.tolist()):
-        acc[idx2 + s] += vals2 * v
-    nz = np.flatnonzero(acc)
-    resvals = acc[nz]
-    rescols, resmins, resmaxs = [], [], []
-    for mn1, mn2, off, w in zip(mins1, mins2, offs, widths):
-        col = ((nz >> off) & ((1 << w) - 1)) + (mn1 + mn2)
-        rescols.append(col)
-        if len(nz):
-            resmins.append(int(col.min()))
-            resmaxs.append(int(col.max()))
-        else:
-            resmins.append(0)
-            resmaxs.append(0)
-    degshift = table._degshift
-    shifts = table._shifts
-    deg = sum(rescols) if rescols else np.zeros(len(nz), dtype=np.int64)
-    keys = []
-    for row in zip(deg.tolist(), *[c.tolist() for c in rescols]):
-        key = row[0] << degshift
-        for e, sh in zip(row[1:], shifts):
-            key |= e << sh
-        keys.append(key)
-    res = MultiPoly(table, dict(zip(keys, resvals.tolist())))
-    cmax = int(max(resvals.max(), -resvals.min())) if len(nz) else 0
-    res._cols = (rescols, resvals, resmins, resmaxs, cmax)
-    return res
-
-
 def _mul_terms(t1: dict, t2: dict) -> dict:
-    # hot path: every small series product lands here (t1 the shorter)
+    # the schoolbook pair loop; tests check _kron_mul against it
     out: dict = {}
     get = out.get
     items2 = list(t2.items())
@@ -199,6 +123,70 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
+
+
+def _kron_mul(t1: dict, t2: dict, sh: int, step: int) -> dict:
+    """Product of two term dicts of two or more terms each, by Kronecker
+    substitution in the field at `sh`, whose key increment is `step`.
+
+    With no field overflowing (the caller checks), a key is linear in the
+    exponent vector: it splits as g + e*step, e the exponent in that field.
+    Each group sharing g becomes one int with the coefficient of e in a w-bit
+    slot at bit w*(e - lo).  An output coefficient sums at most min(n1, n2)
+    pair products, so w >= bitlen(max|c1|*max|c2|*min(n1, n2)) + 2 keeps
+    every slot below 2**(w - 2) in magnitude, and slots biased by 2**(w - 1)
+    pack and unpack as unsigned with no carry between them.
+    """
+    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
+    nbytes = (bound.bit_length() + 9) >> 3
+    if nbytes <= 8:
+        # a power of two is an array item size, which packs and unpacks in C
+        nbytes = 1 << (nbytes - 1).bit_length()
+    code = _ARRAY_CODES.get(nbytes)
+    w = nbytes << 3
+    half = 1 << (w - 1)
+    half_bytes = half.to_bytes(nbytes, _ORDER)
+    packed = []
+    for terms in (t1, t2):
+        runs: dict = {}
+        for k, c in terms.items():
+            e = (k >> sh) & _MASK
+            runs.setdefault(k - e * step, {})[e] = c
+        groups = []
+        for g, run in runs.items():
+            lo = min(run)
+            slots = [half] * (max(run) - lo + 1)
+            for e, c in run.items():
+                slots[e - lo] = half + c
+            raw = (array(code, slots).tobytes() if code
+                   else b"".join([v.to_bytes(nbytes, _ORDER) for v in slots]))
+            bias = int.from_bytes(half_bytes * len(slots), _ORDER)
+            groups.append((g, lo, int.from_bytes(raw, _ORDER) - bias))
+        packed.append(groups)
+    groups1, groups2 = packed
+    acc: dict = {}
+    get = acc.get
+    for g1, lo1, x1 in groups1:
+        for g2, lo2, x2 in groups2:
+            g = g1 + g2
+            acc[g] = get(g, 0) + (x1 * x2 << w * (lo1 + lo2))
+    out: dict = {}
+    for g, x in acc.items():
+        if not x:
+            continue
+        # the lowest and highest nonzero slots, from the bit lengths
+        lo = ((x & -x).bit_length() - 1) // w
+        nslots = abs(x).bit_length() // w - lo + 1
+        bias = int.from_bytes(half_bytes * nslots, _ORDER)
+        raw = ((x >> w * lo) + bias).to_bytes(nslots * nbytes, _ORDER)
+        slots = (array(code, raw) if code else
+                 [int.from_bytes(raw[i:i + nbytes], _ORDER) for i in range(0, len(raw), nbytes)])
+        key = g + lo * step
+        for v in slots:
+            if v != half:
+                out[key] = v - half
+            key += step
+    return out
 
 
 def _add_terms(t1: dict, t2: dict) -> dict:
@@ -218,16 +206,15 @@ def _add_terms(t1: dict, t2: dict) -> dict:
 class MultiPoly:
     """Multivariate polynomial with int coefficients over a symbol table.
 
-    The terms dict is frozen by convention: every operation builds a new
-    dict, so the numpy exponent-column cache _cols stays valid for life.
+    The terms dict maps packed exponent keys to nonzero ints and is frozen
+    by convention: every operation builds a new dict.
     """
 
-    __slots__ = ("table", "terms", "_cols")
+    __slots__ = ("table", "terms")
 
     def __init__(self, table: SymbolTable, terms: dict):
         self.table = table
         self.terms = terms
-        self._cols = None
 
     # -- constructors -------------------------------------------------
 
@@ -327,12 +314,22 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         _check_tables(self, other)
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if len(small.terms) * len(big.terms) >= _NP_MIN_PAIRS:
-            dense = _dense_mul(small, big)
-            if dense is not None:
-                return dense
-        return MultiPoly(self.table, _mul_terms(small.terms, big.terms))
+        table = self.table
+        small, big = self.terms, other.terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return MultiPoly(table, {})
+        # the total degree bounds every field, and both branches below rely
+        # on no field of a product key overflowing
+        degshift = table._degshift
+        if (max(small) >> degshift) + (max(big) >> degshift) >= _LIMIT:
+            raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
+        if len(small) == 1:
+            ((k1, c1),) = small.items()
+            return MultiPoly(table, {k1 + k: c1 * c for k, c in big.items()})
+        sh = table._shifts[0]
+        return MultiPoly(table, _kron_mul(small, big, sh, (1 << sh) + (1 << degshift)))
 
     __rmul__ = __mul__
 
@@ -357,25 +354,23 @@ class MultiPoly:
 
     # -- monomial content helpers (used by RatFun normalization) ------
 
-    def min_exponents(self):
-        """Componentwise minimum exponent vector over all terms, packed."""
-        if not self.terms or 0 in self.terms:
-            return 0
-        info = self._cols
-        if info is not None:
-            mins = info[2]
-            return self.table.pack(mins) if any(mins) else 0
+    def min_exponents(self, caps: Optional[Sequence[int]] = None) -> list:
+        """Componentwise minimum exponents over the terms of a nonzero poly,
+        each capped by caps[i] (default: none); a field capped at 0 is not
+        scanned."""
+        if caps is None:
+            caps = [_MASK] * len(self.table)
         mins = []
-        for sh in self.table._shifts:
-            mn = _MASK
-            for k in self.terms:
-                e = (k >> sh) & _MASK
-                if e < mn:
-                    mn = e
-                    if not mn:
-                        break
+        for sh, mn in zip(self.table._shifts, caps):
+            if mn:
+                for k in self.terms:
+                    e = (k >> sh) & _MASK
+                    if e < mn:
+                        mn = e
+                        if not mn:
+                            break
             mins.append(mn)
-        return self.table.pack(mins) if any(mins) else 0
+        return mins
 
     def shift_down(self, packed: int) -> "MultiPoly":
         """Divide every term by the given packed monomial (must divide all)."""
@@ -477,14 +472,13 @@ class RatFun:
             num = MultiPoly(num.table, nt)
             den = MultiPoly(den.table, dt)
         if 0 not in nt and 0 not in dt:
-            ma = num.min_exponents()
-            mb = den.min_exponents() if ma else 0
-            if ma and mb:
-                tb = num.table
-                lo = tb.pack([min(x, y) for x, y in zip(tb.unpack(ma), tb.unpack(mb))])
-                if lo:
-                    num = num.shift_down(lo)
-                    den = den.shift_down(lo)
+            # the denominator first: it often has one term, which leaves
+            # few numerator fields to scan
+            lo = num.min_exponents(den.min_exponents())
+            if any(lo):
+                lo = num.table.pack(lo)
+                num = num.shift_down(lo)
+                den = den.shift_down(lo)
         if den.leading_coeff() < 0:
             num = -num
             den = -den

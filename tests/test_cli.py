@@ -3,8 +3,10 @@ for a fixed flag set, and the argv preprocessing that lets option values
 start with a minus sign."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,14 @@ def test_expand_basek_out_of_range(capsys):
     code, _, err = run_cli(capsys, "expand", "--builtin", "basek", "--k", "9",
                            "--n", "4")
     assert code == 2 and "--k must lie in 0..4" in err
+
+
+@pytest.mark.parametrize("coeffs", ["q^16777216", "q^16777215*q"])
+def test_expand_exponent_overflow_exits_2(capsys, coeffs):
+    # 2**24 overflows a packed exponent field; it once printed c[0] = 1
+    code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
+    assert code == 2 and "2**24" in err
+    assert out == ""
 
 
 # -- gn -----------------------------------------------------------------------
@@ -276,3 +286,17 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 2, "g": ["1", "-q + 1"]}
+
+
+def test_cli_import_does_not_load_numpy():
+    import qexpand
+
+    src = str(Path(qexpand.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qexpand.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
-"""Exact polynomial/rational arithmetic: axioms, equality, parsing, dense path.
+"""Exact polynomial/rational arithmetic: axioms, equality, parsing, the
+Kronecker multiply against the pair-loop reference, exponent bounds.
 
 Randomized values are built over the fixed table (q, a, b) with small
 exponents and coefficients; everything is compared by exact equality
@@ -17,7 +18,6 @@ from qexpand.ring import (
     RatFun,
     SymbolTable,
     _mul_terms,
-    _np_info,
     expression_symbols,
     parse_ratfun,
     symbols,
@@ -158,41 +158,95 @@ def test_render_is_deterministic(qab):
 
 
 # ---------------------------------------------------------------------------
-# the dense (column-cached) multiplication path agrees with the dict path
+# the Kronecker multiply agrees with the pair-loop reference
 
 
-def _random_poly(rng, nterms, max_exp, max_coeff):
+def _random_poly(rng, table, nterms, max_exp, max_coeff):
     acc = {}
     for _ in range(nterms):
-        key = TABLE.pack([rng.randrange(max_exp + 1) for _ in range(3)])
+        key = table.pack([rng.randrange(max_exp + 1) for _ in table.names])
         acc[key] = acc.get(key, 0) + rng.randint(-max_coeff, max_coeff)
-    return _mk_poly([]) + MultiPoly(TABLE, {k: c for k, c in acc.items() if c})
+    return MultiPoly(table, {k: c for k, c in acc.items() if c})
 
 
+def _assert_matches_reference(p, r):
+    small, big = sorted((p.terms, r.terms), key=len)
+    reference = _mul_terms(small, big)
+    assert (p * r).terms == reference
+    assert (r * p).terms == reference
+
+
+@pytest.mark.parametrize("names", [("q",), ("a", "q"), ("q", "a", "b"), ("q", "A", "B", "C")],
+                         ids="_".join)
 @pytest.mark.parametrize("max_coeff", [9, 10**12, 10**20])
-def test_dense_mul_matches_dict_reference(max_coeff):
-    # 300*300 pairs crosses the dense-path threshold; the larger coefficient
-    # scales force the overflow guards to fall back to the dict path
+def test_mul_matches_pair_loop_reference(names, max_coeff):
+    # 10**12 and 10**20 need slots wider than 64 bits; ("a", "q") groups
+    # the terms by a symbol other than q
     import random
 
     rng = random.Random(11)
-    p = _random_poly(rng, 300, 18, max_coeff)
-    r = _random_poly(rng, 300, 18, max_coeff)
-    assert len(p.terms) * len(r.terms) >= (1 << 16)
-    reference = MultiPoly(TABLE, _mul_terms(p.terms, r.terms))
-    assert p * r == reference
+    table = SymbolTable(names)
+    for nterms, max_exp in ((300, 18), (40, 3), (2, 50), (1, 7), (0, 1)):
+        p = _random_poly(rng, table, nterms, max_exp, max_coeff)
+        r = _random_poly(rng, table, 300, 18, max_coeff)
+        _assert_matches_reference(p, r)
+        _assert_matches_reference(p, p)
 
 
-def test_min_exponents_same_with_and_without_column_cache():
-    import random
+@pytest.mark.parametrize("names", [("q",), ("a", "q"), ("q", "A", "B", "C")], ids="_".join)
+def test_mul_cancels_to_sparse_products(names):
+    table = SymbolTable(names)
+    x = MultiPoly.symbol(table, names[0])
+    y = MultiPoly.symbol(table, names[-1])
+    # (x - y) * sum x^i y^(k-i) = x^(k+1) - y^(k+1): every middle term cancels
+    geo = MultiPoly.zero(table)
+    for i in range(40):
+        geo = geo + x**i * y ** (39 - i)
+    _assert_matches_reference(x - y, geo)
+    assert (x - y) * geo == x**40 - y**40
+    _assert_matches_reference(x - 1, (x + 1) * (x**2 + 1))
+    assert (x - 1) * ((x + 1) * (x**2 + 1)) == x**4 - 1
 
-    rng = random.Random(3)
-    shift = MultiPoly.monomial(TABLE, {"q": 2, "a": 1}, 1)
-    p = _random_poly(rng, 50, 6, 9) * shift
-    fresh = MultiPoly(TABLE, dict(p.terms))
-    _np_info(p)  # build the cache on one copy only
-    assert p.min_exponents() == fresh.min_exponents()
-    assert p.min_exponents() == TABLE.pack((2, 1, 0))
+
+@settings(max_examples=200)
+@given(polys(max_terms=12, max_exp=6, max_coeff=2**70), polys(max_terms=12, max_exp=6))
+def test_mul_matches_pair_loop_reference_random(p, r):
+    _assert_matches_reference(p, r)
+
+
+# ---------------------------------------------------------------------------
+# packed exponent fields never overflow silently
+
+
+def test_pack_rejects_exponents_at_the_field_bound():
+    assert TABLE.unpack(TABLE.pack((2**24 - 1, 0, 0))) == (2**24 - 1, 0, 0)
+    for exps in ((2**24, 0, 0), (0, 0, 2**24), (2**23, 2**23, 0)):
+        with pytest.raises(StructureError):
+            TABLE.pack(exps)
+    with pytest.raises(StructureError):
+        MultiPoly.monomial(TABLE, {"a": 2**24})
+
+
+def test_mul_rejects_products_at_the_field_bound():
+    q = MultiPoly.symbol(TABLE, "q")
+    a = MultiPoly.symbol(TABLE, "a")
+    big = MultiPoly.monomial(TABLE, {"q": 2**24 - 1})
+    three = MultiPoly.const(TABLE, 3)
+    assert (big * three).terms == {TABLE.pack((2**24 - 1, 0, 0)): 3}
+    for other in (q, a, q + a, q * q + 1):
+        with pytest.raises(StructureError):
+            big * other
+        with pytest.raises(StructureError):
+            other * (big + 1)
+    with pytest.raises(StructureError):
+        q ** (2**24)
+
+
+def test_min_exponents_with_caps():
+    p = MultiPoly(TABLE, {TABLE.pack((2, 1, 3)): 1, TABLE.pack((5, 1, 0)): -2})
+    assert p.min_exponents() == [2, 1, 0]
+    assert p.min_exponents([1, 4, 0]) == [1, 1, 0]
+    assert (p * MultiPoly.monomial(TABLE, {"b": 2})).min_exponents() == [2, 1, 2]
 
 
 def test_normalization_cancels_monomial_content(qab):
