@@ -4,23 +4,34 @@ This is the coefficient ring for every series computation in the package:
 polynomials over arbitrary-precision integers in a fixed, ordered set of
 symbols, and formal quotients of such polynomials.
 
-Representation.  A polynomial is a dict mapping packed exponent keys to
-nonzero int coefficients.  The packed key of a monomial with exponents
-(e_0, ..., e_{m-1}) is
+Representation.  A monomial with exponents (e_0, ..., e_{m-1}) has the
+packed key
 
     sum(e) << m*W  |  e_0 << (m-1)*W  |  ...  |  e_{m-1}
 
 with field width W = 24 bits.  Putting the total degree in the topmost
 field makes plain integer comparison of keys agree with graded
-lexicographic order on the declared symbols, so max(terms) is the leading
-monomial, and key addition is exponent-vector addition.  Both need every
-field below 2**24, which is enforced, not assumed: `SymbolTable.pack` and
-`MultiPoly.__mul__` raise StructureError when an exponent could reach it.
+lexicographic order on the declared symbols, and key addition is
+exponent-vector addition.  Both need every field below 2**24, which is
+enforced, not assumed: `SymbolTable.pack` and `MultiPoly.__mul__` raise
+StructureError when an exponent could reach it.
 
-Multiplication.  A one-term factor shifts the other's keys.  Any other
-product is a Kronecker substitution in the first symbol (q in every table
-the package builds): each run of q-powers becomes one Python int, so that
-CPython's big-int multiply does the convolution (see _kron_mul).
+A polynomial groups its terms by the part of the key free of the first
+symbol x (q in every table the package builds), whose coefficients come in
+long dense runs of consecutive powers.  Each run is stored as (lo, X): the
+coefficient of x^e sits in a signed w-bit slot of the one int X at bit
+w*(e - lo), and the slot of x^lo is nonzero.  Slots are 64 bits wide while
+a tracked bound on the coefficients' bit length allows it and grow in
+steps of 64 bits past that, so coefficients of any size stay exact.  The
+arithmetic works on whole runs: an add is one int add per shared run,
+negation and scaling are one int operation per run, and degrees, minimum
+exponents and the leading coefficient read run keys and bit positions.
+The term dict `MultiPoly.terms` is decoded only when read.
+
+Multiplication.  A one-term factor shifts the other's run keys and scales
+its runs.  Any other product is a Kronecker substitution in x that needs
+no conversion: each pair of runs multiplies as two ints, so that CPython's
+big-int multiply does the convolution (see _mul_runs).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -35,7 +46,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import reduce
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ParseError, PoleError, StructureError
@@ -46,15 +57,15 @@ _MASK = _LIMIT - 1
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# unsigned array typecodes by item size, for packing Kronecker slots in C
-_ARRAY_CODES = {array(c).itemsize: c for c in "BHILQ"}
-_ORDER = sys.byteorder
+# run slots convert to and from bytes as little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
+_new = object.__new__
 
 
 class SymbolTable:
     """Fixed, ordered collection of symbol names shared by ring values."""
 
-    __slots__ = ("names", "_pos", "_shifts", "_degshift")
+    __slots__ = ("names", "_pos", "_shifts", "_degshift", "_step")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -68,6 +79,8 @@ class SymbolTable:
         m = len(names)
         self._shifts = tuple((m - 1 - i) * _WIDTH for i in range(m))
         self._degshift = m * _WIDTH
+        # the key increment of one more power of the first symbol
+        self._step = (1 << self._degshift) + (1 << self._shifts[0] if m else 0)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -80,11 +93,6 @@ class SymbolTable:
             return self._pos[name]
         except KeyError:
             raise StructureError(f"unknown symbol {name!r}") from None
-
-    def with_symbols(self, *extra: str) -> "SymbolTable":
-        """New table extending this one; existing values must be re-embedded."""
-        new = [nm for nm in extra if nm not in self._pos]
-        return SymbolTable(self.names + tuple(new))
 
     def pack(self, exps: Sequence[int]) -> int:
         total = sum(exps)
@@ -107,14 +115,15 @@ class SymbolTable:
 
 
 def _check_tables(x, y) -> None:
-    if not x.table.same_as(y.table):
+    if x.table is not y.table and x.table.names != y.table.names:
         raise StructureError(
             f"mixed symbol tables: {x.table.names} vs {y.table.names}"
         )
 
 
-def _mul_terms(t1: dict, t2: dict) -> dict:
-    # the schoolbook pair loop; tests check _kron_mul against it
+def _mul_terms(t1: Mapping[int, int], t2: Mapping[int, int]) -> dict:
+    # the schoolbook pair loop over term dicts; tests check the run-form
+    # multiply against it
     out: dict = {}
     get = out.get
     items2 = list(t2.items())
@@ -125,117 +134,147 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _kron_mul(t1: dict, t2: dict, sh: int, step: int) -> dict:
-    """Product of two term dicts of two or more terms each, by Kronecker
-    substitution in the field at `sh`, whose key increment is `step`.
+# -- runs: the coefficients of x^lo, x^(lo+1), ... in the slots of one int --
 
-    With no field overflowing (the caller checks), a key is linear in the
-    exponent vector: it splits as g + e*step, e the exponent in that field.
-    Each group sharing g becomes one int with the coefficient of e in a w-bit
-    slot at bit w*(e - lo).  An output coefficient sums at most min(n1, n2)
-    pair products, so w >= bitlen(max|c1|*max|c2|*min(n1, n2)) + 2 keeps
-    every slot below 2**(w - 2) in magnitude, and slots biased by 2**(w - 1)
-    pack and unpack as unsigned with no carry between them.
+
+def _width(bits: int) -> int:
+    """Slot width for coefficients below 2**bits in magnitude: the least
+    multiple of 64 that leaves the sign bit free."""
+    return ((bits >> 6) + 1) << 6
+
+
+def _bias(w: int, n: int) -> int:
+    """2**(w - 1) in each of n w-bit slots."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w >> 3, "little") * n, "little")
+
+
+def _slots(x: int, w: int):
+    """The signed w-bit slots of a run, lowest first, up to the top nonzero one.
+
+    Every slot lies in (-2**(w-1), 2**(w-1)), so the lower slots move x by
+    less than half the top slot's unit: x has w*(n-1) to w*n - 1 bits.
+    Adding the bias makes every slot nonnegative with no carry between
+    slots, and the xor turns slot c + 2**(w-1) into c in two's complement.
     """
-    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
-    nbytes = (bound.bit_length() + 9) >> 3
-    if nbytes <= 8:
-        # a power of two is an array item size, which packs and unpacks in C
-        nbytes = 1 << (nbytes - 1).bit_length()
-    code = _ARRAY_CODES.get(nbytes)
-    w = nbytes << 3
-    half = 1 << (w - 1)
-    half_bytes = half.to_bytes(nbytes, _ORDER)
-    packed = []
-    for terms in (t1, t2):
-        runs: dict = {}
-        for k, c in terms.items():
-            e = (k >> sh) & _MASK
-            runs.setdefault(k - e * step, {})[e] = c
-        groups = []
-        for g, run in runs.items():
-            lo = min(run)
-            slots = [half] * (max(run) - lo + 1)
-            for e, c in run.items():
-                slots[e - lo] = half + c
-            raw = (array(code, slots).tobytes() if code
-                   else b"".join([v.to_bytes(nbytes, _ORDER) for v in slots]))
-            bias = int.from_bytes(half_bytes * len(slots), _ORDER)
-            groups.append((g, lo, int.from_bytes(raw, _ORDER) - bias))
-        packed.append(groups)
-    groups1, groups2 = packed
-    acc: dict = {}
-    get = acc.get
-    for g1, lo1, x1 in groups1:
-        for g2, lo2, x2 in groups2:
-            g = g1 + g2
-            acc[g] = get(g, 0) + (x1 * x2 << w * (lo1 + lo2))
-    out: dict = {}
-    for g, x in acc.items():
-        if not x:
-            continue
-        # the lowest and highest nonzero slots, from the bit lengths
-        lo = ((x & -x).bit_length() - 1) // w
-        nslots = abs(x).bit_length() // w - lo + 1
-        bias = int.from_bytes(half_bytes * nslots, _ORDER)
-        raw = ((x >> w * lo) + bias).to_bytes(nslots * nbytes, _ORDER)
-        slots = (array(code, raw) if code else
-                 [int.from_bytes(raw[i:i + nbytes], _ORDER) for i in range(0, len(raw), nbytes)])
-        key = g + lo * step
-        for v in slots:
-            if v != half:
-                out[key] = v - half
-            key += step
-    return out
+    n = x.bit_length() // w + 1
+    bias = _bias(w, n)
+    raw = ((x + bias) ^ bias).to_bytes(n * (w >> 3), "little")
+    if w == 64:
+        slots = array("q", raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots
+    nb = w >> 3
+    return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
 
 
-def _add_terms(t1: dict, t2: dict) -> dict:
-    if len(t2) > len(t1):
-        t1, t2 = t2, t1
-    out = dict(t1)
-    get = out.get
-    for k, c in t2.items():
-        v = get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+def _run(slots, w: int) -> int:
+    """The int whose w-bit slots are `slots` (the inverse of _slots)."""
+    if w == 64:
+        packed = array("q", slots)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        raw = packed.tobytes()
+    else:
+        nb = w >> 3
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in slots])
+    bias = _bias(w, len(slots))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _low(x: int, w: int) -> int:
+    """The lowest slot of a run."""
+    c = x & ((1 << w) - 1)
+    return c - (1 << w) if c >> (w - 1) else c
+
+
+def _top(x: int, w: int) -> int:
+    """The highest slot of a run: x rounded to a multiple of its unit."""
+    sh = x.bit_length() // w * w
+    return (x + (1 << sh >> 1)) >> sh
 
 
 class MultiPoly:
     """Multivariate polynomial with int coefficients over a symbol table.
 
-    The terms dict maps packed exponent keys to nonzero ints and is frozen
-    by convention: every operation builds a new dict.
+    `runs` maps the packed key g of a monomial free of the first symbol x
+    to (lo, X), where X = sum(c_e << w*(e - lo)) holds the coefficient c_e
+    of g*x^e in a signed w-bit slot and the slot of x^lo is nonzero.  Every
+    |c_e| is below 2**bits, a tracked bound, and w = _width(bits) or wider.
+    At one width the runs are canonical, so equal polys have equal runs.
+    `deg` bounds the total degree from above (exact after a multiply).
+    Values are immutable by convention: every operation builds new runs.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "runs", "w", "bits", "deg", "_terms")
 
-    def __init__(self, table: SymbolTable, terms: dict):
-        self.table = table
-        self.terms = terms
+    def __init__(self, table: SymbolTable, terms: Mapping[int, int]):
+        """From a dict of packed keys to int coefficients (zeros are dropped)."""
+        step = table._step
+        sh = table._shifts[0] if table._shifts else 0
+        groups: dict = {}
+        deg = -1
+        for k, c in terms.items():
+            if c:
+                e = (k >> sh) & _MASK
+                groups.setdefault(k - e * step, {})[e] = c
+                deg = max(deg, k >> table._degshift)
+        bits = max((abs(c).bit_length() for c in terms.values()), default=0)
+        w = _width(bits)
+        runs = {}
+        for g, run in groups.items():
+            lo = min(run)
+            slots = [0] * (max(run) - lo + 1)
+            for e, c in run.items():
+                slots[e - lo] = c
+            runs[g] = (lo, _run(slots, w))
+        self.table, self.runs, self.w, self.bits, self.deg = table, runs, w, bits, deg
+
+    @property
+    def terms(self) -> Mapping[int, int]:
+        """Read-only dict of packed keys to nonzero coefficients, decoded on
+        first use; the arithmetic never reads it."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        step, w = self.table._step, self.w
+        out = {}
+        for g, (lo, x) in self.runs.items():
+            k = g + lo * step
+            for c in _slots(x, w):
+                if c:
+                    out[k] = c
+                k += step
+        self._terms = MappingProxyType(out)
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(table: SymbolTable) -> "MultiPoly":
-        return MultiPoly(table, {})
+        return _poly(table, {}, 64, 0, -1)
 
     @staticmethod
     def const(table: SymbolTable, c: int) -> "MultiPoly":
-        return MultiPoly(table, {0: c} if c else {})
+        if not c:
+            return MultiPoly.zero(table)
+        bits = abs(c).bit_length()
+        return _poly(table, {0: (0, c)}, _width(bits), bits, 0)
 
     @staticmethod
     def monomial(table: SymbolTable, exps: Mapping[str, int], coeff: int = 1) -> "MultiPoly":
         if not coeff:
-            return MultiPoly(table, {})
+            return MultiPoly.zero(table)
         vec = [0] * len(table)
         for nm, e in exps.items():
             if e < 0:
                 raise StructureError(f"negative exponent for {nm!r} in a polynomial")
             vec[table.position(nm)] = e
-        return MultiPoly(table, {table.pack(vec): coeff})
+        key = table.pack(vec)
+        bits = abs(coeff).bit_length()
+        return _poly(table, {key - vec[0] * table._step: (vec[0], coeff)}, _width(bits), bits,
+                     sum(vec))
 
     @staticmethod
     def symbol(table: SymbolTable, name: str) -> "MultiPoly":
@@ -244,44 +283,106 @@ class MultiPoly:
     # -- predicates and queries ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.runs
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
+        return self == self.const_value()
 
     def const_value(self) -> int:
-        return self.terms.get(0, 0)
+        lo, x = self.runs.get(0, (1, 0))
+        return 0 if lo else _low(x, self.w)
 
     def leading_coeff(self) -> int:
         """Coefficient of the graded-lex leading monomial (0 for the zero poly)."""
-        if not self.terms:
+        if not self.runs:
             return 0
-        return self.terms[max(self.terms)]
+        w, step = self.w, self.table._step
+        # a run's largest key is its top slot's; the keys grow with x's exponent
+        _, (_, x) = max(self.runs.items(),
+                        key=lambda it: it[0] + (it[1][0] + it[1][1].bit_length() // w) * step)
+        return _top(x, w)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.runs:
             return -1
-        return max(self.terms) >> self.table._degshift
+        w, ds = self.w, self.table._degshift
+        return max((g >> ds) + lo + x.bit_length() // w for g, (lo, x) in self.runs.items())
 
     def degree(self, name: str) -> int:
         """Degree in one symbol; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.runs:
             return -1
-        sh = self.table._shifts[self.table.position(name)]
-        return max((k >> sh) & _MASK for k in self.terms)
+        pos = self.table.position(name)
+        if pos == 0:
+            w = self.w
+            return max(lo + x.bit_length() // w for lo, x in self.runs.values())
+        sh = self.table._shifts[pos]
+        return max((g >> sh) & _MASK for g in self.runs)
 
     def content(self) -> int:
         """Positive gcd of the integer coefficients (0 for the zero poly)."""
-        return reduce(math.gcd, self.terms.values(), 0)
+        w = self.w
+        g = 0
+        # the lowest slots first: they are cheap to read and usually settle it
+        for _, x in self.runs.values():
+            g = math.gcd(g, _low(x, w))
+            if g == 1:
+                return 1
+        for _, x in self.runs.values():
+            g = math.gcd(g, *_slots(x, w))
+            if g == 1:
+                return 1
+        return g
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
+            return self.runs == ({0: (0, other)} if other else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.table.same_as(other.table) and self.terms == other.terms
+        if not self.table.same_as(other.table):
+            return False
+        if self.w == other.w:
+            return self.runs == other.runs
+        w = max(self.w, other.w)
+        return self._at(w) == other._at(w)
 
     __hash__ = None  # mutable-ish container; never used as a dict key
+
+    # -- slot width ---------------------------------------------------
+
+    def _at(self, w: int) -> dict:
+        """The runs re-packed at slot width w (which must hold them)."""
+        v = self.w
+        if w == v:
+            return self.runs
+        return {g: (lo, _run(_slots(x, v), w)) for g, (lo, x) in self.runs.items()}
+
+    def _tighten(self) -> None:
+        """Replace the bit bound by the exact one, narrowing the slots if it
+        allows; the value is unchanged."""
+        w = self.w
+        bits = 0
+        for _, x in self.runs.values():
+            slots = _slots(x, w)
+            bits = max(bits, max(slots).bit_length(), min(slots).bit_length())
+        self.bits = bits
+        if _width(bits) < w:
+            self.runs = self._at(_width(bits))
+            self.w = _width(bits)
+
+    def _term_mul(self, g1: int, lo1: int, c: int, deg1: int) -> "MultiPoly":
+        # times c*g1*x^lo1 of total degree deg1, by a key and lo shift per run
+        extra = (abs(c) - 1).bit_length()
+        bits = self.bits + extra
+        w = self.w
+        if bits >= w:
+            w, bits = _make_room(lambda b: b + extra, self)
+        runs = self._at(w)
+        if c == 1:
+            out = {g + g1: (lo + lo1, x) for g, (lo, x) in runs.items()}
+        else:
+            out = {g + g1: (lo + lo1, x * c) for g, (lo, x) in runs.items()}
+        return _poly(self.table, out, w, bits, self.deg + deg1)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -291,12 +392,45 @@ class MultiPoly:
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         _check_tables(self, other)
-        return MultiPoly(self.table, _add_terms(self.terms, other.terms))
+        if not other.runs:
+            return self
+        if not self.runs:
+            return other
+        bits = max(self.bits, other.bits) + 1
+        w = max(self.w, other.w)
+        if bits >= w:
+            w, bits = _make_room(lambda b1, b2: max(b1, b2) + 1, self, other)
+        r1, r2 = self._at(w), other._at(w)
+        if len(r1) < len(r2):
+            r1, r2 = r2, r1
+        out = dict(r1)
+        mask = (1 << w) - 1
+        for g, (lo2, x2) in r2.items():
+            run = out.get(g)
+            if run is None:
+                out[g] = (lo2, x2)
+                continue
+            lo, x = run
+            if lo < lo2:
+                out[g] = (lo, x + (x2 << w * (lo2 - lo)))
+            elif lo > lo2:
+                out[g] = (lo2, x2 + (x << w * (lo - lo2)))
+            else:
+                x += x2
+                if x & mask:
+                    out[g] = (lo, x)
+                elif x:  # the lowest slot cancelled
+                    s = ((x & -x).bit_length() - 1) // w
+                    out[g] = (lo + s, x >> w * s)
+                else:
+                    del out[g]
+        return _poly(self.table, out, w, bits, max(self.deg, other.deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.table, {k: -c for k, c in self.terms.items()})
+        return _poly(self.table, {g: (lo, -x) for g, (lo, x) in self.runs.items()},
+                     self.w, self.bits, self.deg)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -314,31 +448,29 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         _check_tables(self, other)
-        table = self.table
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        if not small:
-            return MultiPoly(table, {})
-        # the total degree bounds every field, and both branches below rely
-        # on no field of a product key overflowing
-        degshift = table._degshift
-        if (max(small) >> degshift) + (max(big) >> degshift) >= _LIMIT:
+        if not self.runs or not other.runs:
+            return MultiPoly.zero(self.table)
+        # the total degree bounds every field, and no field of a product
+        # key may overflow
+        if (self.deg + other.deg >= _LIMIT
+                and self.total_degree() + other.total_degree() >= _LIMIT):
             raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
-        if len(small) == 1:
-            ((k1, c1),) = small.items()
-            return MultiPoly(table, {k1 + k: c1 * c for k, c in big.items()})
-        sh = table._shifts[0]
-        return MultiPoly(table, _kron_mul(small, big, sh, (1 << sh) + (1 << degshift)))
+        ds = self.table._degshift
+        for p, r in ((self, other), (other, self)):
+            if len(r.runs) == 1:
+                ((g, (lo, c)),) = r.runs.items()
+                if c.bit_length() < r.w:  # r is one term
+                    return p._term_mul(g, lo, c, (g >> ds) + lo)
+        return _mul_runs(self, other)
 
     __rmul__ = __mul__
 
     def scaled(self, c: int) -> "MultiPoly":
         if not c:
-            return MultiPoly(self.table, {})
+            return MultiPoly.zero(self.table)
         if c == 1:
             return self
-        return MultiPoly(self.table, {k: c * v for k, v in self.terms.items()})
+        return self._term_mul(0, 0, c, 0)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -352,6 +484,11 @@ class MultiPoly:
             n >>= 1
         return result
 
+    def _exact_div(self, c: int) -> "MultiPoly":
+        # c > 0 divides every coefficient, so it divides each run exactly
+        return _poly(self.table, {g: (lo, x // c) for g, (lo, x) in self.runs.items()},
+                     self.w, self.bits - c.bit_length() + 1, self.deg)
+
     # -- monomial content helpers (used by RatFun normalization) ------
 
     def min_exponents(self, caps: Optional[Sequence[int]] = None) -> list:
@@ -361,10 +498,11 @@ class MultiPoly:
         if caps is None:
             caps = [_MASK] * len(self.table)
         mins = []
-        for sh, mn in zip(self.table._shifts, caps):
+        for i, (sh, mn) in enumerate(zip(self.table._shifts, caps)):
             if mn:
-                for k in self.terms:
-                    e = (k >> sh) & _MASK
+                exps = ((g >> sh) & _MASK for g in self.runs) if i else (
+                    lo for lo, _ in self.runs.values())
+                for e in exps:
                     if e < mn:
                         mn = e
                         if not mn:
@@ -373,10 +511,15 @@ class MultiPoly:
         return mins
 
     def shift_down(self, packed: int) -> "MultiPoly":
-        """Divide every term by the given packed monomial (must divide all)."""
+        """Divide every term by the given packed monomial, which must divide
+        every term (else StructureError)."""
         if packed == 0:
             return self
-        return MultiPoly(self.table, {k - packed: c for k, c in self.terms.items()})
+        exps = list(self.table.unpack(packed))
+        if self.min_exponents(exps) != exps:
+            raise StructureError(
+                f"the monomial with exponents {tuple(exps)} does not divide every term")
+        return self._term_mul(exps[0] * self.table._step - packed, -exps[0], 1, -sum(exps))
 
     # -- evaluation and embedding -------------------------------------
 
@@ -398,7 +541,7 @@ class MultiPoly:
     def embed(self, table: SymbolTable) -> "MultiPoly":
         """Recoded copy over a table containing all of this poly's symbols."""
         if table.same_as(self.table):
-            return MultiPoly(table, dict(self.terms))
+            return _poly(table, self.runs, self.w, self.bits, self.deg)
         old = self.table
         out: dict = {}
         for k, c in self.terms.items():
@@ -418,30 +561,93 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def _poly(table: SymbolTable, runs: dict, w: int, bits: int, deg: int) -> MultiPoly:
+    p = _new(MultiPoly)
+    p.table = table
+    p.runs = runs
+    p.w = w
+    p.bits = bits
+    p.deg = deg
+    return p
+
+
+def _make_room(bound, *polys: MultiPoly) -> tuple:
+    """(w, bits) for a result whose coefficients are below
+    2**bound(*bit bounds of polys), called when that overflows their slots:
+    the loosest operand bound is made exact first, the next only if the
+    result still needs wider slots."""
+    w = max(p.w for p in polys)
+    for loosest in sorted(polys, key=lambda p: p.bits, reverse=True):
+        loosest._tighten()
+        bits = bound(*[p.bits for p in polys])
+        if bits < w:
+            break
+    return max(_width(bits), *[p.w for p in polys]), bits
+
+
+def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
+    """Product of two polys, each pair of runs by one int multiply.
+
+    An output coefficient sums at most min(n1, n2) pair products, n the
+    slot counts, so it stays below 2**(bits1 + bits2 + log2 min(n1, n2)).
+    """
+    n = min(sum(x.bit_length() // p.w + 1 for _, x in p.runs.values()),
+            sum(x.bit_length() // r.w + 1 for _, x in r.runs.values()))
+    extra = (n - 1).bit_length()
+    bits = p.bits + r.bits + extra
+    w = max(p.w, r.w)
+    if bits >= w:
+        w, bits = _make_room(lambda b1, b2: b1 + b2 + extra, p, r)
+    r1, r2 = p._at(w), r._at(w)
+    base = min(lo for lo, _ in r1.values()) + min(lo for lo, _ in r2.values())
+    acc: dict = {}
+    get = acc.get
+    for g1, (lo1, x1) in r1.items():
+        for g2, (lo2, x2) in r2.items():
+            g = g1 + g2
+            acc[g] = get(g, 0) + (x1 * x2 << w * (lo1 + lo2 - base))
+    out = {}
+    for g, x in acc.items():
+        if x:
+            s = ((x & -x).bit_length() - 1) // w
+            out[g] = (base + s, x >> w * s)
+    return _poly(p.table, out, w, bits, p.deg + r.deg)
+
+
 def render_poly(p: MultiPoly) -> str:
     """Canonical text: graded-lex descending terms, explicit * and ^."""
-    if not p.terms:
+    if not p.runs:
         return "0"
-    pieces = []
-    for k in sorted(p.terms, reverse=True):
-        c = p.terms[k]
-        mono = "*".join(
-            nm if e == 1 else f"{nm}^{e}"
-            for nm, e in zip(p.table.names, p.table.unpack(k))
-            if e
-        )
+    table = p.table
+    names = table.names
+    x, step, w = names[0], table._step, p.w
+    terms = []
+    for g, (lo, v) in p.runs.items():
+        # the text of the monomial free of x, once per run
+        rest = "*".join(nm if e == 1 else f"{nm}^{e}"
+                        for nm, e in zip(names[1:], table.unpack(g)[1:]) if e)
+        key, e = g + lo * step, lo
+        for c in _slots(v, w):
+            if c:
+                terms.append((key, c, e, rest))
+            key += step
+            e += 1
+    terms.sort(reverse=True)
+    out = []
+    for _, c, e, rest in terms:
+        mono = (x if e == 1 else f"{x}^{e}") if e else ""
+        if rest:
+            mono = f"{mono}*{rest}" if mono else rest
+        a = -c if c < 0 else c
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = str(a)
+        elif a == 1:
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, body = pieces[0]
-    out = [body if sign == "+" else f"-{body}"]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
-    return "".join(out)
+            body = f"{a}*{mono}"
+        out.append(f" - {body}" if c < 0 else f" + {body}")
+    text = "".join(out)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 class RatFun:
@@ -462,16 +668,12 @@ class RatFun:
             self.num = num
             self.den = MultiPoly.const(num.table, 1)
             return
-        nt, dt = num.terms, den.terms
-        cn = num.content()
         cd = den.content()
-        g = math.gcd(cn, cd)
+        g = math.gcd(num.content(), cd) if cd > 1 else 1
         if g > 1:
-            nt = {k: c // g for k, c in nt.items()}
-            dt = {k: c // g for k, c in dt.items()}
-            num = MultiPoly(num.table, nt)
-            den = MultiPoly(den.table, dt)
-        if 0 not in nt and 0 not in dt:
+            num = num._exact_div(g)
+            den = den._exact_div(g)
+        if not num.const_value() and not den.const_value():
             # the denominator first: it often has one term, which leaves
             # few numerator fields to scan
             lo = num.min_exponents(den.min_exponents())
@@ -521,10 +723,7 @@ class RatFun:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num.terms == self.den.terms
-
-    def is_poly(self) -> bool:
-        return self.den.is_const() or len(self.den.terms) == 1
+        return self.num == self.den
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -532,9 +731,9 @@ class RatFun:
             return NotImplemented
         _check_tables(self, other)
         # exact: cross-multiplied difference must vanish identically
-        if self.den.terms == other.den.terms:
-            return self.num.terms == other.num.terms
-        return (self.num * other.den).terms == (other.num * self.den).terms
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
 
     __hash__ = None
 
@@ -560,11 +759,11 @@ class RatFun:
             return other
         if other.num.is_zero():
             return self
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
-        if other.den.is_const() and other.den.const_value() == 1:
+        if other.den == 1:
             return RatFun(self.num + other.num * self.den, self.den)
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den == 1:
             return RatFun(other.num + self.num * other.den, other.den)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 

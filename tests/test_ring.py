@@ -1,12 +1,15 @@
 """Exact polynomial/rational arithmetic: axioms, equality, parsing, the
-Kronecker multiply against the pair-loop reference, exponent bounds.
+Kronecker multiply against the pair-loop reference, exponent bounds, and
+the run form against plain term-dict references.
 
 Randomized values are built over the fixed table (q, a, b) with small
 exponents and coefficients; everything is compared by exact equality
 (cross-multiplication for quotients), never numerically.
 """
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +258,170 @@ def test_normalization_cancels_monomial_content(qab):
     assert str(f) == "(1)/(q*b)"
     g = RatFun.from_int(q.table, 6) / 4
     assert str(g) == "(3)/(2)"
+
+
+# ---------------------------------------------------------------------------
+# the run form against plain term-dict references
+
+
+RUN_TABLES = [SymbolTable(names) for names in (("q",), ("a", "q"), ("q", "a", "b"))]
+
+# small coefficients keep 64-bit slots; up to 2**200 their products need
+# wider ones, so sums and equality meet operands of different widths
+coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def term_dicts(draw, table, max_terms=10, max_exp=6):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(table))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    return {table.pack(e): c for e, c in terms.items() if c}
+
+
+@st.composite
+def tables_with_dicts(draw, count):
+    table = draw(st.sampled_from(RUN_TABLES))
+    return table, [draw(term_dicts(table)) for _ in range(count)]
+
+
+def _add_ref(t1, t2):
+    out = dict(t1)
+    for k, c in t2.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _neg_ref(t):
+    return {k: -c for k, c in t.items()}
+
+
+@settings(max_examples=300)
+@given(tables_with_dicts(3), st.integers(-(2**70), 2**70), st.integers(0, 3))
+def test_run_arithmetic_matches_dict_references(td, c, n):
+    table, (d1, d2, d3) = td
+    p1, p2, p3 = (MultiPoly(table, d) for d in (d1, d2, d3))
+    assert p1.terms == d1 and MultiPoly(table, p1.terms) == p1
+    assert (p1 + p2).terms == _add_ref(d1, d2)
+    assert (p1 - p2).terms == _add_ref(d1, _neg_ref(d2))
+    assert (-p1).terms == _neg_ref(d1)
+    prod = _mul_terms(d1, d2)
+    assert (p1 * p2).terms == prod
+    # a product (often of wide slots) plus a narrow poly, and back
+    assert (p1 * p2 + p3).terms == _add_ref(prod, d3)
+    assert (p1 * p2 + p3 - p3) == p1 * p2
+    assert p1.scaled(c).terms == {k: c * v for k, v in d1.items() if c}
+    power = {0: 1}
+    for _ in range(n):
+        power = _mul_terms(power, d1)
+    assert (p1**n).terms == power
+    assert (p1 == p2) == (d1 == d2)
+    assert (p1 * p2 == p3) == (prod == d3)
+
+
+@settings(max_examples=300)
+@given(tables_with_dicts(1))
+def test_run_queries_match_dict_references(td):
+    table, (d,) = td
+    p = MultiPoly(table, d)
+    if not d:
+        assert (p.content(), p.leading_coeff(), p.total_degree()) == (0, 0, -1)
+        assert all(p.degree(nm) == -1 for nm in table.names)
+        return
+    vecs = [table.unpack(k) for k in d]
+    assert p.content() == reduce(math.gcd, d.values(), 0)
+    assert p.leading_coeff() == d[max(d)]
+    assert p.total_degree() == max(map(sum, vecs))
+    for i, nm in enumerate(table.names):
+        assert p.degree(nm) == max(v[i] for v in vecs)
+    mins = [min(v[i] for v in vecs) for i in range(len(table))]
+    assert p.min_exponents() == mins
+    assert p.min_exponents([1] * len(table)) == [min(m, 1) for m in mins]
+    assert p.is_const() == (set(d) <= {0})
+    assert p.const_value() == d.get(0, 0)
+    m = table.pack(mins)
+    assert p.shift_down(m).terms == {k - m: c for k, c in d.items()}
+    for i in range(len(table)):
+        bumped = list(mins)
+        bumped[i] += 1
+        with pytest.raises(StructureError):
+            p.shift_down(table.pack(bumped))
+
+
+@settings(max_examples=300)
+@given(tables_with_dicts(1), st.data())
+def test_run_sums_that_cancel(td, data):
+    table, (d,) = td
+    p = MultiPoly(table, d)
+    keys = sorted(d)
+    part = {k: d[k] for k in data.draw(st.lists(st.sampled_from(keys), unique=True)
+                                         if keys else st.just([]))}
+    s = MultiPoly(table, part)
+    rest = {k: c for k, c in d.items() if k not in part}
+    assert (p - s).terms == rest
+    assert (p - s) + s == p
+    assert (p - p).is_zero() and p - p == 0
+    assert p + (-p) == MultiPoly.zero(table)
+
+
+@pytest.mark.parametrize("names", [("q",), ("a", "q"), ("q", "a", "b")], ids="_".join)
+def test_runs_lose_their_lowest_slots(names):
+    table = SymbolTable(names)
+    x = MultiPoly.symbol(table, names[0])
+    y = MultiPoly.symbol(table, names[-1])
+    powers = [0, 1, 2, 5]
+    p = y * (1 + x + x**2 + x**5)
+    for i, e in enumerate(powers):
+        p = p - y * x**e
+        left = [y * x**f for f in powers[i + 1:]]
+        expected = {}
+        for mono in left:
+            expected = _add_ref(expected, mono.terms)
+        assert p.terms == expected
+        if left:
+            assert p.min_exponents() == left[0].min_exponents()
+            assert p.shift_down(table.pack(p.min_exponents())).const_value() == 1
+    assert p.is_zero()
+
+
+def test_equality_across_slot_widths():
+    x = MultiPoly(TABLE, {TABLE.pack((1, 0, 0)): 3, TABLE.pack((0, 2, 0)): -5})
+    big = MultiPoly.const(TABLE, 2**300) * (1 + MultiPoly.symbol(TABLE, "q"))
+    wide = (x + big) - big
+    assert wide.w > x.w
+    assert wide == x and x == wide
+    assert wide.terms == x.terms
+    assert wide + 1 != x and x != wide * 2
+    assert RatFun(wide, x) == 1
+
+
+def test_slot_width_grows_exactly_past_64_bits():
+    q = MultiPoly.symbol(TABLE, "q")
+    p = (2**62 - 1) * (1 + q)
+    assert (p + p).w == 64  # 2**63 - 2 still fits a signed 64-bit slot
+    assert (p + p + p).w == 128
+    assert (p + p + p).terms == {0: 3 * (2**62 - 1), TABLE.pack((1, 0, 0)): 3 * (2**62 - 1)}
+    # 100 products of 31-bit coefficients sum to 69 bits in one slot
+    run = MultiPoly(TABLE, {TABLE.pack((e, 1, 0)): 2**31 - 1 for e in range(100)})
+    assert (run * run).terms == _mul_terms(run.terms, run.terms)
+    assert max((run * run).terms.values()).bit_length() == 69
+    # a long sum of small terms tightens its bound instead of widening
+    s = MultiPoly.zero(TABLE)
+    for _ in range(300):
+        s = s + (1 + q)
+    assert s.w == 64 and s == 300 * (1 + q)
+
+
+def test_terms_is_read_only():
+    p = MultiPoly(TABLE, {0: 1, TABLE.pack((2, 1, 0)): -4})
+    with pytest.raises(TypeError):
+        p.terms[0] = 2
+    assert p.terms == {0: 1, TABLE.pack((2, 1, 0)): -4}
+
+
+def test_shift_down_rejects_a_monomial_that_does_not_divide():
+    p = MultiPoly(TABLE, {TABLE.pack((2, 1, 0)): 1, TABLE.pack((1, 3, 0)): 2})
+    assert p.shift_down(TABLE.pack((1, 1, 0))).terms == {
+        TABLE.pack((1, 0, 0)): 1, TABLE.pack((0, 2, 0)): 2}
+    for exps in ((2, 1, 0), (1, 2, 0), (0, 0, 1)):
+        with pytest.raises(StructureError):
+            p.shift_down(TABLE.pack(exps))
