@@ -22,15 +22,7 @@ from .identities import (
     IdentityReport,
     IdentitySides,
     build_sides,
-    check_1psi1_coeff,
-    check_2phi1_to_4phi3,
-    check_coogan_ono,
-    check_coro_tlnew,
-    check_floor_sum,
-    check_lemma13,
     check_names,
-    check_partial_theta,
-    check_rogers_fine,
     check_theorem16,
     compare,
     run_all,

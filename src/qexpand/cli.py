@@ -33,9 +33,9 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import OrderError, ParseError, QExpandError
 from .identities import check_names, run_all, run_check
@@ -69,7 +69,6 @@ class RunConfig:
     seed: int = 0
     precision: int = DEFAULT_PRECISION
     tolerance: Fraction = DEFAULT_TOLERANCE
-    params: List[Tuple[str, str]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +465,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=getattr(args, "seed", 0),
         precision=getattr(args, "precision", DEFAULT_PRECISION),
         tolerance=getattr(args, "tol", DEFAULT_TOLERANCE),
-        params=[(nm, getattr(args, nm)) for nm in ("a", "b") if hasattr(args, nm)],
     )
     if config.order < 0:
         print("error: --n must be >= 0", file=sys.stderr)

@@ -200,7 +200,9 @@ def build_rogers_fine(order: int) -> IdentitySides:
 
 
 # ---------------------------------------------------------------------------
-# the transformation theorem and its corollaries
+# the transformation theorem and its corollaries: every right side comes
+# from _telescoped_sides, with inner coefficients from _cleared_hyper when G
+# is hypergeometric
 
 
 def _euler_ratio_cleared(
@@ -236,100 +238,128 @@ def _ratio_chain(a: RatFun, b: RatFun, order: int, table: SymbolTable) -> List[T
     return out
 
 
-def _telescoped_term(
-    a: RatFun,
-    ratios: List[TruncSeries],
-    scalars: List[RatFun],
-    n: int,
-    order: int,
-    table: SymbolTable,
-) -> TruncSeries:
-    """sum_k scalars[k] z^(n+k) (az;q)_(n+k)/(bz;q)_(n+k) (1 - azq^(2n+k)).
-
-    Every right-side term of the transformation collapses to this shape
-    once the n-th base prefactor is folded into the inner sum through
-    (az;q)_n (azq^n;q)_k = (az;q)_(n+k) and the bracket in front of the
-    inner sum is cancelled against its k-th Pochhammer quotient, leaving
-    one linear factor per k.  scalars[k] must carry everything z-free for
-    the pair (n, k): coefficients, powers of q^(nk), clearing cofactors.
-    """
-    q = RatFun.sym(table, "q")
-    zero = RatFun.zero(table)
-    acc = TruncSeries.zero(table, order)
-    for k, sc in enumerate(scalars):
-        if sc.is_zero():
-            continue
-        m = n + k
-        piece = ratios[m].mul_linear(a * q ** (2 * n + k))
-        lifted = TruncSeries(
-            table, order, [zero] * m + [c * sc for c in piece.coeffs]
-        )
-        acc = acc + lifted
-    return acc
-
-
-def _theorem16_sides(
+def _telescoped_sides(
     name: str,
-    t_eff: List[RatFun],
+    lhs: TruncSeries,
+    inner: List[RatFun],
     a: RatFun,
     b: RatFun,
     order: int,
-    extra_scale: RatFun,
-    parameters: List[Tuple[str, str]],
+    cof: List[RatFun],
+    scale: RatFun,
+    divide: bool = False,
+) -> IdentitySides:
+    """The transformation's right side for inner coefficients `inner`.
+
+    Term n of sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n) (bz)^n q^(n(n-1))
+    times the bracketed inner series collapses to
+
+        (aq/b;q)_n b^n q^(n(n-1)) cof[n]
+        sum_k inner[k] q^(nk) z^(n+k) (az;q)_(n+k)/(bz;q)_(n+k) (1 - azq^(2n+k))
+
+    once the n-th base prefactor is folded into the inner sum through
+    (az;q)_n (azq^n;q)_k = (az;q)_(n+k) and the bracket in front of the
+    inner sum is cancelled against its k-th Pochhammer quotient, leaving
+    one linear factor per k.  inner[k] carries everything z-free of the
+    k-th inner coefficient except the explicit q^(nk), cleared by the same
+    factors in every term; cof = _cof_chain(q, order) clears 1/(q;q)_n.
+    `divide` divides each term by (1 - az), the one factor coro_tlnew's
+    bracket leaves over.  lhs and scale are passed through unchanged.
+    """
+    table = a.table
+    q = RatFun.sym(table, "q")
+    zero = RatFun.zero(table)
+    ratios = _ratio_chain(a, b, order, table)
+    rhs_terms = []
+    paqb = RatFun.one(table)  # (aq/b;q)_n b^n
+    for n in range(order + 1):
+        outer = paqb * cof[n] * q ** (n * (n - 1))
+        term = TruncSeries.zero(table, order)
+        for k in range(order - n + 1):
+            if inner[k].is_zero():
+                continue
+            sc = inner[k] * qpow(table, n * k) * outer
+            m = n + k
+            piece = ratios[m].mul_linear(a * q ** (2 * n + k))
+            term = term + TruncSeries(
+                table, order, [zero] * m + [c * sc for c in piece.coeffs]
+            )
+        rhs_terms.append(term.div_linear(a) if divide else term)
+        if n < order:
+            paqb = paqb * (b - a * q ** (n + 1))
+    return IdentitySides(name, [], order, table, lhs, rhs_terms, scale)
+
+
+def _cleared_hyper(
+    uppers: Sequence[RatFun],
+    coflow: List[List[RatFun]],
+    carg: RatFun,
+    order: int,
+    cofq: List[RatFun],
+    table: SymbolTable,
+) -> Tuple[List[RatFun], RatFun]:
+    """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
+
+    Returns (coeffs, scale) with coeffs[k] = prod(U;q)_k c^k cofq[k]
+    prod coflow[i][k], the k-th coefficient times scale, where cofq and
+    coflow[i] are the _cof_chain of q and of the i-th lower parameter.  In
+    the telescoped assembly these are also the z-free parts of the inner
+    series' summands, whose only remaining n-dependence is q^(nk).
+    """
+    q = RatFun.sym(table, "q")
+    coeffs = []
+    p = RatFun.one(table)  # prod(U;q)_k c^k
+    for k in range(order + 1):
+        sc = p * cofq[k]
+        for cl in coflow:
+            sc = sc * cl[k]
+        coeffs.append(sc)
+        if k < order:
+            for u in uppers:
+                p = p * (1 - u * q**k)
+            p = p * carg
+    scale = cofq[0]
+    for cl in coflow:
+        scale = scale * cl[0]
+    return coeffs, scale
+
+
+def _theorem16_sides(
+    name: str, t: List[RatFun], a: RatFun, b: RatFun, order: int
 ) -> IdentitySides:
     """(az;q)_inf/(bz;q)_inf G(z) = sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n)
     (bz)^n q^(n(n-1)) (Gt(zq^n;a,b) - azq^(2n) Gt(zq^(n+1);a/q,b/q))
 
     with G = sum t_n z^n plain and Gt = sum t_n z^n (az;q)_n/(bz;q)_n.  The
-    two Gt evaluations pair up k-by-k into the telescoped shape (the a/q,
-    b/q arguments at zq^(n+1) reproduce the same Pochhammers as the first
-    evaluation), so term n is assembled as
-
-        (aq/b;q)_n/(q;q)_n b^n q^(n(n-1))
-        sum_k t_k q^(nk) z^(n+k) (az;q)_(n+k)/(bz;q)_(n+k) (1 - azq^(2n+k)).
-
-    The t_eff list must already carry extra_scale; both sides are scaled by
-    (q;q)_N * extra_scale in total.
+    two Gt evaluations pair up k-by-k into the telescoped shape with
+    inner = t (the a/q, b/q arguments at zq^(n+1) reproduce the same
+    Pochhammers as the first evaluation).  Scale: (q;q)_N.
     """
     table = a.table
-    q = RatFun.sym(table, "q")
-    cof = _cof_chain(q, order)  # (q;q)_N / (q;q)_n
-    plain = TruncSeries.from_coeffs(table, t_eff, order)
-    lhs = _euler_ratio_cleared(a, b, order, cof, table) * plain
-
-    ratios = _ratio_chain(a, b, order, table)
-    rhs_terms = []
-    paqb = RatFun.one(table)  # (aq/b;q)_n
-    for n in range(order + 1):
-        outer = paqb * cof[n] * b**n * q ** (n * (n - 1))
-        scalars = [
-            t_eff[k] * qpow(table, n * k) * outer for k in range(order - n + 1)
-        ]
-        rhs_terms.append(_telescoped_term(a, ratios, scalars, n, order, table))
-        if n < order:
-            paqb = paqb * (1 - (a * q / b) * q**n)
-    return IdentitySides(
-        name, parameters, order, table, lhs, rhs_terms, cof[0] * extra_scale
-    )
+    cof = _cof_chain(RatFun.sym(table, "q"), order)  # (q;q)_N / (q;q)_n
+    lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
+    return _telescoped_sides(name, lhs, t, a, b, order, cof, cof[0])
 
 
 def build_theorem16_const(order: int) -> IdentitySides:
     """G = 1: (az;q)_inf/(bz;q)_inf as a sum over the expansion base."""
     table, (q, a, b) = symbols("q a b")
     t = [RatFun.one(table)] + [RatFun.zero(table)] * order
-    return _theorem16_sides("theorem16_const", t, a, b, order, RatFun.one(table), [])
+    return _theorem16_sides("theorem16_const", t, a, b, order)
 
 
 def build_theorem16_3phi2(order: int) -> IdentitySides:
-    """G a 1phi0-style series: t_k = (A;q)_k B^k/(q;q)_k, cleared by (q;q)_N."""
+    """G a 1phi0-style series: t_k = (A;q)_k B^k/(q;q)_k, cleared by (q;q)_N.
+
+    Scale: (q;q)_N^2.
+    """
     table, (q, a, b, A, B) = symbols("q a b A B")
     cof = _cof_chain(q, order)
-    t_eff = []
-    pA = RatFun.one(table)
-    for k in range(order + 1):
-        t_eff.append(pA * B**k * cof[k])
-        pA = pA * (1 - A * q**k)
-    return _theorem16_sides("theorem16_3phi2", t_eff, a, b, order, cof[0], [])
+    t, t_scale = _cleared_hyper([A], [], B, order, cof, table)
+    lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
+    return _telescoped_sides(
+        "theorem16_3phi2", lhs, t, a, b, order, cof, cof[0] * t_scale
+    )
 
 
 def theorem16_random_t(order: int, seed: int) -> List[Fraction]:
@@ -344,7 +374,7 @@ def build_theorem16_random(order: int, seed: int = 0) -> IdentitySides:
     """G with seed-derived rational coefficients."""
     table, (q, a, b) = symbols("q a b")
     t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(order, seed)]
-    return _theorem16_sides("theorem16_random", t, a, b, order, RatFun.one(table), [])
+    return _theorem16_sides("theorem16_random", t, a, b, order)
 
 
 def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None) -> IdentityReport:
@@ -363,42 +393,7 @@ def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None)
             raise StructureError(f"bad coefficient {v!r}")
         t_eff.append(r)
     t_eff += [RatFun.zero(table)] * (order + 1 - len(t_eff))
-    sides = _theorem16_sides("theorem16", t_eff, a, b, order, RatFun.one(table), [])
-    return compare(sides)
-
-
-def _inner_pochhammer_scalars(
-    uppers: Sequence[RatFun],
-    carg: RatFun,
-    order: int,
-    cofq: List[RatFun],
-    coflow: List[List[RatFun]],
-    table: SymbolTable,
-) -> List[RatFun]:
-    """inner[k] = prod(U;q)_k c^k cleared by (q;q)_N prod (L;q)_N.
-
-    The z-free part of the k-th summand of the inner hypergeometric series
-
-        sum_k (azq^n;q)_k (azq^(2n+1);q)_k prod(U;q)_k
-              / ((bzq^n;q)_k (azq^(2n);q)_k (q;q)_k prod(L;q)_k) (czq^n)^k
-
-    after its z-Pochhammers have been folded into the telescoped term; the
-    remaining n-dependence is the explicit q^(nk).
-    """
-    q = RatFun.sym(table, "q")
-    out = []
-    pu = RatFun.one(table)
-    cpow = RatFun.one(table)
-    for k in range(order + 1):
-        sc = pu * cpow * cofq[k]
-        for cl in coflow:
-            sc = sc * cl[k]
-        out.append(sc)
-        if k < order:
-            for u in uppers:
-                pu = pu * (1 - u * q**k)
-            cpow = cpow * carg
-    return out
+    return compare(_theorem16_sides("theorem16", t_eff, a, b, order))
 
 
 def build_coro_tlnew(
@@ -409,7 +404,6 @@ def build_coro_tlnew(
     carg: Optional[RatFun] = None,
     a: Optional[RatFun] = None,
     b: Optional[RatFun] = None,
-    name: str = "coro_tlnew",
 ) -> IdentitySides:
     """(azq;q)_inf/(bz;q)_inf r+1_phi_r(U;L;q,cz)
     = sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n) (bz)^n q^(n(n-1))
@@ -434,29 +428,12 @@ def build_coro_tlnew(
 
     cof = _cof_chain(q, order)
     coflow = [_cof_chain(l, order) for l in lowers]
-    inner_scale = cof[0]
-    for cl in coflow:
-        inner_scale = inner_scale * cl[0]
-
-    inner = _inner_pochhammer_scalars(uppers, carg, order, cof, coflow, table)
-    # inner[k] is also the cleared k-th coefficient of r+1_phi_r(U;L;q,cz)
+    inner, inner_scale = _cleared_hyper(uppers, coflow, carg, order, cof, table)
     lhs = _euler_ratio_cleared(a * q, b, order, cof, table) * TruncSeries(
-        table, order, list(inner)
+        table, order, inner
     )
-    ratios = _ratio_chain(a, b, order, table)
-    rhs_terms = []
-    paqb = RatFun.one(table)
-    for n in range(order + 1):
-        outer = paqb * cof[n] * b**n * q ** (n * (n - 1))
-        scalars = [
-            inner[k] * qpow(table, n * k) * outer for k in range(order - n + 1)
-        ]
-        term = _telescoped_term(a, ratios, scalars, n, order, table)
-        rhs_terms.append(term.div_linear(a))
-        if n < order:
-            paqb = paqb * (1 - (a * q / b) * q**n)
-    return IdentitySides(
-        name, [], order, table, lhs, rhs_terms, cof[0] * inner_scale
+    return _telescoped_sides(
+        "coro_tlnew", lhs, inner, a, b, order, cof, cof[0] * inner_scale, divide=True
     )
 
 
@@ -471,37 +448,15 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     """
     table, (q, A, B, C) = symbols("q A B C")
     a = A * B / C
-    b = RatFun.one(table)
-    uppers = [C / A, C / B]
-    lowers = [C]
-
     cof = _cof_chain(q, order)
-    coflow = [_cof_chain(C, order)]
-    inner_scale = cof[0] * coflow[0][0]
-
-    # cleared 2phi1 coefficients: (A;q)_n (B;q)_n cof[n] cofC[n] (q;q)_N
-    lhs_coeffs = []
-    pAB = RatFun.one(table)
-    for n in range(order + 1):
-        lhs_coeffs.append(pAB * cof[n] * coflow[0][n] * cof[0])
-        if n < order:
-            pAB = pAB * (1 - A * q**n) * (1 - B * q**n)
-    lhs = TruncSeries(table, order, lhs_coeffs)
-
-    inner = _inner_pochhammer_scalars(uppers, a, order, cof, coflow, table)
-    ratios = _ratio_chain(a, b, order, table)
-    rhs_terms = []
-    paqb = RatFun.one(table)  # (ABq/C;q)_n
-    for n in range(order + 1):
-        outer = paqb * cof[n] * q ** (n * (n - 1))
-        scalars = [
-            inner[k] * qpow(table, n * k) * outer for k in range(order - n + 1)
-        ]
-        rhs_terms.append(_telescoped_term(a, ratios, scalars, n, order, table))
-        if n < order:
-            paqb = paqb * (1 - a * q ** (n + 1))
-    return IdentitySides(
-        "2phi1_to_4phi3", [], order, table, lhs, rhs_terms, cof[0] * inner_scale
+    cofC = _cof_chain(C, order)
+    one = RatFun.one(table)
+    # the 2phi1 cleared like the inner series, then by one more (q;q)_N
+    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], one, order, cof, table)
+    lhs = TruncSeries(table, order, lhs_coeffs).scale(cof[0])
+    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], a, order, cof, table)
+    return _telescoped_sides(
+        "2phi1_to_4phi3", lhs, inner, a, one, order, cof, cof[0] * inner_scale
     )
 
 
@@ -650,39 +605,3 @@ def run_all(order: int = 10, name_filter: Optional[str] = None, seed: int = 0) -
             continue
         reports.append(run_check(name, order, seed))
     return reports
-
-
-# named single-identity entry points
-
-
-def check_coogan_ono(order: int) -> IdentityReport:
-    return compare(build_coogan_ono(order))
-
-
-def check_lemma13(order: int) -> IdentityReport:
-    return compare(build_lemma13(order))
-
-
-def check_rogers_fine(order: int) -> IdentityReport:
-    return compare(build_rogers_fine(order))
-
-
-def check_coro_tlnew(order: int, r: int = 0, uppers=None, lowers=None, carg=None,
-                     a=None, b=None) -> IdentityReport:
-    return compare(build_coro_tlnew(order, r, uppers, lowers, carg, a, b))
-
-
-def check_2phi1_to_4phi3(order: int) -> IdentityReport:
-    return compare(build_2phi1_to_4phi3(order))
-
-
-def check_partial_theta(order: int) -> IdentityReport:
-    return compare(build_partial_theta(order))
-
-
-def check_1psi1_coeff(order: int) -> IdentityReport:
-    return compare(build_1psi1_coeff(order))
-
-
-def check_floor_sum(order: int) -> IdentityReport:
-    return compare(build_floor_sum(order))

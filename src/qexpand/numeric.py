@@ -179,7 +179,7 @@ def _region_q_z(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
-def _rogers_fine_lhs(v, tol):
+def _rogers_fine_lhs(v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
 
     def terms():
@@ -193,7 +193,7 @@ def _rogers_fine_lhs(v, tol):
     return (1 - z) * _sum_terms(terms(), tol)
 
 
-def _rogers_fine_rhs(v, tol):
+def _rogers_fine_rhs(v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
 
     def terms():
@@ -212,7 +212,7 @@ def _rogers_fine_rhs(v, tol):
     return _sum_terms(terms(), tol)
 
 
-def _coogan_ono_lhs(v, tol):
+def _coogan_ono_lhs(v, tol, precision):
     q, z = v["q"], v["z"]
 
     def terms():
@@ -236,11 +236,11 @@ def _theta_z2_terms(q, z):
         k += 1
 
 
-def _coogan_ono_rhs(v, tol):
+def _coogan_ono_rhs(v, tol, precision):
     return _sum_terms(_theta_z2_terms(v["q"], v["z"]), tol)
 
 
-def _lemma13_lhs(v, tol):
+def _lemma13_lhs(v, tol, precision):
     q, z = v["q"], v["z"]
 
     def terms():
@@ -254,7 +254,7 @@ def _lemma13_lhs(v, tol):
     return _sum_terms(terms(), tol)
 
 
-def _lemma13_rhs(v, tol):
+def _lemma13_rhs(v, tol, precision):
     gen = _theta_z2_terms(v["q"], v["z"])
     next(gen)  # k = 0 term enters with weight 1, the rest with weight 2
     return 1 + 2 * _sum_terms(gen, tol)
@@ -267,7 +267,7 @@ def _region_1psi1(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
-def _1psi1_lhs(v, tol):
+def _1psi1_lhs(v, tol, precision):
     """sum_(k=-inf)^inf (a;q)_k/(b;q)_k z^k as two one-sided sums."""
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
 
@@ -291,7 +291,7 @@ def _1psi1_lhs(v, tol):
     return _sum_terms(nonneg(), tol) + _sum_terms(negative(), tol)
 
 
-def _1psi1_rhs(v, tol, precision: int = DEFAULT_PRECISION):
+def _1psi1_rhs(v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
     num = [a * z, q / (a * z), q, b / a]
     den = [z, b / (a * z), b, q / a]
@@ -304,6 +304,8 @@ def _1psi1_rhs(v, tol, precision: int = DEFAULT_PRECISION):
 
 
 class _IdentityNumeric:
+    """One identity; each side is called as side(v, tol, precision)."""
+
     def __init__(self, symbols, region, lhs, rhs):
         self.symbols = symbols
         self.region = region
@@ -376,12 +378,8 @@ def check_identity_numeric(
         v = {k: _to_mp(point[k]) for k in check.symbols}
         tolv = _to_mp(tol)
         check.region(v)
-        if name == "ramanujan_1psi1":
-            lhs = check.lhs(v, tolv)
-            rhs = check.rhs(v, tolv, precision)
-        else:
-            lhs = check.lhs(v, tolv)
-            rhs = check.rhs(v, tolv)
+        lhs = check.lhs(v, tolv, precision)
+        rhs = check.rhs(v, tolv, precision)
         diff = abs(lhs - rhs)
     with mpmath.workprec(precision):
         lhs, rhs, diff, tolv = +lhs, +rhs, +diff, +tolv

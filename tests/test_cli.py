@@ -31,7 +31,6 @@ def test_run_config_defaults():
     assert config.seed == 0
     assert config.precision == DEFAULT_PRECISION
     assert config.tolerance == DEFAULT_TOLERANCE
-    assert config.params == []
 
 
 def test_fold_negative_values():
@@ -272,7 +271,13 @@ def test_bench_small_order(capsys):
     rows = json.loads(out)
     assert all(set(row) == {"task", "seconds", "ok"} for row in rows)
     assert all(row["ok"] for row in rows)
-    assert any("numeric default battery" in row["task"] for row in rows)
+    tasks = [row["task"] for row in rows]
+    # one row per registered check, so bench covers the whole corpus
+    for name in check_names():
+        assert tasks.count(f"identity {name} (n = 2)") == 1, name
+    assert tasks.count("base_matrix + lt_inverse + product check (n = 2)") == 1
+    assert tasks.count("expansion, both routes, random series (n = 2)") == 1
+    assert tasks.count("numeric default battery") == 1
 
 
 # -- module entry point -------------------------------------------------------

@@ -2,6 +2,8 @@
 specializations relating the checks to one another, and the perturbation
 harness that must pinpoint an injected failure."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,9 +19,9 @@ from qexpand.identities import (
     build_rogers_fine,
     build_sides,
     build_theorem16_random,
-    check_coro_tlnew,
     check_names,
     check_theorem16,
+    compare,
     run_all,
     run_check,
     theorem16_random_t,
@@ -273,12 +275,12 @@ def test_coro_tlnew_general_shape():
     table, (q, a, b) = symbols("q a b")
     half = RatFun.from_fraction(table, Fraction(1, 2))
     third = RatFun.from_fraction(table, Fraction(1, 3))
-    report = check_coro_tlnew(
+    report = compare(build_coro_tlnew(
         5, r=1, uppers=[q, half], lowers=[third], carg=half, a=a, b=b
-    )
+    ))
     assert report.passed
     with pytest.raises(StructureError, match="uppers and r lowers"):
-        check_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
+        build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
 
 
 # -- perturbation harness -----------------------------------------------------
@@ -339,6 +341,27 @@ def test_perturb_index_out_of_range():
 
 
 # -- report serialization -----------------------------------------------------
+
+
+# sha256 of the sorted-key JSON of every report below.  Failure values are
+# unreduced RatFuns, so their text depends on the factors that build each
+# coefficient; a builder rewritten with other factors would change the
+# CLI's JSON output while every verdict still holds.
+GOLDEN_REPORTS_SHA256 = (
+    "4d0ba8160b7dbc5fd711a1d047f8b69c0fdb37917101db8344047eaca43740c5"
+)
+
+
+def test_reports_are_byte_stable():
+    reports = []
+    for name in check_names():
+        sides = build_sides(name, 4, 5)
+        for j in [None, *range(len(sides.rhs_terms))]:
+            reports.append(compare(sides, perturb=j).to_json_dict())
+    assert len(reports) == 62
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_REPORTS_SHA256
+
 
 
 def test_report_json_shapes():
