@@ -381,9 +381,12 @@ def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None)
     """Verify the transformation for an arbitrary coefficient list t.
 
     Missing entries count as zero; entries past t_order cannot influence
-    the truncated comparison and are dropped.
+    the truncated comparison and are dropped.  a and b are given together,
+    or neither is and they are fresh symbols.
     """
-    if a is None or b is None:
+    if (a is None) != (b is None):
+        raise StructureError("check_theorem16 needs both a and b, or neither")
+    if a is None:
         table, (q, a, b) = symbols("q a b")
     table = a.table
     t_eff = []
@@ -412,14 +415,19 @@ def build_coro_tlnew(
     Term n telescopes: (1-azq^(2n)) cancels against (azq^(2n+1);q)_k /
     (azq^(2n);q)_k leaving (1-azq^(2n+k)), and the base prefactor absorbs
     the zq^n-shifted Pochhammers, so only the final 1/(1-az) remains as a
-    series division.  Defaults build the registered r = 0 instance with
-    symbolic upper A and argument coefficient c.
+    series division.  Without uppers it builds the registered r = 0
+    instance with symbolic upper A and argument coefficient c, and takes
+    none of lowers, carg, a, b; with uppers it needs carg, a and b.
     Scale: (q;q)_N^2 prod_L (L;q)_N.
     """
     if uppers is None:
+        if any(x is not None for x in (lowers, carg, a, b)):
+            raise StructureError("lowers, carg, a and b need custom uppers")
         table, (q, a, b, A, c) = symbols("q a b A c")
         uppers, lowers, carg = [A], [], c
     else:
+        if carg is None or a is None or b is None:
+            raise StructureError("custom uppers need carg, a and b")
         table = a.table
         q = RatFun.sym(table, "q")
         lowers = list(lowers or [])

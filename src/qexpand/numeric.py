@@ -17,7 +17,11 @@ so a point is the same number at every precision.
 
 Infinite sums stop after 5 consecutive terms fall below tol/100; infinite
 products stop when the log-remainder tail bound
-sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.
+sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.  That bound
+is at least |cq^I|, so each factor is first tested by one comparison,
+|cq^I| < 2^-(precision+7), and the bound's division runs only for the last
+few factors; the truncation index, every product and every rounding are
+those of testing the bound at every factor.
 """
 
 from __future__ import annotations
@@ -118,20 +122,29 @@ def _sum_terms(terms: Iterator, tol) -> "mpmath.mpf":
 def _qpoch_inf(c, q, precision: int):
     """(c;q)_inf with its log-remainder tail bound; needs |q| < 1.
 
-    Truncated at the first index I where the bound
+    Truncated at the first index I where |cq^I| < 1/2 and the bound
     sum_(i>=I) |cq^i|/(1-|cq^i|) <= |cq^I| / ((1-|q|)(1-|cq^I|))
-    falls below 2^-(precision+8); the bound is returned alongside.
+    falls below eps = 2^-(precision+8); the bound is returned alongside.
+
+    The division is only tried once |cq^I| < min(1/2, 2 eps).  That test
+    cannot move I: both factors of the denominator are at most 1, and so
+    is their rounded product, so the rounded bound is at least |cq^I| up
+    to one rounding, and a bound below eps needs |cq^I| < 2 eps.
     """
     absq = abs(q)
     if absq >= 1:
         raise DomainError(f"(c;q)_inf needs |q| < 1, got |q| = {_nstr(absq)}")
     eps = mpmath.mpf(2) ** (-(precision + 8))
+    near = min(mpmath.mpf("0.5"), 2 * eps)
+    one_minus_absq = 1 - absq
     out = mpmath.mpf(1)
     cur = c
     for _ in range(_MAX_TERMS):
         mag = abs(cur)
-        if mag < mpmath.mpf("0.5") and mag / ((1 - absq) * (1 - mag)) < eps:
-            return out, mag / ((1 - absq) * (1 - mag))
+        if mag < near:
+            bound = mag / (one_minus_absq * (1 - mag))
+            if bound < eps:
+                return out, bound
         out = out * (1 - cur)
         cur = cur * q
     raise DomainError("infinite product did not converge (|q| too close to 1)")

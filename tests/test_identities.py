@@ -262,6 +262,15 @@ def test_theorem16_arbitrary_coefficients():
         check_theorem16(["nope"], 3)
 
 
+def test_theorem16_needs_both_or_neither_of_a_b():
+    table, (q, a, b, c) = symbols("q a b c")
+    assert check_theorem16([1, 2], 3, a=c * q, b=b).passed
+    with pytest.raises(StructureError, match="both a and b"):
+        check_theorem16([1, 2], 3, a=c * q)
+    with pytest.raises(StructureError, match="both a and b"):
+        check_theorem16([1, 2], 3, b=c * q)
+
+
 def test_theorem16_random_is_seed_deterministic():
     assert theorem16_random_t(8, 7) == theorem16_random_t(8, 7)
     assert theorem16_random_t(8, 7) != theorem16_random_t(8, 8)
@@ -281,6 +290,18 @@ def test_coro_tlnew_general_shape():
     assert report.passed
     with pytest.raises(StructureError, match="uppers and r lowers"):
         build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
+
+
+def test_coro_tlnew_rejects_missing_or_unused_arguments():
+    table, (q, a, b) = symbols("q a b")
+    with pytest.raises(StructureError, match="need carg, a and b"):
+        build_coro_tlnew(3, uppers=[q])
+    with pytest.raises(StructureError, match="need carg, a and b"):
+        build_coro_tlnew(3, uppers=[q], a=a, b=b)
+    with pytest.raises(StructureError, match="need carg, a and b"):
+        build_coro_tlnew(3, uppers=[q], carg=q, a=a)
+    with pytest.raises(StructureError, match="need custom uppers"):
+        build_coro_tlnew(3, a=a, b=b)
 
 
 # -- perturbation harness -----------------------------------------------------

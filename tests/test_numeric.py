@@ -1,8 +1,11 @@
 """Numeric cross-checks: the q-Pochhammer evaluator against independent
-oracles, the identity battery on its default grid, region/domain errors,
-verdict stability under precision doubling, and the three spot-check
-statuses (passed / failed / inconclusive)."""
+oracles and against the loop that tests its tail bound at every factor,
+the identity battery on its default grid and its byte-pinned reports,
+region/domain errors, verdict stability under precision doubling, and the
+three spot-check statuses (passed / failed / inconclusive)."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +14,7 @@ import pytest
 from qexpand.errors import DomainError, StructureError
 from qexpand.numeric import (
     DEFAULT_POINTS,
+    _qpoch_inf,
     check_identity_numeric,
     check_qqq,
     default_numeric_reports,
@@ -46,14 +50,63 @@ def test_qpoch_num_finite_matches_exact_fractions():
     ],
 )
 def test_qpoch_num_infinite_matches_mpmath_qp(c, q):
-    with mpmath.workprec(140):
-        ours = qpoch_num(c, mpmath.inf, q, precision=128)
-        ref = mpmath.qp(_mp(c), _mp(q))
-        assert abs(ours - ref) < mpmath.mpf(2) ** -110
+    for precision in (128, 1024):
+        with mpmath.workprec(precision + 12):
+            ours = qpoch_num(c, mpmath.inf, q, precision=precision)
+            ref = mpmath.qp(_mp(c), _mp(q))
+            assert abs(ours - ref) < mpmath.mpf(2) ** -(precision - 18)
 
 
 def _mp(f):
     return mpmath.mpf(f.numerator) / f.denominator
+
+
+def _qpoch_inf_every_factor(c, q, precision):
+    """(c;q)_inf with the tail bound divided out at every factor."""
+    absq = abs(q)
+    eps = mpmath.mpf(2) ** (-(precision + 8))
+    out = mpmath.mpf(1)
+    cur = c
+    while True:
+        mag = abs(cur)
+        if mag < mpmath.mpf("0.5") and mag / ((1 - absq) * (1 - mag)) < eps:
+            return out, mag / ((1 - absq) * (1 - mag))
+        out = out * (1 - cur)
+        cur = cur * q
+
+
+_QPOCH_INF_CASES = {
+    "real": ("1/3", "1/4"),
+    "real_large": ("5/2", "1/5"),
+    "half": ("1/2", "1/3"),
+    "minus_half": ("-1/2", "3/10"),
+    "zero": ("0", "1/2"),
+    "negative_q": ("2/3", "-1/2"),
+    "q_nine_tenths": ("7/10", "9/10"),
+    "negative_q_nine_tenths": ("-3", "-9/10"),
+    "complex": (("1/3", "1/2"), "1/5"),
+    "complex_large": (("-4/5", "3/5"), "-2/5"),
+    "complex_q": (("3/4", "-1/4"), ("27/50", "18/25")),
+}
+
+
+def _mp_value(v):
+    if isinstance(v, tuple):
+        return mpmath.mpc(*(_mp(Fraction(x)) for x in v))
+    return _mp(Fraction(v))
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256, 1024])
+@pytest.mark.parametrize("case", sorted(_QPOCH_INF_CASES))
+def test_qpoch_inf_matches_every_factor_bound_loop(case, precision):
+    c, q = _QPOCH_INF_CASES[case]
+    with mpmath.workprec(precision + 16):
+        cv, qv = _mp_value(c), _mp_value(q)
+        got = _qpoch_inf(cv, qv, precision)
+        want = _qpoch_inf_every_factor(cv, qv, precision)
+    assert type(got[0]) is type(want[0])
+    assert got[0] == want[0] and got[1] == want[1]
+    assert mpmath.mpf(0) <= got[1] < mpmath.mpf(2) ** -(precision + 8)
 
 
 def test_qpoch_num_quotient_law():
@@ -100,6 +153,24 @@ def test_default_grid_all_pass():
     assert sorted({r.name for r in reports}) == sorted(
         numeric_check_names() + ["qqq"]
     )
+
+
+# sha256 of the sorted-key JSON of default_numeric_reports(precision=P).
+# lhs, rhs and abs_diff are printed to 30 digits; at 128 bits that reaches
+# the last bits of the products in _qpoch_inf, so a changed rounding or a
+# changed truncation index there changes a digest.
+GOLDEN_BATTERY_SHA256 = {
+    128: "2e97bdadd54043888672b6363d056df8ebc198e59d9e1e796ff85bb8c0f93d50",
+    256: "25b55135de1e5c276971e86fbfe626d66f89bf5b986d0b5a7e662fd0751cee44",
+    1024: "9db14e7ffc70285a997d3482b0e87f5aa99b4af9a08553db9906922366b98285",
+}
+
+
+@pytest.mark.parametrize("precision", sorted(GOLDEN_BATTERY_SHA256))
+def test_battery_reports_are_byte_stable(precision):
+    reports = [r.to_json_dict() for r in default_numeric_reports(precision=precision)]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_BATTERY_SHA256[precision]
 
 
 @pytest.mark.parametrize("name", numeric_check_names())
