@@ -30,34 +30,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .errors import OrderError, ParseError, QExpandError
-from .identities import check_names, run_all, run_check
-from .inversion import (
-    base_matrix,
-    expand_theorem15,
-    expand_triangular,
-    gn_polynomials,
-    lt_inverse,
-)
-from .numeric import (
-    DEFAULT_POINTS,
-    DEFAULT_PRECISION,
-    DEFAULT_TOLERANCE,
-    NumericReport,
-    check_identity_numeric,
-    check_qqq,
-    default_numeric_reports,
-    numeric_check_names,
-)
-from .ring import RatFun, SymbolTable, expression_symbols, parse_ratfun
-from .series import TruncSeries, base_element, qpow
+
+# Each subcommand imports the engines it runs, so that numeric-verify never
+# loads the symbolic stack and importing this module loads neither.
+if TYPE_CHECKING:
+    from .ring import RatFun, SymbolTable
+    from .series import TruncSeries
+
+
+def _numeric_default(name: str):
+    # read from numeric when a config is made, not when this module loads
+    return field(default_factory=lambda: getattr(import_module(".numeric", __package__), name))
 
 
 @dataclass
@@ -67,8 +58,8 @@ class RunConfig:
     order: int = 10
     output: str = "text"
     seed: int = 0
-    precision: int = DEFAULT_PRECISION
-    tolerance: Fraction = DEFAULT_TOLERANCE
+    precision: int = _numeric_default("DEFAULT_PRECISION")
+    tolerance: Fraction = _numeric_default("DEFAULT_TOLERANCE")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +76,8 @@ def _emit_json(obj) -> None:
 
 def _parameter_table(*exprs: str) -> SymbolTable:
     """q, a, b plus any other symbol the expressions mention, in first-use order."""
+    from .ring import SymbolTable, expression_symbols
+
     names = ["q", "a", "b"]
     for text in exprs:
         for nm in expression_symbols(text):
@@ -97,6 +90,9 @@ def _parameter_table(*exprs: str) -> SymbolTable:
 
 def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
                     order: int, k: int) -> TruncSeries:
+    from .ring import RatFun
+    from .series import TruncSeries, base_element, qpow
+
     if name == "one":
         return TruncSeries.one(table, order)
     if name == "basek":
@@ -123,6 +119,9 @@ def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
 
 
 def cmd_matrix(config: RunConfig, args) -> int:
+    from .inversion import base_matrix, lt_inverse
+    from .ring import parse_ratfun
+
     table = _parameter_table(args.a, args.b)
     a = parse_ratfun(args.a, table)
     b = parse_ratfun(args.b, table)
@@ -147,6 +146,10 @@ def cmd_matrix(config: RunConfig, args) -> int:
 
 
 def cmd_expand(config: RunConfig, args) -> int:
+    from .inversion import expand_theorem15, expand_triangular
+    from .ring import RatFun, parse_ratfun
+    from .series import TruncSeries
+
     texts = [t.strip() for t in args.coeffs.replace(",", " ").split()] if args.coeffs else []
     table = _parameter_table(args.a, args.b, *texts)
     a = parse_ratfun(args.a, table)
@@ -186,6 +189,9 @@ def cmd_expand(config: RunConfig, args) -> int:
 
 
 def cmd_gn(config: RunConfig, args) -> int:
+    from .inversion import gn_polynomials
+    from .ring import SymbolTable
+
     table = SymbolTable(("q",))
     g = gn_polynomials(config.order, table)
     rendered = [str(g[m]) for m in range(1, config.order + 1)]
@@ -218,6 +224,8 @@ def _emit_identity_reports(config: RunConfig, reports) -> int:
 
 
 def cmd_verify(config: RunConfig, args) -> int:
+    from .identities import run_check
+
     reports = [
         run_check(name, config.order, config.seed, perturb=args.perturb)
         for name in args.names
@@ -226,6 +234,8 @@ def cmd_verify(config: RunConfig, args) -> int:
 
 
 def cmd_verify_all(config: RunConfig, args) -> int:
+    from .identities import run_all
+
     reports = run_all(config.order, args.filter, config.seed)
     return _emit_identity_reports(config, reports)
 
@@ -249,6 +259,14 @@ def _to_fraction(text, where: str) -> Fraction:
 
 
 def cmd_numeric_verify(config: RunConfig, args) -> int:
+    from .numeric import (
+        DEFAULT_POINTS,
+        check_identity_numeric,
+        check_qqq,
+        default_numeric_reports,
+        numeric_check_names,
+    )
+
     tol, prec = config.tolerance, config.precision
     if args.identity is None:
         if args.points:
@@ -292,6 +310,14 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
 
 
 def cmd_bench(config: RunConfig, args) -> int:
+    import random
+
+    from .identities import check_names, run_check
+    from .inversion import base_matrix, expand_theorem15, expand_triangular, lt_inverse
+    from .numeric import default_numeric_reports
+    from .ring import RatFun, SymbolTable
+    from .series import TruncSeries
+
     rows = []
 
     def timed(task, fn):
@@ -368,7 +394,22 @@ def _fold_negative_values(argv: List[str]) -> List[str]:
     return out
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Fills in %(checks)s, the names of the symbolic checks, only when help
+    is printed: listing them imports the whole symbolic engine."""
+
+    def _get_help_string(self, action):
+        text = action.help
+        if "%(checks)s" in text:
+            from .identities import check_names
+
+            text = text.replace("%(checks)s", ", ".join(check_names()))
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .numeric import DEFAULT_PRECISION, DEFAULT_TOLERANCE, numeric_check_names
+
     parser = argparse.ArgumentParser(
         prog="qexpand",
         description="expansions over z^n (az;q)_n/(bz;q)_n and their verification",
@@ -413,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_gn)
 
-    p = sub.add_parser("verify", help="run named symbolic identity checks")
-    p.add_argument("names", nargs="+", metavar="NAME",
-                   help=f"one of: {', '.join(check_names())}")
+    p = sub.add_parser("verify", help="run named symbolic identity checks",
+                       formatter_class=_HelpFormatter)
+    p.add_argument("names", nargs="+", metavar="NAME", help="one of: %(checks)s")
     p.add_argument("--perturb", type=int, default=None, metavar="INDEX",
                    help="scale RHS term INDEX by (1+q); the check must then fail")
     common(p)
@@ -459,13 +500,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(_fold_negative_values(raw))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = RunConfig(
-        order=getattr(args, "n", 10),
-        output=getattr(args, "output", "text"),
-        seed=getattr(args, "seed", 0),
-        precision=getattr(args, "precision", DEFAULT_PRECISION),
-        tolerance=getattr(args, "tol", DEFAULT_TOLERANCE),
-    )
+    options = {"order": "n", "output": "output", "seed": "seed",
+               "precision": "precision", "tolerance": "tol"}
+    config = RunConfig(**{key: getattr(args, dest) for key, dest in options.items()
+                          if hasattr(args, dest)})
     if config.order < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return 2

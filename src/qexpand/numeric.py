@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Union
 
 import mpmath
 
 from .errors import DomainError, StructureError
-from .series import TruncSeries
+
+if TYPE_CHECKING:  # the battery runs without the symbolic engine
+    from .series import TruncSeries
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = Fraction(1, 10**25)

@@ -121,19 +121,6 @@ def _check_tables(x, y) -> None:
         )
 
 
-def _mul_terms(t1: Mapping[int, int], t2: Mapping[int, int]) -> dict:
-    # the schoolbook pair loop over term dicts; tests check the run-form
-    # multiply against it
-    out: dict = {}
-    get = out.get
-    items2 = list(t2.items())
-    for k1, c1 in t1.items():
-        for k2, c2 in items2:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
 # -- runs: the coefficients of x^lo, x^(lo+1), ... in the slots of one int --
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from qexpand.cli import RunConfig, _fold_negative_values, main
 from qexpand.identities import check_names
-from qexpand.numeric import DEFAULT_PRECISION, DEFAULT_TOLERANCE
+from qexpand.numeric import DEFAULT_PRECISION, DEFAULT_TOLERANCE, numeric_check_names
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,20 @@ def test_verify_unknown_name(capsys):
     assert code == 2 and "unknown check" in err
 
 
+def _help_text(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    return " ".join(out.split())
+
+
+def test_help_lists_every_check_name(capsys):
+    # the lists are filled in when help is printed, not when the parser is built
+    assert "one of: " + ", ".join(check_names()) + " " in _help_text(capsys, "verify")
+    numeric = ", ".join(numeric_check_names() + ["qqq"])
+    assert (f"one of: {numeric} (default: whole battery)"
+            in _help_text(capsys, "numeric-verify"))
+
+
 def test_verify_multiple_names_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma13", "coogan_ono",
                            "--n", "5", "--output", "json")
@@ -305,3 +319,34 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_modules(code):
+    """The sorted module names loaded after running `code` in a fresh interpreter."""
+    import qexpand
+
+    src = str(Path(qexpand.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_does_not_load_mpmath_or_engines():
+    loaded = _fresh_modules("import qexpand.cli")
+    assert "mpmath" not in loaded
+    assert not {"qexpand.ring", "qexpand.series", "qexpand.inversion",
+                "qexpand.identities", "qexpand.numeric"} & loaded
+
+
+def test_numeric_verify_does_not_load_the_symbolic_engine():
+    loaded = _fresh_modules(
+        "import qexpand.cli\n"
+        "assert qexpand.cli.main(['numeric-verify', '--identity', 'lemma13']) == 0"
+    )
+    assert "qexpand.numeric" in loaded
+    assert not {"qexpand.ring", "qexpand.series", "qexpand.inversion",
+                "qexpand.identities"} & loaded

@@ -182,6 +182,27 @@ def test_verdict_stable_under_precision_doubling(name):
     assert hi.precision == 256
 
 
+# The first default 1psi1 point has a*z = 1, so its right side is exactly 0
+# and only the left sum's truncation is tested there.  This point has
+# a*z = 2/3; it stays out of DEFAULT_POINTS so the battery digests keep.
+_1PSI1_NONZERO = {"q": Fraction(1, 5), "a": Fraction(2), "b": Fraction(1, 10), "z": Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("precision", [128, 1024])
+def test_1psi1_point_with_nonzero_right_side(precision):
+    r = check_identity_numeric("ramanujan_1psi1", _1PSI1_NONZERO, precision=precision)
+    assert r.status == "passed"
+    with mpmath.workprec(128):
+        rhs = mpmath.mpf(r.rhs)
+        assert rhs != 0
+        # the product side against mpmath's own q-Pochhammer symbol
+        q, a, b, z = (_mp(_1PSI1_NONZERO[k]) for k in "qabz")
+        expected = (mpmath.qp(a * z, q) * mpmath.qp(q / (a * z), q) * mpmath.qp(q, q)
+                    * mpmath.qp(b / a, q)) / (mpmath.qp(z, q) * mpmath.qp(b / (a * z), q)
+                                              * mpmath.qp(b, q) * mpmath.qp(q / a, q))
+        assert abs(rhs - expected) < mpmath.mpf(10) ** -25
+
+
 def test_out_of_region_points_raise():
     with pytest.raises(DomainError, match="convergence region"):
         check_identity_numeric("coogan_ono", {"q": Fraction(1, 2), "z": 2})

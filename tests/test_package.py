@@ -1,0 +1,43 @@
+"""The package's lazy exports: every public name resolves to the object its
+submodule defines, dir() lists them, unknown names raise AttributeError,
+and submodules still import through the package."""
+
+import importlib
+
+import pytest
+
+import qexpand
+
+
+def test_every_export_is_the_submodule_object():
+    for name in qexpand.__all__:
+        module = importlib.import_module(f"qexpand.{qexpand._MODULE_OF[name]}")
+        assert getattr(qexpand, name) is getattr(module, name), name
+
+
+def test_exports_cover_the_public_api():
+    # the 58 names the package has always exported, none lost
+    assert len(qexpand.__all__) == len(set(qexpand.__all__)) == 58
+    for name in ("build_sides", "base_matrix", "check_qqq", "MultiPoly",
+                 "TruncSeries", "QExpandError", "DEFAULT_PRECISION"):
+        assert name in qexpand.__all__
+
+
+def test_dir_lists_every_export():
+    assert set(qexpand.__all__) <= set(dir(qexpand))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="nosuch"):
+        qexpand.nosuch  # noqa: B018
+    assert not hasattr(qexpand, "_mul_terms")
+
+
+def test_submodules_import_through_the_package():
+    from qexpand import identities, inversion, numeric, ring, series
+
+    assert identities.build_sides is qexpand.build_sides
+    assert inversion.base_matrix is qexpand.base_matrix
+    assert numeric.check_qqq is qexpand.check_qqq
+    assert ring.MultiPoly is qexpand.MultiPoly
+    assert series.TruncSeries is qexpand.TruncSeries

@@ -20,13 +20,25 @@ from qexpand.ring import (
     MultiPoly,
     RatFun,
     SymbolTable,
-    _mul_terms,
     expression_symbols,
     parse_ratfun,
     symbols,
 )
 
 TABLE = SymbolTable(("q", "a", "b"))
+
+
+def _mul_terms(t1, t2):
+    """The schoolbook pair loop over term dicts: the reference the run-form
+    multiply is checked against."""
+    out = {}
+    get = out.get
+    items2 = list(t2.items())
+    for k1, c1 in t1.items():
+        for k2, c2 in items2:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def _mk_poly(termlist):
