@@ -150,11 +150,15 @@ def cmd_expand(config: RunConfig, args) -> int:
     from .ring import RatFun, parse_ratfun
     from .series import TruncSeries
 
-    texts = [t.strip() for t in args.coeffs.replace(",", " ").split()] if args.coeffs else []
+    texts = []
+    if args.coeffs is not None:
+        texts = args.coeffs.replace(",", " ").split()
+        if not texts:
+            raise ParseError("--coeffs lists no coefficients")
     table = _parameter_table(args.a, args.b, *texts)
     a = parse_ratfun(args.a, table)
     b = parse_ratfun(args.b, table)
-    if args.coeffs:
+    if texts:
         if len(texts) > config.order + 1:
             raise OrderError(
                 f"{len(texts)} coefficients exceed truncation order {config.order}"
@@ -261,6 +265,7 @@ def _to_fraction(text, where: str) -> Fraction:
 def cmd_numeric_verify(config: RunConfig, args) -> int:
     from .numeric import (
         DEFAULT_POINTS,
+        DEFAULT_QQQ_POINTS,
         check_identity_numeric,
         check_qqq,
         default_numeric_reports,
@@ -273,14 +278,15 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
             raise ParseError("--points requires --identity")
         reports = default_numeric_reports(tol, prec)
     elif args.identity == "qqq":
-        cases = (_load_points(args.points) if args.points
-                 else [{"m": m, "q": qv} for m in (1, 2, 3)
-                       for qv in ("1/2", "1/3")])
+        cases = _load_points(args.points) if args.points else DEFAULT_QQQ_POINTS
         reports = []
         for case in cases:
             if "m" not in case or "q" not in case:
                 raise ParseError("each qqq point needs \"m\" and \"q\"")
-            m = int(str(case["m"]))
+            try:
+                m = int(str(case["m"]))
+            except ValueError:
+                raise ParseError(f"m: not an integer: {case['m']!r}") from None
             reports.append(check_qqq(m, _to_fraction(case["q"], "q"), tol, prec))
     else:
         name = args.identity

@@ -30,7 +30,8 @@ from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
 from .ring import RatFun, SymbolTable, symbols
 from .series import (
     TruncSeries,
-    base_element,
+    _element,
+    _ratio_chain,
     inv_pochhammer_infinite,
     partial_theta,
     pochhammer_infinite,
@@ -133,13 +134,8 @@ def _cof_chain(c: RatFun, order: int) -> List[RatFun]:
 def build_coogan_ono(order: int) -> IdentitySides:
     """sum_n z^n (z;q)_n/(-z;q)_(n+1) = sum_k (-1)^k q^(k^2) z^(2k)."""
     table, (q,) = symbols("q")
-    ratio = TruncSeries.one(table, order).div_linear(-1)  # (z;q)_0/(-z;q)_1
-    parts = []
-    for n in range(order + 1):
-        parts.append(ratio.mul_z(n))
-        if n < order:
-            ratio = ratio.mul_linear(q**n).div_linear(-(q ** (n + 1)))
-    lhs = sum_series(parts)
+    ratios = _ratio_chain(1, -q, order, table)  # (z;q)_n/(-zq;q)_n
+    lhs = sum_series([_element(r, n, order) for n, r in enumerate(ratios)]).div_linear(-1)
     rhs_terms = []
     k = 0
     while 2 * k <= order:
@@ -153,13 +149,8 @@ def build_coogan_ono(order: int) -> IdentitySides:
 def build_lemma13(order: int) -> IdentitySides:
     """sum_n z^n (z;q)_(n+1)/(-zq;q)_n = 1 + 2 sum_(k>=1) (-1)^k q^(k^2) z^(2k)."""
     table, (q,) = symbols("q")
-    ratio = TruncSeries.one(table, order).mul_linear(1)  # (z;q)_1/(-zq;q)_0
-    parts = []
-    for n in range(order + 1):
-        parts.append(ratio.mul_z(n))
-        if n < order:
-            ratio = ratio.mul_linear(q ** (n + 1)).div_linear(-(q ** (n + 1)))
-    lhs = sum_series(parts)
+    ratios = _ratio_chain(q, -q, order, table)  # (zq;q)_n/(-zq;q)_n
+    lhs = sum_series([_element(r, n, order) for n, r in enumerate(ratios)]).mul_linear(1)
     rhs_terms = [TruncSeries.one(table, order)]
     k = 1
     while 2 * k <= order:
@@ -224,18 +215,6 @@ def _euler_ratio_cleared(
         if m < order:
             p = p * (b - a * q**m)
     return TruncSeries(table, order, coeffs)
-
-
-def _ratio_chain(a: RatFun, b: RatFun, order: int, table: SymbolTable) -> List[TruncSeries]:
-    """ratio[m] = (az;q)_m/(bz;q)_m as a series of order (order - m)."""
-    q = RatFun.sym(table, "q")
-    out = []
-    r = TruncSeries.one(table, order)
-    for m in range(order + 1):
-        out.append(r.truncated(order - m))
-        if m < order:
-            r = r.mul_linear(a * q**m).div_linear(b * q**m)
-    return out
 
 
 def _telescoped_sides(
@@ -482,22 +461,19 @@ def build_partial_theta(order: int) -> IdentitySides:
     ).scale(cof[0])
 
     lhs_parts = [piece1]
-    ratio = TruncSeries.one(table, order)  # (z;q)_n/(-zq;q)_n
     pm1 = RatFun.one(table)  # (-1;q)_n
     rhs_terms = []
-    for n in range(order + 1):
+    for n, ratio in enumerate(_ratio_chain(1, -q, order, table)):  # (z;q)_n/(-zq;q)_n
         common = pm1 * cof[n] * (-1) ** n
-        lhs_parts.append(ratio.mul_z(n).scale(common * q ** (n * n + n)))
+        lhs_parts.append(_element(ratio, n, order).scale(common * q ** (n * n + n)))
         fact = TruncSeries.from_coeffs(
             table, [1 + q**n, q**n - q ** (2 * n)], order
         )
         theta = partial_theta(2, q ** (2 * n + 1), 2, order, table)
         rhs_terms.append(
-            (ratio * fact * theta).mul_z(n).scale(common * q ** (n * n))
+            _element(ratio * fact * theta, n, order).scale(common * q ** (n * n))
         )
-        if n < order:
-            ratio = ratio.mul_linear(q**n).div_linear(-(q ** (n + 1)))
-            pm1 = pm1 * (1 + q**n)
+        pm1 = pm1 * (1 + q**n)
     lhs = sum_series(lhs_parts)
     return IdentitySides("partial_theta", [], order, table, lhs, rhs_terms, cof[0])
 
@@ -516,9 +492,8 @@ def build_1psi1_coeff(order: int) -> IdentitySides:
     """
     table, (q, a, b) = symbols("q a b")
     aq, bq = a * q, b * q
-    f = sum_series(
-        [base_element(k, aq, bq, order, table) for k in range(order + 1)]
-    )
+    ratios = _ratio_chain(aq, bq, order, table)
+    f = sum_series([_element(r, k, order) for k, r in enumerate(ratios)])
     chain = _kernel_chain(f, aq, bq)
     col = b_column1(aq, bq, order)
     lhs = TruncSeries(table, order, [RatFun.one(table)] * (order + 1))

@@ -27,12 +27,7 @@ from typing import List, Optional
 
 from .errors import OrderError, SingularMatrixError, StructureError
 from .ring import RatFun, SymbolTable
-from .series import (
-    TruncSeries,
-    base_element,
-    qpow,
-    sum_series,
-)
+from .series import TruncSeries, _element, _ratio_chain, qpow, sum_series
 
 
 @dataclass
@@ -127,16 +122,9 @@ class LTMatrix:
 
 def base_matrix(a: RatFun, b: RatFun, n: int) -> LTMatrix:
     """A[i][k] = [z^(i-k)] (az;q)_k/(bz;q)_k for 0 <= k <= i <= n."""
-    table = a.table
-    q = RatFun.sym(table, "q")
-    rows = [[RatFun.zero(table) for _ in range(i + 1)] for i in range(n + 1)]
-    ratio = TruncSeries.one(table, n)  # (az;q)_k/(bz;q)_k, column by column
-    for k in range(n + 1):
-        for i in range(k, n + 1):
-            rows[i][k] = ratio.coeffs[i - k]
-        if k < n:
-            ratio = ratio.mul_linear(a * q**k).div_linear(b * q**k)
-    return LTMatrix(table, rows)
+    ratios = _ratio_chain(a, b, n, a.table)
+    return LTMatrix(a.table, [[ratios[k].coeffs[i - k] for k in range(i + 1)]
+                              for i in range(n + 1)])
 
 
 def lt_inverse(m: LTMatrix) -> LTMatrix:
@@ -165,14 +153,15 @@ def b_column1(a: RatFun, b: RatFun, n: int) -> List[RatFun]:
     Returns a list c with c[m] = B[m][1] (c[0] = 0): peel z = sum_m c[m] e_m
     one expansion element at a time.  Independent of lt_inverse.
     """
-    table = a.table
-    rest = TruncSeries.z_power(table, 1, n)
-    col = [RatFun.zero(table)]
+    ratios = _ratio_chain(a, b, n, a.table)
+    rest = TruncSeries.z_power(a.table, 1, n).coeffs
+    col = [rest[0]]
     for m in range(1, n + 1):
-        c = rest.coeffs[m]
+        c = rest[m]
         col.append(c)
         if not c.is_zero():
-            rest = rest - base_element(m, a, b, n, table).scale(c)
+            for j, x in enumerate(ratios[m].coeffs):
+                rest[m + j] = rest[m + j] - x * c
     return col
 
 
@@ -204,77 +193,61 @@ def _kernel_chain(f: TruncSeries, a: RatFun, b: RatFun) -> List[TruncSeries]:
     return chain
 
 
+def _thm25_entry(chain: List[TruncSeries], col: List[RatFun], a: RatFun,
+                 m: int, k: int) -> RatFun:
+    """[z^(m-k)] W_m - a sum_(k<=i<m) B[m-i][1] q^((m-i)i) [z^(i-k)] W_(i+1).
+
+    With chain = _kernel_chain(1, a, b) this is the inverse-matrix entry
+    B[m][k]; with chain = _kernel_chain(f, a, b) and k = 0 it is the m-th
+    expansion coefficient of f.  col = b_column1(a, b, n).
+    """
+    table = a.table
+    corr = RatFun.zero(table)
+    for i in range(k, m):
+        c1 = col[m - i]
+        if c1.is_zero():
+            continue
+        u = chain[i + 1].coeffs[i - k]
+        if u.is_zero():
+            continue
+        corr = corr + c1 * qpow(table, (m - i) * i) * u
+    return chain[m].coeffs[m - k] - a * corr
+
+
 def expand_theorem15(f: TruncSeries, a: RatFun, b: RatFun) -> ExpansionResult:
     """Expansion coefficients by the closed formula (no triangular solve)."""
-    n = f.order
-    table = f.table
-    col = b_column1(a, b, n)
+    col = b_column1(a, b, f.order)
     chain = _kernel_chain(f, a, b)
-    coeffs = [chain[0].coeffs[0]]
-    for m in range(1, n + 1):
-        acc = chain[m].coeffs[m]
-        corr = RatFun.zero(table)
-        for k in range(m):
-            c1 = col[m - k]
-            if c1.is_zero():
-                continue
-            wk = chain[k + 1].coeffs[k]
-            if wk.is_zero():
-                continue
-            corr = corr + c1 * qpow(table, (m - k) * k) * wk
-        coeffs.append(acc - a * corr)
-    return ExpansionResult(coeffs, "theorem15")
+    return ExpansionResult(
+        [_thm25_entry(chain, col, a, m, 0) for m in range(f.order + 1)], "theorem15"
+    )
 
 
 def matrix_thm25(a: RatFun, b: RatFun, n: int) -> LTMatrix:
     """Inverse matrix built entry-by-entry from the closed formula."""
-    table = a.table
     col = b_column1(a, b, n)
-    chain = _kernel_chain(TruncSeries.one(table, n), a, b)
-    rows = []
-    for m in range(n + 1):
-        row = []
-        for k in range(m + 1):
-            acc = chain[m].coeffs[m - k]
-            corr = RatFun.zero(table)
-            for i in range(k, m):
-                c1 = col[m - i]
-                if c1.is_zero():
-                    continue
-                u = chain[i + 1].coeffs[i - k]
-                if u.is_zero():
-                    continue
-                corr = corr + c1 * qpow(table, (m - i) * i) * u
-            row.append(acc - a * corr)
-        rows.append(row)
-    return LTMatrix(table, rows)
+    chain = _kernel_chain(TruncSeries.one(a.table, n), a, b)
+    return LTMatrix(a.table, [[_thm25_entry(chain, col, a, m, k) for k in range(m + 1)]
+                              for m in range(n + 1)])
 
 
 def matrix_entry_thm25(n: int, k: int, a: RatFun, b: RatFun) -> RatFun:
     """Single inverse-matrix entry B[n][k] from the closed formula."""
     if k > n:
         return RatFun.zero(a.table)
-    table = a.table
     col = b_column1(a, b, n)
-    chain = _kernel_chain(TruncSeries.one(table, n), a, b)
-    acc = chain[n].coeffs[n - k]
-    corr = RatFun.zero(table)
-    for i in range(k, n):
-        c1 = col[n - i]
-        if c1.is_zero():
-            continue
-        u = chain[i + 1].coeffs[i - k]
-        if u.is_zero():
-            continue
-        corr = corr + c1 * qpow(table, (n - i) * i) * u
-    return acc - a * corr
+    chain = _kernel_chain(TruncSeries.one(a.table, n), a, b)
+    return _thm25_entry(chain, col, a, n, k)
 
 
 def reconstruct(coeffs: List[RatFun], a: RatFun, b: RatFun, order: int) -> TruncSeries:
     """sum_n coeffs[n] * z^n (az;q)_n/(bz;q)_n, for round-trip checks."""
     table = a.table
+    if any(not c.is_zero() for c in coeffs[order + 1 :]):
+        raise OrderError(f"a nonzero coefficient lies beyond truncation order {order}")
+    ratios = _ratio_chain(a, b, order, table)
     parts = [
-        base_element(m, a, b, order, table).scale(c)
+        _element(ratios[m], m, order).scale(c)
         for m, c in enumerate(coeffs)
         if not c.is_zero()
     ]
@@ -296,8 +269,8 @@ def gn_polynomials(n: int, table: SymbolTable) -> List[RatFun]:
         return g[: n + 1]
     for m in range(2, n + 1):
         acc = RatFun.zero(table)
-        for i in range(1, m):
-            acc = acc + g[m - i] * qpow(table, (m - i) * i)
+        for k in range(1, m):
+            acc = acc + g[m - k] * qpow(table, (m - k) * k)
         g.append(one - acc)
     return g
 

@@ -15,7 +15,10 @@ requested precision.  Comparisons always use an explicit tolerance.
 Points are taken as exact rationals (Fractions or strings like "1/10")
 so a point is the same number at every precision.
 
-Infinite sums stop after 5 consecutive terms fall below tol/100; infinite
+Infinite sums stop after 5 consecutive terms fall below tol/100 (one rule,
+_sum_terms).  The n-th theta sum of the finite specialization at
+z = q^(-m) has q-exponents k(k + 2n - 2m), not positive up to k = 2(m - n),
+so it counts small terms only from k = force = 2(m - n) + 2 on.  Infinite
 products stop when the log-remainder tail bound
 sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.  That bound
 is at least |cq^I|, so each factor is first tested by one comparison,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 
@@ -100,14 +103,40 @@ def _nstr(x) -> str:
     return mpmath.nstr(x, 30)
 
 
-def _sum_terms(terms: Iterator, tol) -> "mpmath.mpf":
-    """Sum until 5 consecutive terms fall below tol/100 in magnitude."""
+def _report(name: str, point: Dict[str, str], precision: int,
+            lhs, rhs, diff, tol, status: Optional[str] = None) -> NumericReport:
+    """Round the values back to precision and report them.
+
+    Without an explicit status the rounded gap is judged against the
+    rounded tolerance.
+    """
+    with mpmath.workprec(precision):
+        lhs, rhs, diff, tol = +lhs, +rhs, +diff, +tol
+    if status is None:
+        status = "passed" if diff <= tol else "failed"
+    return NumericReport(
+        name=name,
+        point=point,
+        lhs=_nstr(lhs),
+        rhs=_nstr(rhs),
+        abs_diff=_nstr(diff),
+        tolerance=_nstr(tol),
+        precision=precision,
+        status=status,
+    )
+
+
+def _sum_terms(terms: Iterator, tol, force: int = 0) -> "mpmath.mpf":
+    """Sum until 5 consecutive terms fall below tol/100 in magnitude.
+
+    Terms before index force are summed but never counted as small.
+    """
     cutoff = tol / 100
     total = mpmath.mpf(0)
     small = 0
     for count, t in enumerate(terms):
         total += t
-        if abs(t) < cutoff:
+        if count >= force and abs(t) < cutoff:
             small += 1
             if small == 5:
                 return total
@@ -194,18 +223,18 @@ def _region_q_z(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
+def _ratio_terms(a, b, z, q, qn):
+    """(a qn;q)_n/(b qn;q)_n z^n for n = 0, 1, ..., incrementally."""
+    cur = mpmath.mpf(1)
+    while True:
+        yield cur
+        cur = cur * z * (1 - a * qn) / (1 - b * qn)
+        qn *= q
+
+
 def _rogers_fine_lhs(v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
-
-    def terms():
-        cur = mpmath.mpf(1)
-        qn = q
-        while True:
-            yield cur
-            cur = cur * z * (1 - a * qn) / (1 - b * qn)
-            qn *= q
-
-    return (1 - z) * _sum_terms(terms(), tol)
+    return (1 - z) * _sum_terms(_ratio_terms(a, b, z, q, q), tol)
 
 
 def _rogers_fine_rhs(v, tol, precision):
@@ -286,14 +315,6 @@ def _1psi1_lhs(v, tol, precision):
     """sum_(k=-inf)^inf (a;q)_k/(b;q)_k z^k as two one-sided sums."""
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
 
-    def nonneg():
-        cur = mpmath.mpf(1)
-        qn = mpmath.mpf(1)
-        while True:
-            yield cur
-            cur = cur * z * (1 - a * qn) / (1 - b * qn)
-            qn *= q
-
     def negative():
         # (c;q)_(-m) = 1/prod_(j=1..m)(1 - c q^-j)
         cur = mpmath.mpf(1)
@@ -303,7 +324,8 @@ def _1psi1_lhs(v, tol, precision):
             cur = cur * (1 - b * qmj) / ((1 - a * qmj) * z)
             yield cur
 
-    return _sum_terms(nonneg(), tol) + _sum_terms(negative(), tol)
+    nonneg = _ratio_terms(a, b, z, q, mpmath.mpf(1))
+    return _sum_terms(nonneg, tol) + _sum_terms(negative(), tol)
 
 
 def _1psi1_rhs(v, tol, precision):
@@ -318,14 +340,13 @@ def _1psi1_rhs(v, tol, precision):
     return out
 
 
-class _IdentityNumeric:
+class _IdentityNumeric(NamedTuple):
     """One identity; each side is called as side(v, tol, precision)."""
 
-    def __init__(self, symbols, region, lhs, rhs):
-        self.symbols = symbols
-        self.region = region
-        self.lhs = lhs
-        self.rhs = rhs
+    symbols: Tuple[str, ...]
+    region: Callable
+    lhs: Callable
+    rhs: Callable
 
 
 NUMERIC_CHECKS: Dict[str, _IdentityNumeric] = {
@@ -369,6 +390,12 @@ DEFAULT_POINTS: Dict[str, List[Point]] = {
 }
 
 
+# the finite theta-sum cases of the default battery, m outer, q inner
+DEFAULT_QQQ_POINTS: List[Point] = [
+    {"m": m, "q": qv} for m in (1, 2, 3) for qv in (Fraction(1, 2), Fraction(1, 3))
+]
+
+
 def numeric_check_names() -> List[str]:
     return sorted(NUMERIC_CHECKS)
 
@@ -396,49 +423,22 @@ def check_identity_numeric(
         lhs = check.lhs(v, tolv, precision)
         rhs = check.rhs(v, tolv, precision)
         diff = abs(lhs - rhs)
-    with mpmath.workprec(precision):
-        lhs, rhs, diff, tolv = +lhs, +rhs, +diff, +tolv
-    return NumericReport(
-        name=name,
-        point=_point_str({k: point[k] for k in check.symbols}),
-        lhs=_nstr(lhs),
-        rhs=_nstr(rhs),
-        abs_diff=_nstr(diff),
-        tolerance=_nstr(tolv),
-        precision=precision,
-        status="passed" if diff <= tolv else "failed",
-    )
+    point = _point_str({k: point[k] for k in check.symbols})
+    return _report(name, point, precision, lhs, rhs, diff, tolv)
 
 
 # ---------------------------------------------------------------------------
 # the finite theta-sum specialization (z = q^(-m))
 
 
-def _partial_theta_num(z, q, tol, force: int = 0):
-    """sum_k (-1)^k q^(k(k-1)/2) z^k; smallness testing starts at k = force.
-
-    With z a negative power of the base the term magnitudes dip before
-    they grow past their minimum and finally decay, so the caller must
-    push k beyond the turning point before the 5-consecutive rule may
-    engage.
-    """
-    cutoff = tol / 100
-    total = mpmath.mpf(0)
+def _partial_theta_terms(z, q):
+    """(-1)^k q^(k(k-1)/2) z^k for k = 0, 1, ..., incrementally."""
     term = mpmath.mpf(1)
     qk = mpmath.mpf(1)
-    small = 0
-    for k in range(_MAX_TERMS):
-        total += term
-        if k >= force:
-            if abs(term) < cutoff:
-                small += 1
-                if small == 5:
-                    return total
-            else:
-                small = 0
+    while True:
+        yield term
         term = term * (-qk) * z
         qk *= q
-    raise DomainError("theta sum did not settle")
 
 
 def check_qqq(
@@ -482,8 +482,8 @@ def check_qqq(
             # z-exponents n(3n +/- 1)/2 are integers for every n
             lhs += common * qv ** (n * (3 * n + 1) // 2 - 2 * n * m)
             bracket = 1 + qv**n + qv ** (n - m) - qv ** (2 * n - m)
-            theta = _partial_theta_num(
-                qv ** (2 * n - 2 * m + 1), qv * qv, tolv,
+            theta = _sum_terms(
+                _partial_theta_terms(qv ** (2 * n - 2 * m + 1), qv * qv), tolv,
                 force=max(0, 2 * (m - n) + 2),
             )
             rhs += (
@@ -491,18 +491,7 @@ def check_qqq(
                 * bracket * theta
             )
         diff = abs(lhs - rhs)
-    with mpmath.workprec(precision):
-        lhs, rhs, diff, tolv = +lhs, +rhs, +diff, +tolv
-    return NumericReport(
-        name="qqq",
-        point={"m": str(m), "q": str(qf)},
-        lhs=_nstr(lhs),
-        rhs=_nstr(rhs),
-        abs_diff=_nstr(diff),
-        tolerance=_nstr(tolv),
-        precision=precision,
-        status="passed" if diff <= tolv else "failed",
-    )
+    return _report("qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, diff, tolv)
 
 
 # ---------------------------------------------------------------------------
@@ -535,42 +524,22 @@ def spot_check_series(
             terms.append(_to_mp(c) * zp)
             zp *= zv
         total = mpmath.fsum(terms)
+        # the tail stays infinite unless the last three terms bound it
         mags = [abs(t) for t in terms[-3:]]
-        status = None
-        if len(mags) < 3:
-            status = "inconclusive"
-            tail = mpmath.mpf("inf")
-        elif mags[0] == 0 and mags[1] == 0 and mags[2] == 0:
+        tail = mpmath.mpf("inf")
+        if len(mags) == 3 and not any(mags):
             tail = mpmath.mpf(0)
-        elif mags[0] == 0 or mags[1] == 0:
-            status = "inconclusive"
-            tail = mpmath.mpf("inf")
-        else:
+        elif len(mags) == 3 and mags[0] and mags[1]:
             rho = max(mags[1] / mags[0], mags[2] / mags[1])
-            if rho >= 1:
-                status = "inconclusive"
-                tail = mpmath.mpf("inf")
-            else:
+            if rho < 1:
                 tail = mags[2] * rho / (1 - rho)
-        if status is None and tail > tolv:
-            status = "inconclusive"
-        values = dict(point)
-        cf = closedform({k: _to_mp(v) for k, v in values.items()}, precision)
+        cf = closedform({k: _to_mp(v) for k, v in point.items()}, precision)
         diff = abs(total - cf)
-        if status is None:
+        if tail > tolv:
+            status = "inconclusive"
+        else:
             status = "passed" if diff <= tolv else "failed"
-    with mpmath.workprec(precision):
-        total, cf, diff, tolv = +total, +cf, +diff, +tolv
-    return NumericReport(
-        name="spot_check",
-        point=_point_str(point),
-        lhs=_nstr(total),
-        rhs=_nstr(cf),
-        abs_diff=_nstr(diff),
-        tolerance=_nstr(tolv),
-        precision=precision,
-        status=status,
-    )
+    return _report("spot_check", _point_str(point), precision, total, cf, diff, tolv, status)
 
 
 def default_numeric_reports(
@@ -582,7 +551,6 @@ def default_numeric_reports(
     for name in numeric_check_names():
         for point in DEFAULT_POINTS[name]:
             reports.append(check_identity_numeric(name, point, tol, precision))
-    for m in (1, 2, 3):
-        for qv in (Fraction(1, 2), Fraction(1, 3)):
-            reports.append(check_qqq(m, qv, tol, precision))
+    for case in DEFAULT_QQQ_POINTS:
+        reports.append(check_qqq(case["m"], case["q"], tol, precision))
     return reports

@@ -21,7 +21,7 @@ symbol named "q".
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
 from .ring import MultiPoly, RatFun, SymbolTable
@@ -272,15 +272,10 @@ class TruncSeries:
 
 def qpoch_param(c: Scalar, n: int, table: SymbolTable) -> RatFun:
     """(c;q)_n as a RatFun, for any integer n (z-free parameter Pochhammer)."""
+    if n >= 0:
+        return qpoch_param_range(c, 0, n, table)
     c = _coerce_scalar(table, c)
     q = _q(table)
-    if n >= 0:
-        prod = RatFun.one(table)
-        f = c
-        for _ in range(n):
-            prod = prod * (1 - f)
-            f = f * q
-        return prod
     prod = RatFun.one(table)
     f = c
     for _ in range(-n):
@@ -352,6 +347,27 @@ def inv_pochhammer_infinite(c: Scalar, order: int, table: SymbolTable) -> TruncS
     return TruncSeries(table, order, coeffs)
 
 
+def _ratio_chain(a: Scalar, b: Scalar, order: int, table: SymbolTable) -> List[TruncSeries]:
+    """ratio[m] = (az;q)_m/(bz;q)_m as a series of order (order - m), m = 0..order.
+
+    The one builder of these quotients: the base matrix, the expansion
+    elements and the identities built on them all read it.
+    """
+    q = _q(table)
+    out = []
+    r = TruncSeries.one(table, order)
+    for m in range(order + 1):
+        out.append(r.truncated(order - m))
+        if m < order:
+            r = r.mul_linear(a * q**m).div_linear(b * q**m)
+    return out
+
+
+def _element(ratio: TruncSeries, n: int, order: int) -> TruncSeries:
+    """z^n times ratio (a series of order order - n), as a series of the given order."""
+    return TruncSeries(ratio.table, order, [RatFun.zero(ratio.table)] * n + ratio.coeffs)
+
+
 def base_element(n: int, a: Scalar, b: Scalar, order: int, table: SymbolTable) -> TruncSeries:
     """The expansion element z^n (az;q)_n / (bz;q)_n.
 
@@ -363,16 +379,7 @@ def base_element(n: int, a: Scalar, b: Scalar, order: int, table: SymbolTable) -
         raise OrderError(f"base element index {n} beyond truncation order {order}")
     a = _coerce_scalar(table, a)
     b = _coerce_scalar(table, b)
-    q = _q(table)
-    body = TruncSeries.one(table, order - n)
-    fa, fb = a, b
-    for _ in range(n):
-        body = body.mul_linear(fa).div_linear(fb)
-        fa = fa * q
-        fb = fb * q
-    return TruncSeries(
-        table, order, [RatFun.zero(table)] * n + body.coeffs
-    )
+    return _element(_ratio_chain(a, b, order, table)[n], n, order)
 
 
 def qhyper(

@@ -2,6 +2,7 @@
 for a fixed flag set, and the argv preprocessing that lets option values
 start with a minus sign."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,35 @@ def test_expand_basek_out_of_range(capsys):
     code, _, err = run_cli(capsys, "expand", "--builtin", "basek", "--k", "9",
                            "--n", "4")
     assert code == 2 and "--k must lie in 0..4" in err
+
+
+@pytest.mark.parametrize("coeffs", ["", " , "])
+def test_expand_empty_coeff_list_exits_2(capsys, coeffs):
+    # an empty list once fell through to the coogan_ono builtin (or, spelled
+    # " , ", expanded the zero series) and exited 0
+    code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "3")
+    assert code == 2 and "--coeffs lists no coefficients" in err
+    assert out == ""
+
+
+# sha256 of the stdout of each command: the closed-formula (theorem15) and
+# triangular-solve strings, and the inverse matrix, byte for byte
+GOLDEN_STDOUT_SHA256 = {
+    ("expand", "--coeffs", "1/(1-q),a*q,b^2-q", "--n", "4", "--a", "q/b",
+     "--b", "a*q", "--output", "json"):
+        "d21886fb4cd4572fe3fe9f6cd1f2c2d5e0c1ed326041a2be7e1eb3420b18a0ad",
+    ("expand", "--builtin", "coogan_ono", "--a", "1", "--b", "-q", "--n", "12"):
+        "251522d937e754ff129edb80c25f1c0c6980f6287b730f80cbf2e7ecce3b4f92",
+    ("matrix", "--which", "B", "--n", "6", "--a", "1", "--b", "-q"):
+        "6d306e3ea250aa31f76794500d9a4624f2546d377e6fa6e7bb70feb1b58256a8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256))
+def test_exact_output_is_byte_stable(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 @pytest.mark.parametrize("coeffs", ["q^16777216", "q^16777215*q"])
@@ -274,6 +304,17 @@ def test_numeric_verify_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
                            "--points", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("m", ["x", 2.5])
+def test_numeric_verify_qqq_non_integer_m_exits_2(tmp_path, capsys, m):
+    # a non-integer m once escaped as a ValueError traceback with exit 1
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps([{"m": m, "q": "1/2"}]))
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", "qqq",
+                             "--points", str(pf))
+    assert code == 2 and "m: not an integer" in err
+    assert out == ""
 
 
 # -- bench --------------------------------------------------------------------

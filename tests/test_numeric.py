@@ -14,7 +14,11 @@ import pytest
 from qexpand.errors import DomainError, StructureError
 from qexpand.numeric import (
     DEFAULT_POINTS,
+    DEFAULT_TOLERANCE,
+    _MAX_TERMS,
+    _partial_theta_terms,
     _qpoch_inf,
+    _sum_terms,
     check_identity_numeric,
     check_qqq,
     default_numeric_reports,
@@ -252,6 +256,48 @@ def test_check_qqq_value_at_m1():
 def test_check_qqq_grid(m, q):
     assert check_qqq(m, q).passed
     assert check_qqq(m, q, precision=256).passed
+
+
+def _theta_loop(z, q, tol, force):
+    # the dedicated theta-sum stop loop that check_qqq once ran, kept as
+    # the reference for the shared stop rule
+    cutoff = tol / 100
+    total = mpmath.mpf(0)
+    term = mpmath.mpf(1)
+    qk = mpmath.mpf(1)
+    small = 0
+    for k in range(_MAX_TERMS):
+        total += term
+        if k >= force:
+            if abs(term) < cutoff:
+                small += 1
+                if small == 5:
+                    return total
+            else:
+                small = 0
+        term = term * (-qk) * z
+        qk *= q
+    raise AssertionError("theta sum did not settle")
+
+
+@pytest.mark.parametrize("precision", [128, 1024])
+@pytest.mark.parametrize("m", range(4, 9))
+def test_theta_sums_match_the_dedicated_loop(m, precision):
+    # every theta sum check_qqq would take at this m, beyond the battery's
+    # m <= 3.  At the default tolerance no term before the force index is
+    # small; at tolerance 1000 the early terms are, so the force start decides
+    # where the sum stops.
+    with mpmath.workprec(precision + 16):
+        for tolf in (DEFAULT_TOLERANCE, Fraction(1000)):
+            tol = mpmath.mpf(tolf.numerator) / tolf.denominator
+            for qf in (Fraction(1, 2), Fraction(1, 3)):
+                q = mpmath.mpf(qf.numerator) / qf.denominator
+                for n in range(m + 1):
+                    z = q ** (2 * n - 2 * m + 1)
+                    for force in (0, max(0, 2 * (m - n) + 2)):
+                        want = _theta_loop(z, q * q, tol, force)
+                        got = _sum_terms(_partial_theta_terms(z, q * q), tol, force=force)
+                        assert got == want, (tolf, qf, n, force)
 
 
 def test_check_qqq_domain_errors():

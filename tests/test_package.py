@@ -1,8 +1,11 @@
 """The package's lazy exports: every public name resolves to the object its
 submodule defines, dir() lists them, unknown names raise AttributeError,
-and submodules still import through the package."""
+submodules still import through the package, and no module imports a
+name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +44,32 @@ def test_submodules_import_through_the_package():
     assert numeric.check_qqq is qexpand.check_qqq
     assert ring.MultiPoly is qexpand.MultiPoly
     assert series.TruncSeries is qexpand.TruncSeries
+
+
+def _unused_imports(source: str):
+    """Names a module imports (anywhere, __future__ aside) but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder_flags_only_unread_names():
+    source = "from a import b, c\nimport d.e\nimport f as g\nc(d, g)\n"
+    assert _unused_imports(source) == [(1, "b")]
+
+
+def test_no_module_imports_an_unused_name():
+    src = Path(qexpand.__file__).parent
+    found = {
+        path.name: _unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
