@@ -17,7 +17,9 @@ bench           coarse wall-clock timings of representative computations
 Parameters --a, --b and the entries of --coeffs use a small expression
 grammar: integers, symbol names, + - * / ^ and parentheses.  The symbols
 q, a, b are pre-declared; any other name is declared on first use.  The
-series variable z is reserved and cannot appear in a coefficient.
+series variable z is reserved and cannot appear in a coefficient.  The
+--coeffs list is split on commas only, so an entry may contain spaces
+("a * q, 1") and a list separated by spaces alone ("1 q") is an error.
 
 Exit status is 0 when everything requested passed, 1 when any check
 failed, and 2 for usage errors (malformed expressions, unknown names,
@@ -90,8 +92,7 @@ def _parameter_table(*exprs: str) -> SymbolTable:
 
 def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
                     order: int, k: int) -> TruncSeries:
-    from .ring import RatFun
-    from .series import TruncSeries, base_element, qpow
+    from .series import TruncSeries, base_element, partial_theta, qpow
 
     if name == "one":
         return TruncSeries.one(table, order)
@@ -100,18 +101,7 @@ def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
             raise OrderError(f"--k must lie in 0..{order}, got {k}")
         return base_element(k, a, b, order, table)
     # (1 + z) sum_n (-1)^n z^(2n) q^(n^2)
-    zero = RatFun.zero(table)
-    coeffs = [zero] * (order + 1)
-    n = 0
-    while 2 * n <= order:
-        s = qpow(table, n * n)
-        if n % 2:
-            s = -s
-        coeffs[2 * n] = coeffs[2 * n] + s
-        if 2 * n + 1 <= order:
-            coeffs[2 * n + 1] = coeffs[2 * n + 1] + s
-        n += 1
-    return TruncSeries(table, order, coeffs)
+    return partial_theta(2, qpow(table, 1), 2, order, table).mul_linear(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +142,7 @@ def cmd_expand(config: RunConfig, args) -> int:
 
     texts = []
     if args.coeffs is not None:
-        texts = args.coeffs.replace(",", " ").split()
+        texts = [t.strip() for t in args.coeffs.split(",") if t.strip()]
         if not texts:
             raise ParseError("--coeffs lists no coefficients")
     table = _parameter_table(args.a, args.b, *texts)

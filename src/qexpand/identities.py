@@ -247,7 +247,6 @@ def _telescoped_sides(
     """
     table = a.table
     q = RatFun.sym(table, "q")
-    zero = RatFun.zero(table)
     ratios = _ratio_chain(a, b, order, table)
     rhs_terms = []
     paqb = RatFun.one(table)  # (aq/b;q)_n b^n
@@ -260,9 +259,7 @@ def _telescoped_sides(
             sc = inner[k] * qpow(table, n * k) * outer
             m = n + k
             piece = ratios[m].mul_linear(a * q ** (2 * n + k))
-            term = term + TruncSeries(
-                table, order, [zero] * m + [c * sc for c in piece.coeffs]
-            )
+            term = term + _element(piece.scale(sc), m, order)
         rhs_terms.append(term.div_linear(a) if divide else term)
         if n < order:
             paqb = paqb * (b - a * q ** (n + 1))

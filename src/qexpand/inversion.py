@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import OrderError, SingularMatrixError, StructureError
-from .ring import RatFun, SymbolTable
+from .ring import RatFun, SymbolTable, _dot
 from .series import TruncSeries, _element, _ratio_chain, qpow, sum_series
 
 
@@ -75,21 +75,10 @@ class LTMatrix:
     def __matmul__(self, other: "LTMatrix") -> "LTMatrix":
         if self.size != other.size:
             raise StructureError("size mismatch")
-        rows = []
-        for n in range(self.size + 1):
-            row = []
-            for k in range(n + 1):
-                acc = RatFun.zero(self.table)
-                for i in range(k, n + 1):
-                    x = self.rows[n][i]
-                    if x.is_zero():
-                        continue
-                    y = other.rows[i][k]
-                    if y.is_zero():
-                        continue
-                    acc = acc + x * y
-                row.append(acc)
-            rows.append(row)
+        zero = RatFun.zero(self.table)
+        rows = [[_dot(((self.rows[n][i], other.rows[i][k]) for i in range(k, n + 1)), zero)
+                 for k in range(n + 1)]
+                for n in range(self.size + 1)]
         return LTMatrix(self.table, rows)
 
     def is_identity(self) -> bool:
@@ -113,12 +102,6 @@ class LTMatrix:
 
     __hash__ = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.size,
-            "entries": [[str(e) for e in row] for row in self.rows],
-        }
-
 
 def base_matrix(a: RatFun, b: RatFun, n: int) -> LTMatrix:
     """A[i][k] = [z^(i-k)] (az;q)_k/(bz;q)_k for 0 <= k <= i <= n."""
@@ -133,17 +116,12 @@ def lt_inverse(m: LTMatrix) -> LTMatrix:
         if not m.rows[i][i] == 1:
             raise SingularMatrixError(f"diagonal entry {i} is {m.rows[i][i]}, not 1")
     table = m.table
-    inv = [[RatFun.zero(table) for _ in range(i + 1)] for i in range(m.size + 1)]
+    zero = RatFun.zero(table)
+    inv = [[zero] * (i + 1) for i in range(m.size + 1)]
     for k in range(m.size + 1):
         inv[k][k] = RatFun.one(table)
         for n in range(k + 1, m.size + 1):
-            acc = RatFun.zero(table)
-            for i in range(k, n):
-                x = m.rows[n][i]
-                if x.is_zero() or inv[i][k].is_zero():
-                    continue
-                acc = acc + x * inv[i][k]
-            inv[n][k] = -acc
+            inv[n][k] = -_dot(((m.rows[n][i], inv[i][k]) for i in range(k, n)), zero)
     return LTMatrix(table, inv)
 
 
@@ -170,14 +148,12 @@ def expand_triangular(f: TruncSeries, a: RatFun, b: RatFun) -> ExpansionResult:
     n = f.order
     m = base_matrix(a, b, n)
     coeffs: List[RatFun] = []
-    for i in range(n + 1):
-        acc = f.coeffs[i]
-        for k in range(i):
-            x = m.rows[i][k]
-            if x.is_zero() or coeffs[k].is_zero():
-                continue
-            acc = acc - x * coeffs[k]
-        coeffs.append(acc)
+    # f_i - x0*c0 - x1*c1 - ... as a fold of f_i + x*(-c): the same sums, one negation per c
+    neg: List[RatFun] = []
+    for i, row in enumerate(m.rows):
+        c = _dot(((row[k], neg[k]) for k in range(i)), f.coeffs[i])
+        coeffs.append(c)
+        neg.append(-c)
     return ExpansionResult(coeffs, "triangular_solve")
 
 
@@ -202,16 +178,9 @@ def _thm25_entry(chain: List[TruncSeries], col: List[RatFun], a: RatFun,
     expansion coefficient of f.  col = b_column1(a, b, n).
     """
     table = a.table
-    corr = RatFun.zero(table)
-    for i in range(k, m):
-        c1 = col[m - i]
-        if c1.is_zero():
-            continue
-        u = chain[i + 1].coeffs[i - k]
-        if u.is_zero():
-            continue
-        corr = corr + c1 * qpow(table, (m - i) * i) * u
-    return chain[m].coeffs[m - k] - a * corr
+    pairs = ((col[m - i] * qpow(table, (m - i) * i), chain[i + 1].coeffs[i - k])
+             for i in range(k, m) if not col[m - i].is_zero())
+    return chain[m].coeffs[m - k] - a * _dot(pairs, RatFun.zero(table))
 
 
 def expand_theorem15(f: TruncSeries, a: RatFun, b: RatFun) -> ExpansionResult:
@@ -267,11 +236,9 @@ def gn_polynomials(n: int, table: SymbolTable) -> List[RatFun]:
     g = [RatFun.zero(table), one]
     if n < 1:
         return g[: n + 1]
+    zero = RatFun.zero(table)
     for m in range(2, n + 1):
-        acc = RatFun.zero(table)
-        for k in range(1, m):
-            acc = acc + g[m - k] * qpow(table, (m - k) * k)
-        g.append(one - acc)
+        g.append(one - _dot(((g[m - k], qpow(table, (m - k) * k)) for k in range(1, m)), zero))
     return g
 
 
@@ -304,16 +271,9 @@ def coro310_coeffs(f: TruncSeries, a: RatFun) -> ExpansionResult:
         tails.append(TruncSeries(table, n, cut).div_linear(a))
     coeffs = [f.coeffs[0]]
     for m in range(1, n + 1):
-        acc = zero
-        for k in range(m):
-            gk = g[m - k]
-            if gk.is_zero():
-                continue
-            t = tails[k].coeffs[m]
-            if t.is_zero():
-                continue
-            acc = acc + gk * qpow(table, (m - k) * k) * t
-        coeffs.append(acc)
+        pairs = ((g[m - k] * qpow(table, (m - k) * k), tails[k].coeffs[m])
+                 for k in range(m) if not g[m - k].is_zero())
+        coeffs.append(_dot(pairs, zero))
     return ExpansionResult(coeffs, "b_eq_aq")
 
 
@@ -345,17 +305,10 @@ def sn_polynomial(n: int, a: RatFun, b: RatFun, y: RatFun,
         return acc
 
     lead = y ** (n + 1) * prod(y - b * q**i for i in range(n - 1))
-    corr = RatFun.zero(table)
-    for k in range(n):
-        c1 = col[n - k]
-        if c1.is_zero():
-            continue
-        piece = (
-            c1
-            * qpow(table, (n - k) * k)
-            * y ** (k + 1)
-            * prod(y - b * q**i for i in range(k))
-            * prod(y - a * q**j for j in range(k + 1, n))
-        )
-        corr = corr + piece
-    return lead - a * corr
+    pairs = (
+        (col[n - k] * qpow(table, (n - k) * k) * y ** (k + 1)
+         * prod(y - b * q**i for i in range(k)),
+         prod(y - a * q**j for j in range(k + 1, n)))
+        for k in range(n) if not col[n - k].is_zero()
+    )
+    return lead - a * _dot(pairs, RatFun.zero(table))

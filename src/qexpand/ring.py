@@ -47,7 +47,7 @@ import sys
 from array import array
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError, PoleError, StructureError
 
@@ -849,6 +849,19 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
+
+
+def _dot(pairs: Iterable[Tuple[RatFun, RatFun]], acc: RatFun) -> RatFun:
+    """acc + x*y over the pairs, folded left to right, skipping any pair with a zero factor.
+
+    The fold order is part of the contract: unreduced RatFun sums render
+    differently when regrouped, and the package's exact output prints them.
+    """
+    for x, y in pairs:
+        if x.is_zero() or y.is_zero():
+            continue
+        acc = acc + x * y
+    return acc
 
 
 def _poly_substitute(p: MultiPoly, vals: Mapping[str, RatFun]) -> RatFun:

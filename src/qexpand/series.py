@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import MultiPoly, RatFun, SymbolTable
+from .ring import MultiPoly, RatFun, SymbolTable, _dot
 
 Scalar = Union[RatFun, int, Fraction]
 
@@ -152,18 +152,7 @@ class TruncSeries:
         n = self._common_order(other)
         a, b = self.coeffs, other.coeffs
         zero = RatFun.zero(self.table)
-        out = []
-        for m in range(n + 1):
-            acc = zero
-            for i in range(m + 1):
-                ai = a[i]
-                if ai.is_zero():
-                    continue
-                bj = b[m - i]
-                if bj.is_zero():
-                    continue
-                acc = acc + ai * bj
-            out.append(acc)
+        out = [_dot(((a[i], b[m - i]) for i in range(m + 1)), zero) for m in range(n + 1)]
         return TruncSeries(self.table, n, out)
 
     def scale(self, c: Scalar) -> "TruncSeries":
@@ -180,14 +169,9 @@ class TruncSeries:
         inv0 = 1 / c0
         out = [inv0]
         a = self.coeffs
+        zero = RatFun.zero(self.table)
         for m in range(1, self.order + 1):
-            acc = RatFun.zero(self.table)
-            for i in range(1, m + 1):
-                ai = a[i]
-                if ai.is_zero() or out[m - i].is_zero():
-                    continue
-                acc = acc + ai * out[m - i]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * _dot(((a[i], out[m - i]) for i in range(1, m + 1)), zero))
         return TruncSeries(self.table, self.order, out)
 
     # -- structural maps --------------------------------------------------
@@ -337,14 +321,7 @@ def pochhammer_infinite(c: Scalar, order: int, table: SymbolTable) -> TruncSerie
 
 def inv_pochhammer_infinite(c: Scalar, order: int, table: SymbolTable) -> TruncSeries:
     """1/(cz;q)_inf via Euler: sum_m c^m z^m / (q;q)_m."""
-    c = _coerce_scalar(table, c)
-    q = _q(table)
-    coeffs = [RatFun.one(table)]
-    t = coeffs[0]
-    for m in range(1, order + 1):
-        t = t * c / (1 - q**m)
-        coeffs.append(t)
-    return TruncSeries(table, order, coeffs)
+    return qhyper([], [], c, order, table)
 
 
 def _ratio_chain(a: Scalar, b: Scalar, order: int, table: SymbolTable) -> List[TruncSeries]:

@@ -143,6 +143,19 @@ def test_expand_empty_coeff_list_exits_2(capsys, coeffs):
     assert out == ""
 
 
+@pytest.mark.parametrize("spaced, packed", [("a * q, 1", "a*q,1"), ("1 + q", "1+q")])
+def test_expand_coeff_entries_may_contain_spaces(capsys, spaced, packed):
+    # entries were once split on whitespace too, so "1 + q" exited 2
+    want = run_cli(capsys, "expand", "--coeffs", packed, "--n", "3")
+    assert want[0] == 0
+    assert run_cli(capsys, "expand", "--coeffs", spaced, "--n", "3") == want
+
+
+def test_expand_coeffs_split_on_commas_only(capsys):
+    code, out, err = run_cli(capsys, "expand", "--coeffs", "1 q", "--n", "3")
+    assert code == 2 and out == "" and "trailing input" in err
+
+
 # sha256 of the stdout of each command: the closed-formula (theorem15) and
 # triangular-solve strings, and the inverse matrix, byte for byte
 GOLDEN_STDOUT_SHA256 = {

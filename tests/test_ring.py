@@ -20,6 +20,7 @@ from qexpand.ring import (
     MultiPoly,
     RatFun,
     SymbolTable,
+    _dot,
     expression_symbols,
     parse_ratfun,
     symbols,
@@ -129,6 +130,51 @@ def test_evaluate_is_a_homomorphism(f, g):
         return  # denominator vanishes at the probe point; nothing to compare
     assert (f + g).evaluate(point) == fv + gv
     assert (f * g).evaluate(point) == fv * gv
+
+
+def _factors():
+    q, a = RatFun.sym(TABLE, "q"), RatFun.sym(TABLE, "a")
+    # zero, and shared denominators, whose sums render by grouping
+    pool = [RatFun.zero(TABLE), 1 / (1 - q), 1 / (1 + q), a / (1 - q**2), q + 1]
+    return st.one_of(st.sampled_from(pool), ratfuns())
+
+
+@settings(max_examples=60)
+@given(_factors(), st.lists(st.tuples(_factors(), _factors()), max_size=5))
+def test_dot_renders_as_the_left_fold(acc, pairs):
+    # unreduced sums render by grouping, so equality of values is not enough
+    fold = reduce(lambda s, xy: s + xy[0] * xy[1], pairs, acc)
+    assert str(_dot(iter(pairs), acc)) == str(fold)
+
+
+def test_dot_keeps_the_fold_order(qab):
+    q = qab[0]
+    one, u, v = RatFun.one(q.table), 1 / (1 - q), 1 / (1 + q)
+    zero = RatFun.zero(q.table)
+    # regrouped, u + (u + v) renders (-q^2 - 2*q + 3)/(q^3 - q^2 - q + 1)
+    assert str(_dot([(one, u), (one, u), (one, v)], zero)) == "(-q - 3)/(q^2 - 1)"
+    # balanced, (u + u) + (v + v) renders (-4)/(q^2 - 1)
+    assert (str(_dot([(one, u), (one, u), (one, v), (one, v)], zero))
+            == "(-4*q - 4)/(q^3 + q^2 - q - 1)")
+    # acc last, v + (u + u) renders (-q - 3)/(q^2 - 1)
+    assert str(_dot([(one, u), (one, u)], v)) == "(-q^2 - 2*q + 3)/(q^3 - q^2 - q + 1)"
+
+
+def test_dot_skips_pairs_with_a_zero_factor(qab):
+    q = qab[0]
+    zero = RatFun.zero(q.table)
+
+    class Unmultipliable:
+        def is_zero(self):
+            return False
+
+        def __mul__(self, other):
+            raise AssertionError("a pair with a zero factor was multiplied")
+
+        __rmul__ = __mul__
+
+    never = Unmultipliable()
+    assert _dot([(zero, never), (never, zero)], q) is q
 
 
 # ---------------------------------------------------------------------------
