@@ -7,6 +7,16 @@ right side are kept as separate term series so a harness can scale any
 single term by (1+q) and confirm the check fails exactly where the
 perturbation first lands.
 
+`compare` stops at the first coefficient where the sides differ.  The
+right side is a balanced sum whose levels each IdentitySides keeps, so
+a perturbed compare walks one path: for m = 0, 1, ... it scales term
+j's coefficient m by (1+q) and adds the kept sibling at each level on
+term j's way to the root, in the operand order and with the odd carry
+of `sum_series`.  No other sum is redone, and every coefficient is the
+one a full re-sum would give, byte for byte.  The failure it reports
+keeps the two scaled coefficients; their unscaled text is divided out
+and rendered only when first read.
+
 Both sides of a check may be multiplied by one common nonzero scale -- a
 product of z-free Pochhammer factors such as (q;q)_N -- chosen so that
 every coefficient that enters an addition is a polynomial (denominator
@@ -21,8 +31,9 @@ always carries z-valuation >= n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import OrderError, StructureError
@@ -32,6 +43,7 @@ from .series import (
     TruncSeries,
     _element,
     _ratio_chain,
+    _sum_levels,
     inv_pochhammer_infinite,
     partial_theta,
     pochhammer_infinite,
@@ -40,11 +52,30 @@ from .series import (
 )
 
 
-@dataclass
+def _unscaled(c: RatFun, scale: RatFun) -> RatFun:
+    return c if scale.is_one() else c / scale
+
+
 class FirstFailure:
-    index: int
-    lhs: str
-    rhs: str
+    """The first index where the sides differ, with both values unscaled.
+
+    It keeps the two scaled coefficients and the scale; `lhs` and `rhs`
+    divide the scale out and render on first read, once each, so a
+    caller that reads only `index` pays for no division or text.
+    """
+
+    def __init__(self, index: int, lhs: RatFun, rhs: RatFun, scale: RatFun):
+        self.index = index
+        self._scaled = (lhs, rhs)
+        self._scale = scale
+
+    @cached_property
+    def lhs(self) -> str:
+        return str(_unscaled(self._scaled[0], self._scale))
+
+    @cached_property
+    def rhs(self) -> str:
+        return str(_unscaled(self._scaled[1], self._scale))
 
     def to_json_dict(self) -> dict:
         return {"index": self.index, "lhs": self.lhs, "rhs": self.rhs}
@@ -70,7 +101,13 @@ class IdentityReport:
 
 @dataclass
 class IdentitySides:
-    """Both sides of an identity, scaled by a common nonzero factor."""
+    """Both sides of an identity, scaled by a common nonzero factor.
+
+    The levels of the balanced sum of `rhs_terms` are built on first use
+    and kept for the list object they came from.  To change the right
+    side, assign a new list to `rhs_terms`; mutating the list in place is
+    not supported, because the kept sums would not see it.
+    """
 
     name: str
     parameters: List[Tuple[str, str]]
@@ -79,12 +116,21 @@ class IdentitySides:
     lhs: TruncSeries
     rhs_terms: List[TruncSeries]
     scale: RatFun
+    # (the rhs_terms list, the levels of its balanced sum)
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _rhs_levels(self) -> List[List[TruncSeries]]:
+        """Every level of the balanced right-side sum, leaves first."""
+        if self._kept is None or self._kept[0] is not self.rhs_terms:
+            terms = self.rhs_terms or [TruncSeries.zero(self.table, self.order)]
+            self._kept = (self.rhs_terms, _sum_levels(terms))
+        return self._kept[1]
 
     def rhs(self) -> TruncSeries:
-        return sum_series(self.rhs_terms, table=self.table, order=self.order)
+        return self._rhs_levels()[-1][0]
 
     def unscaled_coeff(self, c: RatFun) -> RatFun:
-        return c if self.scale.is_one() else c / self.scale
+        return _unscaled(c, self.scale)
 
     def unscaled_lhs(self) -> List[RatFun]:
         return [self.unscaled_coeff(c) for c in self.lhs.coeffs]
@@ -93,28 +139,51 @@ class IdentitySides:
         return [self.unscaled_coeff(c) for c in self.rhs().coeffs]
 
 
+def _perturbed_rhs(sides: IdentitySides, j: int) -> Callable[[int], RatFun]:
+    """m -> coefficient m of the right side with term j scaled by (1+q).
+
+    Only term j's path to the root changes, so coefficient m is term j's,
+    times 1+q, plus the kept sibling at each level of that path, added
+    on the side and with the odd carry that _sum_levels uses.  Scaling
+    and series addition act coefficient-wise, so every value is the one
+    a full re-sum of the perturbed terms would give.
+    """
+    levels = sides._rhs_levels()
+    path = []  # (sibling coefficients, sibling is the left operand)
+    p = j
+    for items in levels[:-1]:
+        if p % 2:
+            path.append((items[p - 1].coeffs, True))
+        elif p + 1 < len(items):
+            path.append((items[p + 1].coeffs, False))
+        p //= 2
+    term = levels[0][j].coeffs
+    bump = 1 + RatFun.sym(sides.table, "q")
+
+    def coeff(m: int) -> RatFun:
+        c = term[m] * bump
+        for sib, left in path:
+            c = sib[m] + c if left else c + sib[m]
+        return c
+
+    return coeff
+
+
 def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityReport:
     """Compare the two sides; optionally scale RHS term `perturb` by (1+q)."""
-    terms = sides.rhs_terms
-    if perturb is not None:
-        if not 0 <= perturb < len(terms):
-            raise OrderError(f"no RHS term {perturb} (have {len(terms)})")
-        bump = 1 + RatFun.sym(sides.table, "q")
-        terms = list(terms)
-        terms[perturb] = terms[perturb].scale(bump)
-    rhs = sum_series(terms, table=sides.table, order=sides.order)
-    failure = None
-    passed = True
+    if perturb is None:
+        rhs = sides.rhs().coeffs.__getitem__
+    elif 0 <= perturb < len(sides.rhs_terms):
+        rhs = _perturbed_rhs(sides, perturb)
+    else:
+        raise OrderError(f"no RHS term {perturb} (have {len(sides.rhs_terms)})")
+    lhs = sides.lhs.coeffs
     for m in range(sides.order + 1):
-        if not sides.lhs.coeffs[m] == rhs.coeffs[m]:
-            failure = FirstFailure(
-                m,
-                str(sides.unscaled_coeff(sides.lhs.coeffs[m])),
-                str(sides.unscaled_coeff(rhs.coeffs[m])),
-            )
-            passed = False
-            break
-    return IdentityReport(sides.name, sides.parameters, sides.order, passed, failure)
+        r = rhs(m)
+        if not lhs[m] == r:
+            failure = FirstFailure(m, lhs[m], r, sides.scale)
+            return IdentityReport(sides.name, sides.parameters, sides.order, False, failure)
+    return IdentityReport(sides.name, sides.parameters, sides.order, True, None)
 
 
 def _cof_chain(c: RatFun, order: int) -> List[RatFun]:

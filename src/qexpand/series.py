@@ -412,6 +412,25 @@ def partial_theta(baseexp: int, c: Scalar, p: int, order: int, table: SymbolTabl
     return out
 
 
+def _sum_levels(terms: Sequence[TruncSeries]) -> List[List[TruncSeries]]:
+    """Every level of the balanced sum of a nonempty list, leaves first.
+
+    Level k+1 holds level[k][i] + level[k][i+1] for each even i, with an
+    odd last item carried up unchanged; the last level holds only the
+    root.  Unreduced RatFun sums render differently when regrouped, so
+    this pairing is the one order every balanced sum uses.
+    """
+    items = list(terms)
+    levels = [items]
+    while len(items) > 1:
+        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        levels.append(nxt)
+        items = nxt
+    return levels
+
+
 def sum_series(terms: Iterable[TruncSeries], table=None, order=None) -> TruncSeries:
     """Balanced sum of many series (keeps intermediate coefficients small)."""
     items = list(terms)
@@ -419,12 +438,7 @@ def sum_series(terms: Iterable[TruncSeries], table=None, order=None) -> TruncSer
         if table is None or order is None:
             raise StructureError("empty sum needs an explicit table and order")
         return TruncSeries.zero(table, order)
-    while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+    return _sum_levels(items)[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from qexpand import ring
 from qexpand.errors import OrderError, StructureError
 from qexpand.identities import (
+    IdentitySides,
     build_2phi1_to_4phi3,
     build_1psi1_coeff,
     build_coogan_ono,
@@ -359,6 +361,98 @@ def test_perturb_index_out_of_range():
         run_check("coogan_ono", 3, perturb=99)
     with pytest.raises(OrderError):
         run_check("coogan_ono", 3, perturb=-1)
+
+
+def _eager_report(sides, j):
+    """compare(sides, perturb=j) done the long way: scale, re-sum every
+    term, scan, and render the failure at once."""
+    q = RatFun.sym(sides.table, "q")
+    terms = list(sides.rhs_terms)
+    terms[j] = terms[j].scale(1 + q)
+    rhs = sum_series(terms)
+    failure = None
+    for m in range(sides.order + 1):
+        if not sides.lhs.coeffs[m] == rhs.coeffs[m]:
+            failure = {
+                "index": m,
+                "lhs": str(sides.unscaled_coeff(sides.lhs.coeffs[m])),
+                "rhs": str(sides.unscaled_coeff(rhs.coeffs[m])),
+            }
+            break
+    return {
+        "name": sides.name,
+        "parameters": [[s, v] for s, v in sides.parameters],
+        "order": sides.order,
+        "passed": failure is None,
+        "first_failure": failure,
+    }
+
+
+def _synthetic_sides(count):
+    """`count` terms with unreduced denominators, so regrouping any sum
+    changes its text; term i starts at z^(i % 3)."""
+    table, (q, a) = symbols("q a")
+    order = 3
+    terms = [
+        TruncSeries(table, order, [
+            (i + 1) * a**m / (1 - a * q ** (i + m + 1)) for m in range(order + 1)
+        ]).mul_z(i % 3)
+        for i in range(count)
+    ]
+    scale = RatFun.one(table) if count % 2 else 1 - a * q
+    lhs = sum_series(terms)
+    return IdentitySides(f"synthetic{count}", [], order, table, lhs, terms, scale)
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [build_sides(name, 5) for name in check_names()]
+    + [_synthetic_sides(n) for n in range(1, 10)],
+    ids=lambda sides: sides.name,
+)
+def test_perturbed_compare_matches_a_full_resum(sides):
+    # every j, terms invisible at this order included: the path walk must
+    # give the bytes of scaling term j and re-summing all terms
+    for j in range(len(sides.rhs_terms)):
+        assert compare(sides, perturb=j).to_json_dict() == _eager_report(sides, j), j
+
+
+def test_reassigned_rhs_terms_rebuild_the_kept_sums():
+    sides = build_sides("rogers_fine", 4)
+    assert compare(sides).passed
+    q = RatFun.sym(sides.table, "q")
+    sides.rhs_terms = [sides.rhs_terms[0].scale(1 + q)] + sides.rhs_terms[1:]
+    report = compare(sides)
+    assert not report.passed
+    assert report.first_failure.index == _first_nonzero_index(sides.rhs_terms[0])
+
+
+def test_failure_text_is_rendered_once_on_first_read(monkeypatch):
+    sides = build_sides("rogers_fine", 4)
+    assert not sides.scale.is_one()
+    j = _last_visible_term(sides)
+    want = _eager_report(sides, j)["first_failure"]
+    rendered, divided = [], []
+    render_poly, truediv = ring.render_poly, RatFun.__truediv__
+
+    def counting_render(p):
+        rendered.append(p)
+        return render_poly(p)
+
+    def counting_truediv(x, y):
+        divided.append(y)
+        return truediv(x, y)
+
+    monkeypatch.setattr(ring, "render_poly", counting_render)
+    monkeypatch.setattr(RatFun, "__truediv__", counting_truediv)
+    fail = compare(sides, perturb=j).first_failure
+    assert rendered == [] and divided == []
+    lhs = sides.unscaled_coeff(sides.lhs.coeffs[fail.index])
+    del divided[:]
+    assert fail.lhs == fail.lhs == want["lhs"]
+    assert rendered == [lhs.num, lhs.den] and len(divided) == 1
+    assert fail.to_json_dict() == want
+    assert len(rendered) == 4 and len(divided) == 2  # rhs added once
 
 
 # -- report serialization -----------------------------------------------------
