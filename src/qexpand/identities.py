@@ -313,23 +313,45 @@ def _telescoped_sides(
     factors in every term; cof = _cof_chain(q, order) clears 1/(q;q)_n.
     `divide` divides each term by (1 - az), the one factor coro_tlnew's
     bracket leaves over.  lhs and scale are passed through unchanged.
+
+    Term n is assembled in three steps: the pieces inner[k] q^(nk)
+    z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
+    list, divided by (1 - az) when `divide` is set, and only then is each
+    nonzero coefficient multiplied by the z-free prefactor, first by the
+    one-run q-polynomial cof[n], then by (aq/b;q)_n b^n q^(n(n-1)).  So
+    the dense products of the pieces never carry the prefactor, which
+    multiplies each of the order - n + 1 output coefficients once.  For
+    the registered checks every coefficient's denominator is one term (an
+    integer times a monomial), and for such a quotient RatFun's
+    normalization is a full gcd reduction; each value then has one
+    representation, so the order of the products changes no output byte.
     """
     table = a.table
     q = RatFun.sym(table, "q")
+    zero = RatFun.zero(table)
     ratios = _ratio_chain(a, b, order, table)
     rhs_terms = []
     paqb = RatFun.one(table)  # (aq/b;q)_n b^n
     for n in range(order + 1):
-        outer = paqb * cof[n] * q ** (n * (n - 1))
-        term = TruncSeries.zero(table, order)
+        coeffs = [zero] * (order + 1)
         for k in range(order - n + 1):
             if inner[k].is_zero():
                 continue
-            sc = inner[k] * qpow(table, n * k) * outer
-            m = n + k
-            piece = ratios[m].mul_linear(a * q ** (2 * n + k))
-            term = term + _element(piece.scale(sc), m, order)
-        rhs_terms.append(term.div_linear(a) if divide else term)
+            sc = inner[k] * qpow(table, n * k)
+            piece = ratios[n + k].mul_linear(a * q ** (2 * n + k))
+            for m, c in enumerate(piece.coeffs, n + k):
+                coeffs[m] = coeffs[m] + c * sc
+        term = TruncSeries(table, order, coeffs)
+        if divide:
+            term = term.div_linear(a)
+        rest = paqb * q ** (n * (n - 1))
+        # scaled in place and the unscaled list dropped, so no unscaled
+        # coefficient outlives its product
+        coeffs = term.coeffs
+        for m, c in enumerate(coeffs):
+            if not c.is_zero():
+                coeffs[m] = c * cof[n] * rest
+        rhs_terms.append(term)
         if n < order:
             paqb = paqb * (b - a * q ** (n + 1))
     return IdentitySides(name, [], order, table, lhs, rhs_terms, scale)

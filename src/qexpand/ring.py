@@ -306,20 +306,21 @@ class MultiPoly:
         sh = self.table._shifts[pos]
         return max((g >> sh) & _MASK for g in self.runs)
 
-    def content(self) -> int:
-        """Positive gcd of the integer coefficients (0 for the zero poly)."""
+    def content(self, g: int = 0) -> int:
+        """Nonnegative gcd of g and the integer coefficients (|g| for the
+        zero poly); the scan stops once the gcd reaches 1."""
         w = self.w
-        g = 0
         # the lowest slots first: they are cheap to read and usually settle it
         for _, x in self.runs.values():
             g = math.gcd(g, _low(x, w))
             if g == 1:
                 return 1
         for _, x in self.runs.values():
-            g = math.gcd(g, *_slots(x, w))
-            if g == 1:
-                return 1
-        return g
+            if x.bit_length() >= w:  # a one-slot run was read above
+                g = math.gcd(g, *_slots(x, w))
+                if g == 1:
+                    return 1
+        return abs(g)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -656,7 +657,7 @@ class RatFun:
             self.den = MultiPoly.const(num.table, 1)
             return
         cd = den.content()
-        g = math.gcd(num.content(), cd) if cd > 1 else 1
+        g = num.content(cd) if cd > 1 else 1
         if g > 1:
             num = num._exact_div(g)
             den = den._exact_div(g)

@@ -328,15 +328,18 @@ def _ratio_chain(a: Scalar, b: Scalar, order: int, table: SymbolTable) -> List[T
     """ratio[m] = (az;q)_m/(bz;q)_m as a series of order (order - m), m = 0..order.
 
     The one builder of these quotients: the base matrix, the expansion
-    elements and the identities built on them all read it.
+    elements and the identities built on them all read it.  Ratio m+1 is
+    built from ratio m cut to order - m - 1: coefficient i of a product or
+    quotient by a linear factor reads only coefficients 0..i, so the cut
+    drops no work a later ratio uses.
     """
     q = _q(table)
     out = []
     r = TruncSeries.one(table, order)
     for m in range(order + 1):
-        out.append(r.truncated(order - m))
+        out.append(r)
         if m < order:
-            r = r.mul_linear(a * q**m).div_linear(b * q**m)
+            r = r.truncated(order - m - 1).mul_linear(a * q**m).div_linear(b * q**m)
     return out
 
 

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from qexpand import ring
+from qexpand import identities, ring
 from qexpand.errors import OrderError, StructureError
 from qexpand.identities import (
     IdentitySides,
+    _theorem16_sides,
     build_2phi1_to_4phi3,
     build_1psi1_coeff,
     build_coogan_ono,
@@ -31,15 +32,23 @@ from qexpand.identities import (
 from qexpand.ring import RatFun, parse_ratfun, symbols
 from qexpand.series import (
     TruncSeries,
+    _element,
+    _ratio_chain,
     base_element,
     inv_pochhammer_infinite,
     pochhammer_finite,
     pochhammer_infinite,
+    qpow,
     substitute_in_series,
     sum_series,
 )
 
 N = 6
+
+# the checks whose right side _telescoped_sides builds
+TELESCOPED = [
+    "2phi1_to_4phi3", "coro_tlnew", "theorem16_3phi2", "theorem16_const", "theorem16_random",
+]
 
 
 # -- registry ---------------------------------------------------------------
@@ -255,6 +264,69 @@ def test_theorem16_terms_match_displayed_form():
     assert [sides.unscaled_coeff(c) for c in sides.lhs.coeffs] == naive_lhs.coeffs
 
 
+def _per_piece_sides(name, lhs, inner, a, b, order, cof, scale, divide=False):
+    """_telescoped_sides with the whole prefactor of term n folded into
+    every piece before the pieces are summed: the reference assembly."""
+    table = a.table
+    q = RatFun.sym(table, "q")
+    ratios = _ratio_chain(a, b, order, table)
+    rhs_terms = []
+    paqb = RatFun.one(table)
+    for n in range(order + 1):
+        outer = paqb * cof[n] * q ** (n * (n - 1))
+        term = TruncSeries.zero(table, order)
+        for k in range(order - n + 1):
+            if inner[k].is_zero():
+                continue
+            sc = inner[k] * qpow(table, n * k) * outer
+            m = n + k
+            piece = ratios[m].mul_linear(a * q ** (2 * n + k))
+            term = term + _element(piece.scale(sc), m, order)
+        rhs_terms.append(term.div_linear(a) if divide else term)
+        if n < order:
+            paqb = paqb * (b - a * q ** (n + 1))
+    return IdentitySides(name, [], order, table, lhs, rhs_terms, scale)
+
+
+def test_telescoped_coefficients_have_one_term_denominators():
+    # the prefactor of each telescoped term is multiplied in after its
+    # pieces are summed; that leaves every output byte alone only because
+    # these denominators are one term each, where normalization is a full
+    # gcd reduction and a value has one representation
+    for name in TELESCOPED:
+        sides = build_sides(name, 6, 5)
+        for series in [sides.lhs, *sides.rhs_terms]:
+            for m, c in enumerate(series.coeffs):
+                assert len(c.den.terms) == 1, (name, m, str(c))
+
+
+def test_non_monomial_parameters_match_the_per_piece_assembly(monkeypatch):
+    # with a = q/(1+q) the denominators are not one term, so the grouping
+    # may change the unreduced text, but never a value or a verdict
+    table, (q, b, c) = symbols("q b c")
+    a = q / (1 + q)
+    t = [RatFun.from_fraction(table, f) for f in
+         (Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(3, 7))]
+    assert check_theorem16(t, 4, a=a, b=b).passed
+    half = RatFun.from_fraction(table, Fraction(1, 2))
+
+    def build_both():
+        return [
+            _theorem16_sides("theorem16", t, a, b, 4),
+            build_coro_tlnew(4, uppers=[c], carg=half, a=a, b=b),
+        ]
+
+    new = build_both()
+    monkeypatch.setattr(identities, "_telescoped_sides", _per_piece_sides)
+    old = build_both()
+    assert any(len(x.den.terms) > 1 for x in new[0].rhs_terms[1].coeffs)
+    for ours, ref in zip(new, old):
+        assert compare(ours).passed
+        assert len(ours.rhs_terms) == len(ref.rhs_terms)
+        for term, ref_term in zip(ours.rhs_terms, ref.rhs_terms):
+            assert term.coeffs == ref_term.coeffs
+
+
 # -- parametrized instances ---------------------------------------------------
 
 
@@ -459,9 +531,12 @@ def test_failure_text_is_rendered_once_on_first_read(monkeypatch):
 
 
 # sha256 of the sorted-key JSON of every report below.  Failure values are
-# unreduced RatFuns, so their text depends on the factors that build each
-# coefficient; a builder rewritten with other factors would change the
-# CLI's JSON output while every verdict still holds.
+# RatFuns that are not gcd-reduced.  Where a denominator has more than one
+# term, the text depends on the factors that built the coefficient, so a
+# builder rewritten with other arithmetic could change the CLI's JSON
+# while every verdict still holds.  Where every denominator is one term,
+# as in the telescoped checks (see the one-term test above), normalization
+# is a full reduction and the text depends on the value alone.
 GOLDEN_REPORTS_SHA256 = (
     "4d0ba8160b7dbc5fd711a1d047f8b69c0fdb37917101db8344047eaca43740c5"
 )
@@ -476,6 +551,35 @@ def test_reports_are_byte_stable():
     assert len(reports) == 62
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+# sha256 of the text of every right-side term coefficient and the JSON of
+# every perturbed report of the telescoped checks at orders 5 and 6, taken
+# from the per-piece assembly (_per_piece_sides), so it pins that
+# multiplying the prefactor in after the sum changed no byte.  Order 4
+# above is too low to reach the larger regroupings.
+GOLDEN_TELESCOPED_SHA256 = (
+    "9ad20500369b3ba55fb606c0612cf24ec236e96cac4a54c1eb51c92481771db0"
+)
+
+
+def test_telescoped_terms_and_reports_are_byte_stable():
+    blob = []
+    for order in (5, 6):
+        for name in TELESCOPED:
+            sides = build_sides(name, order, 5)
+            blob.append({
+                "name": name,
+                "order": order,
+                "terms": [[str(c) for c in t.coeffs] for t in sides.rhs_terms],
+                "reports": [
+                    compare(sides, perturb=j).to_json_dict()
+                    for j in range(len(sides.rhs_terms))
+                ],
+            })
+    assert sum(len(b["reports"]) for b in blob) == 65
+    digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_TELESCOPED_SHA256
 
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qexpand.errors import ParseError, PoleError, StructureError
@@ -403,6 +403,29 @@ def test_run_queries_match_dict_references(td):
         bumped[i] += 1
         with pytest.raises(StructureError):
             p.shift_down(table.pack(bumped))
+
+
+@settings(max_examples=300)
+@given(tables_with_dicts(1), coeffs)
+# the run -6 + q has exactly w bits though it holds two slots
+@example(td=(RUN_TABLES[0], [{RUN_TABLES[0].pack((0,)): -6, RUN_TABLES[0].pack((1,)): 1}]),
+         g=0)
+def test_content_from_a_starting_gcd(td, g):
+    # RatFun normalization passes the denominator's content in, so the
+    # numerator scan may stop early; it must still give the full gcd, for
+    # multi-slot runs, for runs of one slot (each group's lowest term), and
+    # when the lowest slots share a factor that a higher slot lacks
+    table, (d,) = td
+    lowest = {}
+    for k in d:
+        group = k - table.unpack(k)[0] * table._step
+        lowest[group] = min(k, lowest.get(group, k))
+    one_slot = {k: d[k] for k in lowest.values()}
+    low_shared = {k: 6 * c if k in one_slot else c for k, c in d.items()}
+    for terms in (d, one_slot, low_shared):
+        p = MultiPoly(table, terms)
+        assert p.content(g) == reduce(math.gcd, terms.values(), abs(g))
+        assert p.content(g) == math.gcd(g, p.content())
 
 
 @settings(max_examples=300)

@@ -17,6 +17,7 @@ from qexpand.errors import NonInvertibleError, OrderError, PoleError
 from qexpand.ring import RatFun, SymbolTable
 from qexpand.series import (
     TruncSeries,
+    _ratio_chain,
     base_element,
     inv_pochhammer_infinite,
     partial_theta,
@@ -184,6 +185,31 @@ def test_base_element_examples(t, syms):
         assert en.coeffs[n] == 1
     with pytest.raises(OrderError):
         base_element(N + 1, a, b, N, t)
+
+
+def _full_order_ratios(a, b, order, t):
+    """Every ratio (az;q)_m/(bz;q)_m built at the full order, then cut."""
+    q = RatFun.sym(t, "q")
+    out = []
+    r = TruncSeries.one(t, order)
+    for m in range(order + 1):
+        out.append(r.truncated(order - m))
+        r = r.mul_linear(a * q**m).div_linear(b * q**m)
+    return out
+
+
+@pytest.mark.parametrize("pair", ["symbolic", "coogan_ono", "shifted"])
+def test_ratio_chain_equals_full_order_then_truncate(t, syms, pair):
+    # ratio m+1 is built from ratio m already cut to order - m - 1; the cut
+    # must change no coefficient's text, not only its value
+    q, a, b = syms
+    a_, b_ = {"symbolic": (a, b), "coogan_ono": (1, -q), "shifted": (q / b, a * q)}[pair]
+    for order in range(N + 1):
+        got = _ratio_chain(a_, b_, order, t)
+        want = _full_order_ratios(a_, b_, order, t)
+        assert [r.order for r in got] == list(range(order, -1, -1))
+        assert [[str(c) for c in r.coeffs] for r in got] == \
+            [[str(c) for c in r.coeffs] for r in want], order
 
 
 def test_qhyper_examples(t, syms):
