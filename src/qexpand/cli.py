@@ -22,10 +22,11 @@ series variable z is reserved and cannot appear in a coefficient.  The
 ("a * q, 1") and a list separated by spaces alone ("1 q") is an error.
 
 Exit status is 0 when everything requested passed, 1 when any check
-failed, and 2 for usage errors (malformed expressions, unknown names,
-bad point files, out-of-region points).  For a fixed flag set and seed
-the --output json stream is byte-identical across runs; bench is the
-one exception, since it reports wall-clock times.
+failed, and 2 for usage errors (malformed expressions, unknown names, a
+verify-all filter that matches nothing, a --tol that is not a positive
+rational, bad point files, out-of-region points).  For a fixed flag set
+and seed the --output json stream is byte-identical across runs; bench
+is the one exception, since it reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .errors import OrderError, ParseError, QExpandError
+from .errors import OrderError, ParseError, QExpandError, StructureError
 
 # Each subcommand imports the engines it runs, so that numeric-verify never
 # loads the symbolic stack and importing this module loads neither.
@@ -137,7 +138,7 @@ def cmd_matrix(config: RunConfig, args) -> int:
 
 def cmd_expand(config: RunConfig, args) -> int:
     from .inversion import expand_theorem15, expand_triangular
-    from .ring import RatFun, parse_ratfun
+    from .ring import parse_ratfun
     from .series import TruncSeries
 
     texts = []
@@ -154,9 +155,7 @@ def cmd_expand(config: RunConfig, args) -> int:
                 f"{len(texts)} coefficients exceed truncation order {config.order}"
             )
         given = [parse_ratfun(t, table) for t in texts]
-        zero = RatFun.zero(table)
-        f = TruncSeries(table, config.order,
-                        given + [zero] * (config.order + 1 - len(given)))
+        f = TruncSeries.from_coeffs(table, given, config.order)
     else:
         f = _builtin_series(args.builtin, table, a, b, config.order, args.k)
     r1 = expand_triangular(f, a, b)
@@ -228,9 +227,13 @@ def cmd_verify(config: RunConfig, args) -> int:
 
 
 def cmd_verify_all(config: RunConfig, args) -> int:
-    from .identities import run_all
+    from .identities import check_names, run_all
 
     reports = run_all(config.order, args.filter, config.seed)
+    if not reports:
+        raise StructureError(
+            f"no check matches {args.filter!r}; known: {', '.join(check_names())}"
+        )
     return _emit_identity_reports(config, reports)
 
 
@@ -243,6 +246,17 @@ def _load_points(path: str) -> List[Dict[str, str]]:
     if not isinstance(data, list) or not all(isinstance(p, dict) for p in data):
         raise ParseError(f"points file {path}: expected a JSON array of objects")
     return data
+
+
+def _positive_fraction(text: str) -> Fraction:
+    """argparse type of --tol: a rational number above zero."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _to_fraction(text, where: str) -> Fraction:
@@ -311,7 +325,7 @@ def cmd_bench(config: RunConfig, args) -> int:
     from .identities import check_names, run_check
     from .inversion import base_matrix, expand_theorem15, expand_triangular, lt_inverse
     from .numeric import default_numeric_reports
-    from .ring import RatFun, SymbolTable
+    from .ring import RatFun, symbols
     from .series import TruncSeries
 
     rows = []
@@ -324,9 +338,7 @@ def cmd_bench(config: RunConfig, args) -> int:
                      "ok": ok})
 
     n = config.order
-    table = SymbolTable(("q", "a", "b"))
-    a = RatFun.sym(table, "a")
-    b = RatFun.sym(table, "b")
+    table, (_, a, b) = symbols("q a b")
 
     def inverse_pair():
         m = base_matrix(a, b, n)
@@ -473,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of points, e.g. [{\"q\": \"0.1\", ...}]")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits (default %(default)s)")
-    p.add_argument("--tol", type=Fraction, default=DEFAULT_TOLERANCE,
+    p.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOLERANCE,
                    metavar="T", help="absolute tolerance (default 1e-25)")
     common(p, with_order=False)
     p.set_defaults(func=cmd_numeric_verify)
@@ -481,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock timings of the main computations")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="bits for the numeric battery (default %(default)s)")
-    p.add_argument("--tol", type=Fraction, default=DEFAULT_TOLERANCE,
+    p.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOLERANCE,
                    metavar="T", help="tolerance for the numeric battery")
     common(p)
     p.set_defaults(func=cmd_bench)

@@ -7,15 +7,14 @@ right side are kept as separate term series so a harness can scale any
 single term by (1+q) and confirm the check fails exactly where the
 perturbation first lands.
 
-`compare` stops at the first coefficient where the sides differ.  The
-right side is a balanced sum whose levels each IdentitySides keeps, so
-a perturbed compare walks one path: for m = 0, 1, ... it scales term
-j's coefficient m by (1+q) and adds the kept sibling at each level on
-term j's way to the root, in the operand order and with the odd carry
-of `sum_series`.  No other sum is redone, and every coefficient is the
-one a full re-sum would give, byte for byte.  The failure it reports
-keeps the two scaled coefficients; their unscaled text is divided out
-and rendered only when first read.
+`compare` stops at the first coefficient where the sides differ.  With
+term j scaled by (1+q), coefficient m of the right side is rhs[m] +
+q term_j[m] (rhs[m] itself where term j's is zero): the value a full
+re-sum gives.  Where every right-side denominator is one term, as in
+every registered check, RatFun normalization is a full gcd reduction, so
+the value also fixes the failure text; with multi-term denominators the
+unreduced text may be grouped differently.  The failure keeps the two
+scaled coefficients and divides out and renders their text on first read.
 
 Both sides of a check may be multiplied by one common nonzero scale -- a
 product of z-free Pochhammer factors such as (q;q)_N -- chosen so that
@@ -43,7 +42,6 @@ from .series import (
     TruncSeries,
     _element,
     _ratio_chain,
-    _sum_levels,
     inv_pochhammer_infinite,
     partial_theta,
     pochhammer_infinite,
@@ -103,10 +101,10 @@ class IdentityReport:
 class IdentitySides:
     """Both sides of an identity, scaled by a common nonzero factor.
 
-    The levels of the balanced sum of `rhs_terms` are built on first use
-    and kept for the list object they came from.  To change the right
-    side, assign a new list to `rhs_terms`; mutating the list in place is
-    not supported, because the kept sums would not see it.
+    `rhs()` is the balanced sum of `rhs_terms`.  It is kept together with
+    the term objects it summed and rebuilt whenever the list's length or
+    any entry's identity differs, so both assigning a new list and
+    replacing entries in place take effect.
     """
 
     name: str
@@ -116,18 +114,15 @@ class IdentitySides:
     lhs: TruncSeries
     rhs_terms: List[TruncSeries]
     scale: RatFun
-    # (the rhs_terms list, the levels of its balanced sum)
+    # (the term objects summed, their balanced sum)
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def _rhs_levels(self) -> List[List[TruncSeries]]:
-        """Every level of the balanced right-side sum, leaves first."""
-        if self._kept is None or self._kept[0] is not self.rhs_terms:
-            terms = self.rhs_terms or [TruncSeries.zero(self.table, self.order)]
-            self._kept = (self.rhs_terms, _sum_levels(terms))
-        return self._kept[1]
-
     def rhs(self) -> TruncSeries:
-        return self._rhs_levels()[-1][0]
+        terms, kept = self.rhs_terms, self._kept
+        if (kept is None or len(kept[0]) != len(terms)
+                or any(x is not y for x, y in zip(kept[0], terms))):
+            kept = self._kept = (tuple(terms), sum_series(terms, self.table, self.order))
+        return kept[1]
 
     def unscaled_coeff(self, c: RatFun) -> RatFun:
         return _unscaled(c, self.scale)
@@ -139,47 +134,16 @@ class IdentitySides:
         return [self.unscaled_coeff(c) for c in self.rhs().coeffs]
 
 
-def _perturbed_rhs(sides: IdentitySides, j: int) -> Callable[[int], RatFun]:
-    """m -> coefficient m of the right side with term j scaled by (1+q).
-
-    Only term j's path to the root changes, so coefficient m is term j's,
-    times 1+q, plus the kept sibling at each level of that path, added
-    on the side and with the odd carry that _sum_levels uses.  Scaling
-    and series addition act coefficient-wise, so every value is the one
-    a full re-sum of the perturbed terms would give.
-    """
-    levels = sides._rhs_levels()
-    path = []  # (sibling coefficients, sibling is the left operand)
-    p = j
-    for items in levels[:-1]:
-        if p % 2:
-            path.append((items[p - 1].coeffs, True))
-        elif p + 1 < len(items):
-            path.append((items[p + 1].coeffs, False))
-        p //= 2
-    term = levels[0][j].coeffs
-    bump = 1 + RatFun.sym(sides.table, "q")
-
-    def coeff(m: int) -> RatFun:
-        c = term[m] * bump
-        for sib, left in path:
-            c = sib[m] + c if left else c + sib[m]
-        return c
-
-    return coeff
-
-
 def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityReport:
     """Compare the two sides; optionally scale RHS term `perturb` by (1+q)."""
-    if perturb is None:
-        rhs = sides.rhs().coeffs.__getitem__
-    elif 0 <= perturb < len(sides.rhs_terms):
-        rhs = _perturbed_rhs(sides, perturb)
-    else:
+    if perturb is not None and not 0 <= perturb < len(sides.rhs_terms):
         raise OrderError(f"no RHS term {perturb} (have {len(sides.rhs_terms)})")
-    lhs = sides.lhs.coeffs
+    lhs, rhs = sides.lhs.coeffs, sides.rhs().coeffs
+    term = None if perturb is None else sides.rhs_terms[perturb].coeffs
     for m in range(sides.order + 1):
-        r = rhs(m)
+        r = rhs[m]
+        if term is not None and not term[m].is_zero():
+            r = r + term[m] * RatFun.sym(sides.table, "q")
         if not lhs[m] == r:
             failure = FirstFailure(m, lhs[m], r, sides.scale)
             return IdentityReport(sides.name, sides.parameters, sides.order, False, failure)
@@ -205,13 +169,10 @@ def build_coogan_ono(order: int) -> IdentitySides:
     table, (q,) = symbols("q")
     ratios = _ratio_chain(1, -q, order, table)  # (z;q)_n/(-zq;q)_n
     lhs = sum_series([_element(r, n, order) for n, r in enumerate(ratios)]).div_linear(-1)
-    rhs_terms = []
-    k = 0
-    while 2 * k <= order:
-        rhs_terms.append(
-            TruncSeries.z_power(table, 2 * k, order, (-1) ** k * q ** (k * k))
-        )
-        k += 1
+    rhs_terms = [
+        TruncSeries.z_power(table, 2 * k, order, (-1) ** k * q ** (k * k))
+        for k in range(order // 2 + 1)
+    ]
     return IdentitySides("coogan_ono", [], order, table, lhs, rhs_terms, RatFun.one(table))
 
 
@@ -220,13 +181,10 @@ def build_lemma13(order: int) -> IdentitySides:
     table, (q,) = symbols("q")
     ratios = _ratio_chain(q, -q, order, table)  # (zq;q)_n/(-zq;q)_n
     lhs = sum_series([_element(r, n, order) for n, r in enumerate(ratios)]).mul_linear(1)
-    rhs_terms = [TruncSeries.one(table, order)]
-    k = 1
-    while 2 * k <= order:
-        rhs_terms.append(
-            TruncSeries.z_power(table, 2 * k, order, 2 * (-1) ** k * q ** (k * k))
-        )
-        k += 1
+    rhs_terms = [TruncSeries.one(table, order)] + [
+        TruncSeries.z_power(table, 2 * k, order, 2 * (-1) ** k * q ** (k * k))
+        for k in range(1, order // 2 + 1)
+    ]
     return IdentitySides("lemma13", [], order, table, lhs, rhs_terms, RatFun.one(table))
 
 
@@ -238,24 +196,15 @@ def build_rogers_fine(order: int) -> IdentitySides:
     """
     table, (q, a, b) = symbols("q a b")
     cof = _cof_chain(b * q, order)  # (bq;q)_N / (bq;q)_n
+    lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)  # (aq;q)_n
-    lhs_coeffs = []
-    for n in range(order + 1):
+    for n, ratio in enumerate(_ratio_chain(a * q / b, q, order, table)):  # (azq/b;q)_n/(zq;q)_n
         lhs_coeffs.append(pa * cof[n])
+        scalar = lhs_coeffs[n] * b**n * q ** (n * n)
+        piece = ratio.mul_linear(a * q ** (2 * n + 1))
+        rhs_terms.append(_element(piece, n, order).scale(scalar))
         pa = pa * (1 - a * q ** (n + 1))
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(1)
-
-    rhs_terms = []
-    ratio = TruncSeries.one(table, order)  # (azq/b;q)_n/(zq;q)_n
-    pa = RatFun.one(table)
-    for n in range(order + 1):
-        scalar = pa * cof[n] * b**n * q ** (n * n)
-        rhs_terms.append(
-            ratio.mul_linear(a * q ** (2 * n + 1)).mul_z(n).scale(scalar)
-        )
-        if n < order:
-            ratio = ratio.mul_linear(a * q ** (n + 1) / b).div_linear(q ** (n + 1))
-            pa = pa * (1 - a * q ** (n + 1))
     return IdentitySides("rogers_fine", [], order, table, lhs, rhs_terms, cof[0])
 
 

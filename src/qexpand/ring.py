@@ -916,12 +916,8 @@ def _tokenize(text: str):
         m = _TOKEN_RE.match(text, pos)
         if not m:
             break
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        out.append((kind, int(val) if kind == "int" else val))
         pos = m.end()
     if text[pos:].strip():
         raise ParseError(f"bad character {text[pos:].strip()[0]!r} at position {pos}")
@@ -938,10 +934,16 @@ def expression_symbols(text: str):
 
 
 class _Parser:
+    """Recursive descent; each open parenthesis costs five frames, so the
+    nesting is capped well inside Python's recursion limit."""
+
+    MAX_DEPTH = 100
+
     def __init__(self, tokens, table: SymbolTable):
         self.tokens = tokens
         self.pos = 0
         self.table = table
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -965,25 +967,25 @@ class _Parser:
 
     def expr(self) -> RatFun:
         v = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+        while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
-            w = self.term()
-            v = v + w if op == "+" else v - w
+            v = v + self.term() if op == "+" else v - self.term()
         return v
 
     def term(self) -> RatFun:
         v = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+        while self.peek() in (("op", "*"), ("op", "/")):
             _, op = self.take()
-            w = self.unary()
-            v = v * w if op == "*" else v / w
+            v = v * self.unary() if op == "*" else v / self.unary()
         return v
 
     def unary(self) -> RatFun:
-        if self.peek() == ("op", "-"):
+        neg = False
+        while self.peek() == ("op", "-"):
             self.take()
-            return -self.unary()
-        return self.power()
+            neg = not neg
+        v = self.power()
+        return -v if neg else v
 
     def power(self) -> RatFun:
         v = self.atom()
@@ -996,6 +998,8 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
+            if val >= _LIMIT:
+                raise ParseError(f"exponent {val} reaches the bound 2**{_WIDTH}")
             return v ** (-val if neg else val)
         return v
 
@@ -1006,8 +1010,12 @@ class _Parser:
         if kind == "name":
             return RatFun.sym(self.table, val)
         if kind == "op" and val == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {self.MAX_DEPTH}")
+            self.depth += 1
             v = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return v
         if kind is None:
             raise ParseError("unexpected end of expression")

@@ -292,13 +292,12 @@ def pochhammer_finite(c: Scalar, n: int, order: int, table: SymbolTable) -> Trun
     c = _coerce_scalar(table, c)
     q = _q(table)
     out = TruncSeries.one(table, order)
+    f = c
     if n >= 0:
-        f = c
         for _ in range(n):
             out = out.mul_linear(f)
             f = f * q
     else:
-        f = c
         for _ in range(-n):
             f = f / q
             out = out.div_linear(f)
@@ -406,42 +405,33 @@ def partial_theta(baseexp: int, c: Scalar, p: int, order: int, table: SymbolTabl
     q = _q(table)
     out = TruncSeries.zero(table, order)
     term = RatFun.one(table)
-    k = 0
-    while p * k <= order:
+    for k in range(order // p + 1):
         out.coeffs[p * k] = term
         # step k -> k+1 multiplies by -c q^(baseexp*k)
         term = term * (-c) * q ** (baseexp * k)
-        k += 1
     return out
 
 
-def _sum_levels(terms: Sequence[TruncSeries]) -> List[List[TruncSeries]]:
-    """Every level of the balanced sum of a nonempty list, leaves first.
-
-    Level k+1 holds level[k][i] + level[k][i+1] for each even i, with an
-    odd last item carried up unchanged; the last level holds only the
-    root.  Unreduced RatFun sums render differently when regrouped, so
-    this pairing is the one order every balanced sum uses.
-    """
-    items = list(terms)
-    levels = [items]
-    while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        levels.append(nxt)
-        items = nxt
-    return levels
-
-
 def sum_series(terms: Iterable[TruncSeries], table=None, order=None) -> TruncSeries:
-    """Balanced sum of many series (keeps intermediate coefficients small)."""
+    """Balanced sum of many series (keeps intermediate coefficients small).
+
+    Each round adds items 2i and 2i+1 into slot i and carries an odd last
+    item up unchanged.  Unreduced RatFun sums render differently when
+    regrouped, so this pairing is the one order every balanced sum uses.
+    """
     items = list(terms)
     if not items:
         if table is None or order is None:
             raise StructureError("empty sum needs an explicit table and order")
         return TruncSeries.zero(table, order)
-    return _sum_levels(items)[-1][0]
+    n = len(items)
+    while n > 1:
+        for i in range(0, n - 1, 2):
+            items[i // 2] = items[i] + items[i + 1]
+        if n % 2:
+            items[n // 2] = items[n - 1]
+        n = (n + 1) // 2
+    return items[0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,23 @@ def test_expand_exponent_overflow_exits_2(capsys, coeffs):
     assert out == ""
 
 
+@pytest.mark.parametrize("coeffs", ["(" * 200 + "q" + ")" * 200, "2^16777216"])
+def test_expand_unbounded_expressions_exit_2(capsys, coeffs):
+    # deep nesting once ended in a RecursionError, and a literal power
+    # had no bound on its size
+    code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_long_unary_minus_chains_parse(capsys):
+    # 1200 unary minuses once ended in a RecursionError
+    code, out, err = run_cli(capsys, "matrix", "--n", "1", "--a=" + "-" * 1200 + "q",
+                             "--output", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["a"] == "q"
+
+
 # -- gn -----------------------------------------------------------------------
 
 
@@ -259,6 +276,14 @@ def test_verify_all_filter(capsys):
     assert [r["name"] for r in json.loads(out)] == ["rogers_fine"]
 
 
+def test_verify_all_filter_without_a_match_exits_2(capsys):
+    # a typo once passed vacuously with "0/0 checks passed"
+    code, out, err = run_cli(capsys, "verify-all", "--n", "4", "--filter", "zzz")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no check matches 'zzz'")
+    assert all(name in err for name in check_names())
+
+
 # -- numeric-verify -----------------------------------------------------------
 
 
@@ -317,6 +342,15 @@ def test_numeric_verify_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
                            "--points", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["numeric-verify", "bench"])
+@pytest.mark.parametrize("tol", ["1/0", "0", "-1/3", "abc"])
+def test_tol_must_be_a_positive_rational(capsys, command, tol):
+    # 1/0 once ended in a traceback, and 0 summed 200 000 terms first
+    code, out, err = run_cli(capsys, command, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "argument --tol:" in err
 
 
 @pytest.mark.parametrize("m", ["x", 2.5])

@@ -205,6 +205,32 @@ def test_parse_errors():
         parse_ratfun("q + w", t)  # symbol not in the table
 
 
+def test_parse_caps_parenthesis_nesting():
+    t = SymbolTable(("q",))
+    q = RatFun.sym(t, "q")
+    assert parse_ratfun("(" * 100 + "q" + ")" * 100, t) == q
+    with pytest.raises(ParseError, match="nested deeper than 100"):
+        parse_ratfun("(" * 101 + "q" + ")" * 101, t)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_ratfun("(" * 200 + "q" + ")" * 200, t)
+
+
+def test_parse_long_unary_minus_chains():
+    t = SymbolTable(("q",))
+    q = RatFun.sym(t, "q")
+    assert parse_ratfun("-" * 1200 + "q", t) == q
+    assert parse_ratfun("-" * 1201 + "q", t) == -q
+    assert str(parse_ratfun("---(1 + q)/(1 - q)", t)) == str(-((1 + q) / (1 - q)))
+
+
+def test_parse_caps_literal_exponents_like_pack():
+    t = SymbolTable(("q",))
+    for text in ("2^16777216", "2^-16777216", "q^16777216"):
+        with pytest.raises(ParseError, match=r"reaches the bound 2\*\*24"):
+            parse_ratfun(text, t)
+    assert parse_ratfun("2^3", t) == RatFun.from_int(t, 8)
+
+
 def test_expression_symbols_first_use_order():
     assert expression_symbols("b*q + c0*(b - d)") == ["b", "q", "c0", "d"]
 
