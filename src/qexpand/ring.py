@@ -275,6 +275,13 @@ class MultiPoly:
     def is_const(self) -> bool:
         return self == self.const_value()
 
+    def is_term(self) -> bool:
+        """Whether the poly is one term: an integer times a monomial."""
+        if len(self.runs) != 1:
+            return False
+        ((_, x),) = self.runs.values()
+        return x.bit_length() < self.w
+
     def const_value(self) -> int:
         lo, x = self.runs.get(0, (1, 0))
         return 0 if lo else _low(x, self.w)
@@ -360,6 +367,8 @@ class MultiPoly:
 
     def _term_mul(self, g1: int, lo1: int, c: int, deg1: int) -> "MultiPoly":
         # times c*g1*x^lo1 of total degree deg1, by a key and lo shift per run
+        if c == 1 and not (g1 or lo1):
+            return self
         extra = (abs(c) - 1).bit_length()
         bits = self.bits + extra
         w = self.w
@@ -638,12 +647,44 @@ def render_poly(p: MultiPoly) -> str:
     return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
+def _cancel(num: MultiPoly, den: MultiPoly) -> tuple:
+    """A nonzero num and den divided by their one-term common factor: the
+    gcd of their contents times the monomial dividing every term of both."""
+    cd = den.content()
+    g = num.content(cd) if cd > 1 else 1
+    if g > 1:
+        num = num._exact_div(g)
+        den = den._exact_div(g)
+    if not num.const_value() and not den.const_value():
+        # the denominator first: it often has one term, which leaves
+        # few numerator fields to scan
+        lo = num.min_exponents(den.min_exponents())
+        if any(lo):
+            lo = num.table.pack(lo)
+            num = num.shift_down(lo)
+            den = den.shift_down(lo)
+    return num, den
+
+
 class RatFun:
     """Quotient of two MultiPoly values, normalized but not gcd-reduced.
 
-    Normalization: zero numerator forces denominator 1; integer content and
-    any monomial dividing every term of both numerator and denominator are
-    cancelled; the denominator's leading coefficient is made positive.
+    Normalization: zero numerator forces denominator 1; the one-term common
+    factor of numerator and denominator is cancelled (_cancel); the
+    denominator's leading coefficient is made positive.  Normalizing
+    (X*G, Y*G) for a one-term G with positive coefficient gives what (X, Y)
+    gives: both contents scale by G's coefficient, both monomial contents
+    shift by G's monomial, and no sign changes.  So the arithmetic cancels
+    before it multiplies, and its results equal full normalization's:
+
+    - A sum over a one-term denominator d2 is taken over d1*(d2/G), G the
+      one-term common factor of d1 and d2, which is then gcd(d1, d2).
+    - A product first cancels each numerator against the other
+      denominator, and is then normal as it stands: content is
+      multiplicative (Gauss's lemma), monomial contents add, and leading
+      coefficients multiply.  A quotient also makes its new denominator's
+      leading coefficient positive.
+    - The negation and the powers of a normal value are normal.
     """
 
     __slots__ = ("num", "den")
@@ -656,19 +697,7 @@ class RatFun:
             self.num = num
             self.den = MultiPoly.const(num.table, 1)
             return
-        cd = den.content()
-        g = num.content(cd) if cd > 1 else 1
-        if g > 1:
-            num = num._exact_div(g)
-            den = den._exact_div(g)
-        if not num.const_value() and not den.const_value():
-            # the denominator first: it often has one term, which leaves
-            # few numerator fields to scan
-            lo = num.min_exponents(den.min_exponents())
-            if any(lo):
-                lo = num.table.pack(lo)
-                num = num.shift_down(lo)
-                den = den.shift_down(lo)
+        num, den = _cancel(num, den)
         if den.leading_coeff() < 0:
             num = -num
             den = -den
@@ -679,19 +708,17 @@ class RatFun:
 
     @staticmethod
     def from_int(table: SymbolTable, c: int) -> "RatFun":
-        return RatFun(MultiPoly.const(table, c), MultiPoly.const(table, 1))
+        return _ratfun(MultiPoly.const(table, c), MultiPoly.const(table, 1))
 
     @staticmethod
     def from_fraction(table: SymbolTable, fr: Fraction) -> "RatFun":
         fr = Fraction(fr)
-        return RatFun(
-            MultiPoly.const(table, fr.numerator),
-            MultiPoly.const(table, fr.denominator),
-        )
+        return _ratfun(MultiPoly.const(table, fr.numerator),
+                       MultiPoly.const(table, fr.denominator))
 
     @staticmethod
     def sym(table: SymbolTable, name: str) -> "RatFun":
-        return RatFun(MultiPoly.symbol(table, name), MultiPoly.const(table, 1))
+        return _ratfun(MultiPoly.symbol(table, name), MultiPoly.const(table, 1))
 
     @staticmethod
     def zero(table: SymbolTable) -> "RatFun":
@@ -749,16 +776,16 @@ class RatFun:
             return self
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
-        if other.den == 1:
-            return RatFun(self.num + other.num * self.den, self.den)
-        if self.den == 1:
-            return RatFun(other.num + self.num * other.den, other.den)
+        for x, y in ((self, other), (other, self)):
+            if y.den.is_term():
+                dx, dy = _cancel(x.den, y.den)
+                return RatFun(x.num * dy + y.num * dx, x.den * dy)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return _ratfun(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -776,7 +803,9 @@ class RatFun:
         _check_tables(self, other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFun.zero(self.table)
-        return RatFun(self.num * other.num, self.den * other.den)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return _ratfun(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -787,7 +816,13 @@ class RatFun:
         _check_tables(self, other)
         if other.num.is_zero():
             raise PoleError("division by zero")
-        return RatFun(self.num * other.den, self.den * other.num)
+        if self.num.is_zero():
+            return self
+        n1, n2 = _cancel(self.num, other.num)
+        d2, d1 = _cancel(other.den, self.den)
+        if n2.leading_coeff() < 0:
+            n1, n2 = -n1, -n2
+        return _ratfun(n1 * d2, d1 * n2)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -796,11 +831,14 @@ class RatFun:
         return other / self
 
     def __pow__(self, n: int) -> "RatFun":
-        if n < 0:
-            if self.num.is_zero():
-                raise PoleError("negative power of zero")
-            return RatFun(self.den ** (-n), self.num ** (-n))
-        return RatFun(self.num**n, self.den**n)
+        if n >= 0:
+            return _ratfun(self.num**n, self.den**n)
+        if self.num.is_zero():
+            raise PoleError("negative power of zero")
+        num, den = self.den, self.num
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        return _ratfun(num ** -n, den ** -n)
 
     # -- structural operations ------------------------------------------
 
@@ -850,6 +888,14 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
+
+
+def _ratfun(num: MultiPoly, den: MultiPoly) -> RatFun:
+    """A RatFun from a num and den already in normal form."""
+    r = _new(RatFun)
+    r.num = num
+    r.den = den
+    return r
 
 
 def _dot(pairs: Iterable[Tuple[RatFun, RatFun]], acc: RatFun) -> RatFun:
@@ -908,6 +954,18 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
 
+# CPython's default bound on int <-> str conversion; past it an integer
+# can be neither read nor printed
+_MAX_DIGITS = 4300
+_MAX_INT = 10**_MAX_DIGITS
+
+
+def _power_too_long(c: int, e: int) -> bool:
+    """Whether c**e has more than _MAX_DIGITS digits, read from c's bit
+    length before the power is taken whenever that already settles it."""
+    c = abs(c)
+    return (c.bit_length() - 1) * e >= _MAX_INT.bit_length() or c**e >= _MAX_INT
+
 
 def _tokenize(text: str):
     pos = 0
@@ -917,6 +975,9 @@ def _tokenize(text: str):
         if not m:
             break
         kind, val = m.lastgroup, m.group(m.lastgroup)
+        if kind == "int" and len(val) > _MAX_DIGITS:
+            raise ParseError(f"integer literal of {len(val)} digits passes the "
+                             f"{_MAX_DIGITS}-digit limit at position {m.start(kind)}")
         out.append((kind, int(val) if kind == "int" else val))
         pos = m.end()
     if text[pos:].strip():
@@ -1000,6 +1061,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal")
             if val >= _LIMIT:
                 raise ParseError(f"exponent {val} reaches the bound 2**{_WIDTH}")
+            # the power of a one-term base has its coefficient to that power
+            for p in (v.num, v.den):
+                if p.is_term() and _power_too_long(p.leading_coeff(), val):
+                    raise ParseError(f"a power to {val} passes the {_MAX_DIGITS}-digit "
+                                     "integer limit")
             return v ** (-val if neg else val)
         return v
 

@@ -30,14 +30,16 @@ Scalar = Union[RatFun, int, Fraction]
 
 
 def _q(table: SymbolTable) -> RatFun:
-    if "q" not in table:
-        raise StructureError('the symbol table must declare "q"')
-    return RatFun.sym(table, "q")
+    return qpow(table, 1)
 
 
 def qpow(table: SymbolTable, e: int) -> RatFun:
-    """The monomial q^e as a RatFun (e may be negative)."""
-    return _q(table) ** e
+    """The monomial q^e as a RatFun: q^e over 1, or 1 over q^-e when e < 0."""
+    if "q" not in table:
+        raise StructureError('the symbol table must declare "q"')
+    one = MultiPoly.const(table, 1)
+    mono = MultiPoly.monomial(table, {"q": abs(e)})
+    return RatFun(mono, one) if e >= 0 else RatFun(one, mono)
 
 
 def _coerce_scalar(table: SymbolTable, c: Scalar) -> RatFun:

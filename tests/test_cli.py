@@ -166,6 +166,13 @@ GOLDEN_STDOUT_SHA256 = {
         "251522d937e754ff129edb80c25f1c0c6980f6287b730f80cbf2e7ecce3b4f92",
     ("matrix", "--which", "B", "--n", "6", "--a", "1", "--b", "-q"):
         "6d306e3ea250aa31f76794500d9a4624f2546d377e6fa6e7bb70feb1b58256a8",
+    # sums over one-term denominators that share content and monomials
+    ("matrix", "--which", "B", "--n", "8", "--output", "json"):
+        "b6634ca101ced45eb03b301b948d10f29dc3b7bcd9c4d61608f8d5cf266398eb",
+    ("expand", "--coeffs", "1/3,2/5,q/7,a/(9*q^2),b/4", "--n", "9", "--output", "json"):
+        "aecd7d069ee684eac73304f560f7538302867d51999360d5ff4cc5dc4f318a94",
+    ("matrix", "--which", "B", "--n", "9", "--a", "2/3", "--b", "q/5", "--output", "json"):
+        "b2f5325eaae707396653c127439b302ba06f757df5e778cff71ca45820c00b72",
 }
 
 
@@ -184,13 +191,35 @@ def test_expand_exponent_overflow_exits_2(capsys, coeffs):
     assert out == ""
 
 
-@pytest.mark.parametrize("coeffs", ["(" * 200 + "q" + ")" * 200, "2^16777216"])
+@pytest.mark.parametrize("coeffs", [
+    "(" * 200 + "q" + ")" * 200, "2^16777216",
+    pytest.param("2^20000", id="power_past_4300_digits"),
+    pytest.param("9" * 5000, id="literal_of_5000_digits"),
+])
 def test_expand_unbounded_expressions_exit_2(capsys, coeffs):
-    # deep nesting once ended in a RecursionError, and a literal power
-    # had no bound on its size
+    # deep nesting once ended in a RecursionError, a literal power had no
+    # bound on its size, and integers past CPython's 4300-digit conversion
+    # limit ended in a ValueError traceback, the power's when printed
     code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expand_power_of_a_power_exits_2_before_computing():
+    # (2^16777215)^16777215 asks for a 2^48-bit int; the child's address
+    # space is capped so that a missing size check fails instead of swapping
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qexpand.cli", "expand", "--coeffs", "(2^16777215)^16777215",
+         "--n", "0"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "4300-digit" in proc.stderr
 
 
 def test_long_unary_minus_chains_parse(capsys):

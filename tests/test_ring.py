@@ -8,6 +8,7 @@ exponents and coefficients; everything is compared by exact equality
 """
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -231,6 +232,26 @@ def test_parse_caps_literal_exponents_like_pack():
     assert parse_ratfun("2^3", t) == RatFun.from_int(t, 8)
 
 
+def test_parse_caps_integer_literals_by_digits():
+    # past 4300 digits CPython can neither read nor print an int
+    t = SymbolTable(("q",))
+    assert parse_ratfun("9" * 4300, t) == RatFun.from_int(t, 10**4300 - 1)
+    with pytest.raises(ParseError, match="5000 digits passes the 4300-digit limit"):
+        parse_ratfun("q + " + "9" * 5000, t)
+
+
+def test_parse_caps_integer_powers_by_digits():
+    t = SymbolTable(("q",))
+    assert parse_ratfun("10^4299", t) == RatFun.from_int(t, 10**4299)
+    assert parse_ratfun("2^14284", t) == RatFun.from_int(t, 2**14284)
+    assert parse_ratfun("1^16777215", t) == RatFun.one(t)
+    assert parse_ratfun("(2/3)^-5000", t) == Fraction(3**5000, 2**5000) * RatFun.one(t)
+    # 10^4300 is refused once taken, the others from bit lengths alone
+    for text in ("10^4300", "2^14285", "2^20000", "(2*q)^20000", "(1/2)^-14285"):
+        with pytest.raises(ParseError, match="passes the 4300-digit integer limit"):
+            parse_ratfun(text, t)
+
+
 def test_expression_symbols_first_use_order():
     assert expression_symbols("b*q + c0*(b - d)") == ["b", "q", "c0", "d"]
 
@@ -342,6 +363,74 @@ def test_normalization_cancels_monomial_content(qab):
     assert str(f) == "(1)/(q*b)"
     g = RatFun.from_int(q.table, 6) / 4
     assert str(g) == "(3)/(2)"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic that cancels before it multiplies against full normalization
+
+
+def _full(op, x, y):
+    """The reference: each result built through RatFun.__init__ on the
+    cross-multiplied form (a sum over equal denominators adds numerators)."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if op in ("+", "-"):
+        add = operator.add if op == "+" else operator.sub
+        if d1 == d2:
+            return RatFun(add(n1, n2), d1)
+        return RatFun(add(n1 * d2, n2 * d1), d1 * d2)
+    if op == "*":
+        return RatFun(n1 * n2, d1 * d2)
+    return RatFun(n1 * d2, d1 * n2)
+
+
+def _same_form(got, ref):
+    assert got.num == ref.num and got.den == ref.den
+    assert str(got) == str(ref)
+
+
+def _one_term(coeff, exps):
+    return MultiPoly.monomial(TABLE, dict(zip(("q", "a", "b"), exps)), coeff)
+
+
+# coefficients and monomials that pairs share, as 6q^2 and 10aq^5 do
+one_terms = st.builds(
+    _one_term,
+    st.sampled_from([1, 2, 3, 6, 10, 15, -4, -6, 2**65, 3 * 2**70, -(10 * 2**64)]),
+    st.tuples(*[st.integers(0, 5)] * 3),
+)
+multi_terms = polys(max_terms=4, max_exp=3, max_coeff=2**70).filter(
+    lambda p: not p.is_zero() and not p.is_term())
+numerators = st.one_of(st.just(MultiPoly.zero(TABLE)), one_terms, polys(),
+                       polys(max_coeff=2**70), st.builds(operator.mul, one_terms, polys()))
+denominators = st.one_of(one_terms, multi_terms, st.builds(operator.mul, one_terms, multi_terms))
+normal_ratfuns = st.builds(RatFun, numerators, denominators)
+
+_6q2 = RatFun(MultiPoly.const(TABLE, 1), _one_term(6, (2, 0, 0)))
+_10aq5 = RatFun(MultiPoly.const(TABLE, 1), _one_term(10, (5, 1, 0)))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@settings(max_examples=80, derandomize=True)
+@given(normal_ratfuns, normal_ratfuns)
+@example(x=_6q2, y=_10aq5)
+@example(x=_6q2, y=1 / _10aq5)
+@example(x=-1 / _6q2, y=-_10aq5)
+def test_arithmetic_matches_full_normalization(op, x, y):
+    if op == "/" and y.is_zero():
+        return
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    _same_form(fn(x, y), _full(op, x, y))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(normal_ratfuns, st.integers(-3, 4))
+@example(x=-1 / _6q2, k=-3)
+def test_negation_and_powers_match_full_normalization(x, k):
+    _same_form(-x, RatFun(-x.num, x.den))
+    if k < 0 and x.is_zero():
+        return
+    ref = RatFun(x.num**k, x.den**k) if k >= 0 else RatFun(x.den**-k, x.num**-k)
+    _same_form(x**k, ref)
 
 
 # ---------------------------------------------------------------------------
