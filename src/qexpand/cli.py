@@ -24,9 +24,10 @@ series variable z is reserved and cannot appear in a coefficient.  The
 Exit status is 0 when everything requested passed, 1 when any check
 failed, and 2 for usage errors (malformed expressions, unknown names, a
 verify-all filter that matches nothing, a --tol that is not a positive
-rational, bad point files, out-of-region points).  For a fixed flag set
-and seed the --output json stream is byte-identical across runs; bench
-is the one exception, since it reports wall-clock times.
+rational, bad point files, out-of-region points, points where a
+denominator factor vanishes).  For a fixed flag set and seed the --output
+json stream is byte-identical across runs; bench is the one exception,
+since it reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -49,20 +49,22 @@ if TYPE_CHECKING:
     from .series import TruncSeries
 
 
-def _numeric_default(name: str):
-    # read from numeric when a config is made, not when this module loads
-    return field(default_factory=lambda: getattr(import_module(".numeric", __package__), name))
-
-
-@dataclass
 class RunConfig:
-    """Options shared by the subcommands; the seed fixes all randomized inputs."""
+    """Options shared by the subcommands; the seed fixes all randomized inputs.
 
-    order: int = 10
-    output: str = "text"
-    seed: int = 0
-    precision: int = _numeric_default("DEFAULT_PRECISION")
-    tolerance: Fraction = _numeric_default("DEFAULT_TOLERANCE")
+    precision and tolerance default to numeric's defaults, read when a
+    config is made, not when this module loads.
+    """
+
+    def __init__(self, order: int = 10, output: str = "text", seed: int = 0,
+                 precision: Optional[int] = None,
+                 tolerance: Optional[Fraction] = None) -> None:
+        numeric = import_module(".numeric", __package__)
+        self.order = order
+        self.output = output
+        self.seed = seed
+        self.precision = numeric.DEFAULT_PRECISION if precision is None else precision
+        self.tolerance = numeric.DEFAULT_TOLERANCE if tolerance is None else tolerance
 
 
 # ---------------------------------------------------------------------------

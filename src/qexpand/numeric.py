@@ -24,16 +24,20 @@ sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.  That bound
 is at least |cq^I|, so each factor is first tested by one comparison,
 |cq^I| < 2^-(precision+7), and the bound's division runs only for the last
 few factors; the truncation index, every product and every rounding are
-those of testing the bound at every factor.
+those of testing the bound at every factor.  For real c and q the loop
+runs on the raw _mpf_ tuples: it calls the mpmath.libmp functions that the
+mpf operators call (mpf_mul, mpf_sub, mpf_abs, mpf_lt, mpf_div), at the
+context's working precision with round-to-nearest, so every factor and
+rounding is the operators' own without an mpf object per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_sub, round_nearest
 
 from .errors import DomainError, StructureError
 
@@ -49,8 +53,7 @@ PointValue = Union[int, str, Fraction]
 Point = Dict[str, PointValue]
 
 
-@dataclass
-class NumericReport:
+class NumericReport(NamedTuple):
     """Outcome of one numeric comparison.
 
     status is "passed", "failed", or "inconclusive" (truncation tail too
@@ -161,6 +164,12 @@ def _qpoch_inf(c, q, precision: int):
     cannot move I: both factors of the denominator are at most 1, and so
     is their rounded product, so the rounded bound is at least |cq^I| up
     to one rounding, and a bound below eps needs |cq^I| < 2 eps.
+
+    For real c and q the loop works on the raw _mpf_ tuples and calls the
+    mpmath.libmp functions that the mpf operators call, with the context's
+    working precision and round-to-nearest, so each factor, the index I
+    and the bound are bit-identical to the operator loop that complex
+    inputs take.
     """
     absq = abs(q)
     if absq >= 1:
@@ -168,16 +177,35 @@ def _qpoch_inf(c, q, precision: int):
     eps = mpmath.mpf(2) ** (-(precision + 8))
     near = min(mpmath.mpf("0.5"), 2 * eps)
     one_minus_absq = 1 - absq
-    out = mpmath.mpf(1)
-    cur = c
-    for _ in range(_MAX_TERMS):
-        mag = abs(cur)
-        if mag < near:
-            bound = mag / (one_minus_absq * (1 - mag))
-            if bound < eps:
-                return out, bound
-        out = out * (1 - cur)
-        cur = cur * q
+    if isinstance(c, mpmath.mpf) and isinstance(q, mpmath.mpf):
+        prec, rnd = mpmath.mp.prec, round_nearest
+        eps, near, one_minus_absq = eps._mpf_, near._mpf_, one_minus_absq._mpf_
+        qv = q._mpf_
+        out = fone
+        cur = c._mpf_
+        for _ in range(_MAX_TERMS):
+            mag = mpf_abs(cur, prec, rnd)
+            if mpf_lt(mag, near):
+                bound = mpf_div(
+                    mag,
+                    mpf_mul(one_minus_absq, mpf_sub(fone, mag, prec, rnd), prec, rnd),
+                    prec, rnd,
+                )
+                if mpf_lt(bound, eps):
+                    return mpmath.mp.make_mpf(out), mpmath.mp.make_mpf(bound)
+            out = mpf_mul(out, mpf_sub(fone, cur, prec, rnd), prec, rnd)
+            cur = mpf_mul(cur, qv, prec, rnd)
+    else:
+        out = mpmath.mpf(1)
+        cur = c
+        for _ in range(_MAX_TERMS):
+            mag = abs(cur)
+            if mag < near:
+                bound = mag / (one_minus_absq * (1 - mag))
+                if bound < eps:
+                    return out, bound
+            out = out * (1 - cur)
+            cur = cur * q
     raise DomainError("infinite product did not converge (|q| too close to 1)")
 
 
@@ -420,8 +448,13 @@ def check_identity_numeric(
         v = {k: _to_mp(point[k]) for k in check.symbols}
         tolv = _to_mp(tol)
         check.region(v)
-        lhs = check.lhs(v, tolv, precision)
-        rhs = check.rhs(v, tolv, precision)
+        try:
+            lhs = check.lhs(v, tolv, precision)
+            rhs = check.rhs(v, tolv, precision)
+        except ZeroDivisionError:
+            raise DomainError(
+                f"{name} has a pole at this point: a denominator factor vanishes"
+            ) from None
         diff = abs(lhs - rhs)
     point = _point_str({k: point[k] for k in check.symbols})
     return _report(name, point, precision, lhs, rhs, diff, tolv)

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qexpand.errors import DomainError, StructureError
 from qexpand.numeric import (
@@ -84,6 +86,7 @@ _QPOCH_INF_CASES = {
     "real_large": ("5/2", "1/5"),
     "half": ("1/2", "1/3"),
     "minus_half": ("-1/2", "3/10"),
+    "one": ("1", "1/5"),
     "zero": ("0", "1/2"),
     "negative_q": ("2/3", "-1/2"),
     "q_nine_tenths": ("7/10", "9/10"),
@@ -111,6 +114,28 @@ def test_qpoch_inf_matches_every_factor_bound_loop(case, precision):
     assert type(got[0]) is type(want[0])
     assert got[0] == want[0] and got[1] == want[1]
     assert mpmath.mpf(0) <= got[1] < mpmath.mpf(2) ** -(precision + 8)
+
+
+_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+# |q| <= 9/10 keeps the 1100-bit products under about 8000 factors
+_q_in_disc = st.integers(2, 10).flatmap(
+    lambda d: st.builds(Fraction, st.integers(1 - d, d - 1), st.just(d))
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_rationals, _q_in_disc, st.integers(8, 1100))
+@example(Fraction(1), Fraction(9, 10), 1100)
+@example(Fraction(-7, 3), Fraction(-1, 2), 8)
+def test_qpoch_inf_real_loop_matches_operator_loop(c, q, precision):
+    # the raw-tuple loop against mpf operators, bit for bit; c = 1 makes
+    # the product exactly 0
+    with mpmath.workprec(precision + 16):
+        cv, qv = _mp(c), _mp(q)
+        got = _qpoch_inf(cv, qv, precision)
+        want = _qpoch_inf_every_factor(cv, qv, precision)
+    assert type(got[0]) is type(want[0]) is mpmath.mpf
+    assert got[0]._mpf_ == want[0]._mpf_ and got[1]._mpf_ == want[1]._mpf_
 
 
 def test_qpoch_num_quotient_law():
