@@ -455,9 +455,13 @@ def _fresh_modules(code):
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def test_cli_import_does_not_load_numpy():
+    assert "numpy" not in _fresh_modules("import qexpand.cli")
+
+
 def test_cli_import_does_not_load_mpmath_or_engines():
     loaded = _fresh_modules("import qexpand.cli")
-    assert not {"mpmath", "numpy"} & loaded
+    assert "mpmath" not in loaded
     assert not {"qexpand.ring", "qexpand.series", "qexpand.inversion",
                 "qexpand.identities", "qexpand.numeric"} & loaded
 
