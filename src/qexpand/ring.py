@@ -20,12 +20,16 @@ A polynomial groups its terms by the part of the key free of the first
 symbol x (q in every table the package builds), whose coefficients come in
 long dense runs of consecutive powers.  Each run is stored as (lo, X): the
 coefficient of x^e sits in a signed w-bit slot of the one int X at bit
-w*(e - lo), and the slot of x^lo is nonzero.  Slots are 64 bits wide while
-a tracked bound on the coefficients' bit length allows it and grow in
-steps of 64 bits past that, so coefficients of any size stay exact.  The
-arithmetic works on whole runs: an add is one int add per shared run,
-negation and scaling are one int operation per run, and degrees, minimum
-exponents and the leading coefficient read run keys and bit positions.
+w*(e - lo), and the slot of x^lo is nonzero.  Slots are 32 bits wide while
+a tracked bound on the coefficients' magnitude is below 2**31, then 64
+bits, and grow in steps of 64 bits past that, so coefficients of any size
+stay exact.  The bound is carried through every operation (a sum's is the
+sum of its operands' bounds) and made exact by one scan of the value when
+it would overflow the slots, or when a large product can use narrower
+slots for it.  The arithmetic works on whole runs: an add is one int add
+per shared run, negation and scaling are one int operation per run, and
+degrees, minimum exponents and the leading coefficient read run keys and
+bit positions.
 The term dict `MultiPoly.terms` is decoded only when read.
 
 Multiplication.  A one-term factor shifts the other's run keys and scales
@@ -125,14 +129,27 @@ def _check_tables(x, y) -> None:
 
 
 def _width(bits: int) -> int:
-    """Slot width for coefficients below 2**bits in magnitude: the least
-    multiple of 64 that leaves the sign bit free."""
-    return ((bits >> 6) + 1) << 6
+    """Slot width for coefficients below 2**bits in magnitude: 32 while
+    bits <= 31, else the least multiple of 64 that leaves the sign bit free."""
+    return 32 if bits < 32 else ((bits >> 6) + 1) << 6
+
+
+# a signed array typecode for each slot width that a C type matches in
+# size: 32-bit and 64-bit slots convert through arrays, any other width
+# through int.from_bytes slot by slot
+_TYPECODES = {8 * array(tc).itemsize: tc for tc in "bhilq"}
+
+_BIASES: dict = {}
 
 
 def _bias(w: int, n: int) -> int:
-    """2**(w - 1) in each of n w-bit slots."""
-    return int.from_bytes((1 << (w - 1)).to_bytes(w >> 3, "little") * n, "little")
+    """2**(w - 1) in each of n w-bit slots, cached up to 2**14 bits."""
+    bias = _BIASES.get((w, n))
+    if bias is None:
+        bias = int.from_bytes((1 << (w - 1)).to_bytes(w >> 3, "little") * n, "little")
+        if n * w <= 1 << 14:
+            _BIASES[w, n] = bias
+    return bias
 
 
 def _slots(x: int, w: int):
@@ -144,29 +161,80 @@ def _slots(x: int, w: int):
     slots, and the xor turns slot c + 2**(w-1) into c in two's complement.
     """
     n = x.bit_length() // w + 1
-    bias = _bias(w, n)
-    raw = ((x + bias) ^ bias).to_bytes(n * (w >> 3), "little")
-    if w == 64:
-        slots = array("q", raw)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        return slots
     nb = w >> 3
-    return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+    bias = _bias(w, n)
+    raw = ((x + bias) ^ bias).to_bytes(n * nb, "little")
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        return [int.from_bytes(raw[i:i + nb], "little", signed=True)
+                for i in range(0, len(raw), nb)]
+    slots = array(tc, raw)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots
 
 
 def _run(slots, w: int) -> int:
     """The int whose w-bit slots are `slots` (the inverse of _slots)."""
-    if w == 64:
-        packed = array("q", slots)
+    tc = _TYPECODES.get(w)
+    if tc is None:
+        nb = w >> 3
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in slots])
+    else:
+        packed = array(tc, slots)
         if _BIG_ENDIAN:
             packed.byteswap()
         raw = packed.tobytes()
-    else:
-        nb = w >> 3
-        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in slots])
     bias = _bias(w, len(slots))
     return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _repack(x: int, v: int, w: int) -> int:
+    """A run of v-bit slots re-packed at w bits, which must hold its slots.
+
+    With m = min(v, w) and 2**(m-1) added to every slot, each slot holds
+    c + 2**(m-1), which fits m bits; its low m/8 bytes are copied to the
+    same place in a w-bit slot, and 2**(m-1) is taken back off each.
+    """
+    n = x.bit_length() // v + 1
+    if n == 1:  # one slot: the run is its coefficient at any width
+        return x
+    m = min(v, w)
+    nv, nw = v >> 3, w >> 3
+    raw = (x + (_bias(v, n) >> (v - m))).to_bytes(n * nv, "little")
+    out = bytearray(n * nw)
+    for i in range(m >> 3):
+        out[i::nw] = raw[i::nv]
+    return int.from_bytes(out, "little") - (_bias(w, n) >> (w - m))
+
+
+def _scan(p: "MultiPoly") -> int:
+    """2**b - 1 for the bit length b of p's largest coefficient, exact.
+
+    One pass over all of p's runs: each run plus its bias holds c + 2**(w-1)
+    in every slot (see _slots), and their bytes joined make one int u with
+    every slot of p.  A slot with its top bit set holds c >= 0, and a few
+    whole-int operations turn every slot into |c|; halving folds then or
+    the upper half of the slots into the lower half until one is left.
+    """
+    w = p.w
+    nb = w >> 3
+    parts = []
+    for _, x in p.runs.values():
+        n = x.bit_length() // w + 1
+        parts.append((x + _bias(w, n)).to_bytes(n * nb, "little"))
+    raw = b"".join(parts)
+    n = len(raw) // nb
+    u = int.from_bytes(raw, "little")
+    bias = _bias(w, n)
+    ones = bias >> (w - 1)
+    pos = (u >> (w - 1)) & ones
+    # c >= 0: |c| = u ^ 2**(w-1);  c < 0: |c| = ((2**(w-1) - 1) ^ u) + 1
+    a = (u ^ (bias - ones) ^ pos * ((1 << w) - 1)) + (ones - pos)
+    while n > 1:
+        n = (n + 1) >> 1
+        a = (a >> w * n) | (a & ((1 << w * n) - 1))
+    return (1 << a.bit_length()) - 1
 
 
 def _low(x: int, w: int) -> int:
@@ -187,13 +255,15 @@ class MultiPoly:
     `runs` maps the packed key g of a monomial free of the first symbol x
     to (lo, X), where X = sum(c_e << w*(e - lo)) holds the coefficient c_e
     of g*x^e in a signed w-bit slot and the slot of x^lo is nonzero.  Every
-    |c_e| is below 2**bits, a tracked bound, and w = _width(bits) or wider.
-    At one width the runs are canonical, so equal polys have equal runs.
+    |c_e| is at most `_bound`, a tracked bound, and w is
+    _width(_bound.bit_length()) or wider: 32, 64, 128, ... bits.  `_bound`
+    is exact once the value has been scanned (_tighten).  At one width the
+    runs are canonical, so equal polys have equal runs.
     `deg` bounds the total degree from above (exact after a multiply).
     Values are immutable by convention: every operation builds new runs.
     """
 
-    __slots__ = ("table", "runs", "w", "bits", "deg", "_terms")
+    __slots__ = ("table", "runs", "w", "deg", "_bound", "_exact", "_terms")
 
     def __init__(self, table: SymbolTable, terms: Mapping[int, int]):
         """From a dict of packed keys to int coefficients (zeros are dropped)."""
@@ -206,8 +276,8 @@ class MultiPoly:
                 e = (k >> sh) & _MASK
                 groups.setdefault(k - e * step, {})[e] = c
                 deg = max(deg, k >> table._degshift)
-        bits = max((abs(c).bit_length() for c in terms.values()), default=0)
-        w = _width(bits)
+        bound = max(map(abs, terms.values()), default=0)
+        w = _width(bound.bit_length())
         runs = {}
         for g, run in groups.items():
             lo = min(run)
@@ -215,7 +285,7 @@ class MultiPoly:
             for e, c in run.items():
                 slots[e - lo] = c
             runs[g] = (lo, _run(slots, w))
-        self.table, self.runs, self.w, self.bits, self.deg = table, runs, w, bits, deg
+        self.table, self.runs, self.w, self._bound, self.deg = table, runs, w, bound, deg
 
     @property
     def terms(self) -> Mapping[int, int]:
@@ -240,14 +310,13 @@ class MultiPoly:
 
     @staticmethod
     def zero(table: SymbolTable) -> "MultiPoly":
-        return _poly(table, {}, 64, 0, -1)
+        return _poly(table, {}, 32, 0, -1)
 
     @staticmethod
     def const(table: SymbolTable, c: int) -> "MultiPoly":
         if not c:
             return MultiPoly.zero(table)
-        bits = abs(c).bit_length()
-        return _poly(table, {0: (0, c)}, _width(bits), bits, 0)
+        return _poly(table, {0: (0, c)}, _width(c.bit_length()), abs(c), 0)
 
     @staticmethod
     def monomial(table: SymbolTable, exps: Mapping[str, int], coeff: int = 1) -> "MultiPoly":
@@ -259,9 +328,8 @@ class MultiPoly:
                 raise StructureError(f"negative exponent for {nm!r} in a polynomial")
             vec[table.position(nm)] = e
         key = table.pack(vec)
-        bits = abs(coeff).bit_length()
-        return _poly(table, {key - vec[0] * table._step: (vec[0], coeff)}, _width(bits), bits,
-                     sum(vec))
+        return _poly(table, {key - vec[0] * table._step: (vec[0], coeff)},
+                     _width(coeff.bit_length()), abs(coeff), sum(vec))
 
     @staticmethod
     def symbol(table: SymbolTable, name: str) -> "MultiPoly":
@@ -350,36 +418,34 @@ class MultiPoly:
         v = self.w
         if w == v:
             return self.runs
-        return {g: (lo, _run(_slots(x, v), w)) for g, (lo, x) in self.runs.items()}
+        return {g: (lo, _repack(x, v, w)) for g, (lo, x) in self.runs.items()}
 
     def _tighten(self) -> None:
-        """Replace the bit bound by the exact one, narrowing the slots if it
-        allows; the value is unchanged."""
-        w = self.w
-        bits = 0
-        for _, x in self.runs.values():
-            slots = _slots(x, w)
-            bits = max(bits, max(slots).bit_length(), min(slots).bit_length())
-        self.bits = bits
-        if _width(bits) < w:
-            self.runs = self._at(_width(bits))
-            self.w = _width(bits)
+        """Make the bound exact (one scan per value), and narrow the slots
+        if it allows; the value is unchanged."""
+        if not getattr(self, "_exact", False):
+            self._bound = _scan(self)
+            self._exact = True
+        w = _width(self._bound.bit_length())
+        if w < self.w:
+            self.runs = self._at(w)
+            self.w = w
 
     def _term_mul(self, g1: int, lo1: int, c: int, deg1: int) -> "MultiPoly":
         # times c*g1*x^lo1 of total degree deg1, by a key and lo shift per run
         if c == 1 and not (g1 or lo1):
             return self
-        extra = (abs(c) - 1).bit_length()
-        bits = self.bits + extra
+        c_abs = abs(c)
+        bound = self._bound * c_abs
         w = self.w
-        if bits >= w:
-            w, bits = _make_room(lambda b: b + extra, self)
+        if bound.bit_length() >= w:
+            w, bound = _make_room(lambda b: b * c_abs, self)
         runs = self._at(w)
         if c == 1:
             out = {g + g1: (lo + lo1, x) for g, (lo, x) in runs.items()}
         else:
             out = {g + g1: (lo + lo1, x * c) for g, (lo, x) in runs.items()}
-        return _poly(self.table, out, w, bits, self.deg + deg1)
+        return _poly(self.table, out, w, bound, self.deg + deg1)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -393,10 +459,10 @@ class MultiPoly:
             return self
         if not self.runs:
             return other
-        bits = max(self.bits, other.bits) + 1
+        bound = self._bound + other._bound
         w = max(self.w, other.w)
-        if bits >= w:
-            w, bits = _make_room(lambda b1, b2: max(b1, b2) + 1, self, other)
+        if bound.bit_length() >= w:
+            w, bound = _make_room(lambda b1, b2: b1 + b2, self, other)
         r1, r2 = self._at(w), other._at(w)
         if len(r1) < len(r2):
             r1, r2 = r2, r1
@@ -421,13 +487,13 @@ class MultiPoly:
                     out[g] = (lo + s, x >> w * s)
                 else:
                     del out[g]
-        return _poly(self.table, out, w, bits, max(self.deg, other.deg))
+        return _poly(self.table, out, w, bound, max(self.deg, other.deg))
 
     __radd__ = __add__
 
     def __neg__(self):
         return _poly(self.table, {g: (lo, -x) for g, (lo, x) in self.runs.items()},
-                     self.w, self.bits, self.deg)
+                     self.w, self._bound, self.deg)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -484,7 +550,7 @@ class MultiPoly:
     def _exact_div(self, c: int) -> "MultiPoly":
         # c > 0 divides every coefficient, so it divides each run exactly
         return _poly(self.table, {g: (lo, x // c) for g, (lo, x) in self.runs.items()},
-                     self.w, self.bits - c.bit_length() + 1, self.deg)
+                     self.w, self._bound // c, self.deg)
 
     # -- monomial content helpers (used by RatFun normalization) ------
 
@@ -538,7 +604,7 @@ class MultiPoly:
     def embed(self, table: SymbolTable) -> "MultiPoly":
         """Recoded copy over a table containing all of this poly's symbols."""
         if table.same_as(self.table):
-            return _poly(table, self.runs, self.w, self.bits, self.deg)
+            return _poly(table, self.runs, self.w, self._bound, self.deg)
         old = self.table
         out: dict = {}
         for k, c in self.terms.items():
@@ -558,43 +624,50 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _poly(table: SymbolTable, runs: dict, w: int, bits: int, deg: int) -> MultiPoly:
+def _poly(table: SymbolTable, runs: dict, w: int, bound: int, deg: int) -> MultiPoly:
     p = _new(MultiPoly)
     p.table = table
     p.runs = runs
     p.w = w
-    p.bits = bits
+    p._bound = bound
     p.deg = deg
     return p
 
 
 def _make_room(bound, *polys: MultiPoly) -> tuple:
-    """(w, bits) for a result whose coefficients are below
-    2**bound(*bit bounds of polys), called when that overflows their slots:
-    the loosest operand bound is made exact first, the next only if the
-    result still needs wider slots."""
-    w = max(p.w for p in polys)
-    for loosest in sorted(polys, key=lambda p: p.bits, reverse=True):
-        loosest._tighten()
-        bits = bound(*[p.bits for p in polys])
-        if bits < w:
-            break
-    return max(_width(bits), *[p.w for p in polys]), bits
+    """(w, bound) for a result whose coefficients are at most
+    bound(*operand bounds), called when that overflows the operands'
+    slots: the operand bounds are made exact first."""
+    for p in polys:
+        p._tighten()
+    b = bound(*[p._bound for p in polys])
+    return max(_width(b.bit_length()), *[p.w for p in polys]), b
 
 
 def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     """Product of two polys, each pair of runs by one int multiply.
 
-    An output coefficient sums at most min(n1, n2) pair products, n the
-    slot counts, so it stays below 2**(bits1 + bits2 + log2 min(n1, n2)).
+    An output coefficient sums at most n = min(n1, n2) pair products, n1
+    and n2 the slot counts, so it is at most bound1 * bound2 * n.  The
+    width is chosen once, from that bound.  Exact operand bounds let more
+    products into 32-bit slots, so they are scanned for when the slot
+    pairs outnumber the scanned slots sixteen to one (about where narrow
+    slots began to pay for a scan on one long run, a 32x32-slot product);
+    each operand is scanned once.  A smaller product keeps the wider
+    operand's slots unless its bound overflows them.
     """
-    n = min(sum(x.bit_length() // p.w + 1 for _, x in p.runs.values()),
-            sum(x.bit_length() // r.w + 1 for _, x in r.runs.values()))
-    extra = (n - 1).bit_length()
-    bits = p.bits + r.bits + extra
-    w = max(p.w, r.w)
-    if bits >= w:
-        w, bits = _make_room(lambda b1, b2: b1 + b2 + extra, p, r)
+    n1 = sum(x.bit_length() // p.w + 1 for _, x in p.runs.values())
+    n2 = sum(x.bit_length() // r.w + 1 for _, x in r.runs.values())
+    n = min(n1, n2)
+    if n1 * n2 > 16 * (n1 + n2):
+        p._tighten()
+        r._tighten()
+        w = 32
+    else:
+        w = max(p.w, r.w)
+    bound = p._bound * r._bound * n
+    if bound.bit_length() >= w:
+        w, bound = _make_room(lambda b1, b2: b1 * b2 * n, p, r)
     r1, r2 = p._at(w), r._at(w)
     base = min(lo for lo, _ in r1.values()) + min(lo for lo, _ in r2.values())
     acc: dict = {}
@@ -608,11 +681,15 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
         if x:
             s = ((x & -x).bit_length() - 1) // w
             out[g] = (base + s, x >> w * s)
-    return _poly(p.table, out, w, bits, p.deg + r.deg)
+    return _poly(p.table, out, w, bound, p.deg + r.deg)
 
 
 def render_poly(p: MultiPoly) -> str:
-    """Canonical text: graded-lex descending terms, explicit * and ^."""
+    """Canonical text: graded-lex descending terms, explicit * and ^.
+
+    A coefficient of more than _MAX_DIGITS digits raises StructureError,
+    decided by comparing ints (the bound first) before any becomes text.
+    """
     if not p.runs:
         return "0"
     table = p.table
@@ -629,6 +706,8 @@ def render_poly(p: MultiPoly) -> str:
                 terms.append((key, c, e, rest))
             key += step
             e += 1
+    if p._bound >= _MAX_INT and max(abs(t[1]) for t in terms) >= _MAX_INT:
+        raise StructureError(f"a coefficient passes the {_MAX_DIGITS}-digit integer limit")
     terms.sort(reverse=True)
     out = []
     for _, c, e, rest in terms:

@@ -195,11 +195,13 @@ def test_expand_exponent_overflow_exits_2(capsys, coeffs):
     "(" * 200 + "q" + ")" * 200, "2^16777216",
     pytest.param("2^20000", id="power_past_4300_digits"),
     pytest.param("9" * 5000, id="literal_of_5000_digits"),
+    pytest.param("2^14000*2^14000", id="product_past_4300_digits"),
 ])
 def test_expand_unbounded_expressions_exit_2(capsys, coeffs):
     # deep nesting once ended in a RecursionError, a literal power had no
     # bound on its size, and integers past CPython's 4300-digit conversion
-    # limit ended in a ValueError traceback, the power's when printed
+    # limit ended in a ValueError traceback, a power's or a product's when
+    # printed
     code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
