@@ -25,11 +25,11 @@ a tracked bound on the coefficients' magnitude is below 2**31, then 64
 bits, and grow in steps of 64 bits past that, so coefficients of any size
 stay exact.  The bound is carried through every operation (a sum's is the
 sum of its operands' bounds) and made exact by one scan of the value when
-it would overflow the slots, or when a large product can use narrower
-slots for it.  The arithmetic works on whole runs: an add is one int add
-per shared run, negation and scaling are one int operation per run, and
-degrees, minimum exponents and the leading coefficient read run keys and
-bit positions.
+it would overflow the slots and exact bounds could keep them narrower, or
+when a large product can use narrower slots for it.  The arithmetic works
+on whole runs: an add is one int add per shared run, negation and scaling
+are one int operation per run, and degrees, minimum exponents and the
+leading coefficient read run keys and bit positions.
 The term dict `MultiPoly.terms` is decoded only when read.
 
 Multiplication.  A one-term factor shifts the other's run keys and scales
@@ -189,25 +189,6 @@ def _run(slots, w: int) -> int:
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
-def _repack(x: int, v: int, w: int) -> int:
-    """A run of v-bit slots re-packed at w bits, which must hold its slots.
-
-    With m = min(v, w) and 2**(m-1) added to every slot, each slot holds
-    c + 2**(m-1), which fits m bits; its low m/8 bytes are copied to the
-    same place in a w-bit slot, and 2**(m-1) is taken back off each.
-    """
-    n = x.bit_length() // v + 1
-    if n == 1:  # one slot: the run is its coefficient at any width
-        return x
-    m = min(v, w)
-    nv, nw = v >> 3, w >> 3
-    raw = (x + (_bias(v, n) >> (v - m))).to_bytes(n * nv, "little")
-    out = bytearray(n * nw)
-    for i in range(m >> 3):
-        out[i::nw] = raw[i::nv]
-    return int.from_bytes(out, "little") - (_bias(w, n) >> (w - m))
-
-
 def _scan(p: "MultiPoly") -> int:
     """2**b - 1 for the bit length b of p's largest coefficient, exact.
 
@@ -256,9 +237,12 @@ class MultiPoly:
     to (lo, X), where X = sum(c_e << w*(e - lo)) holds the coefficient c_e
     of g*x^e in a signed w-bit slot and the slot of x^lo is nonzero.  Every
     |c_e| is at most `_bound`, a tracked bound, and w is
-    _width(_bound.bit_length()) or wider: 32, 64, 128, ... bits.  `_bound`
-    is exact once the value has been scanned (_tighten).  At one width the
-    runs are canonical, so equal polys have equal runs.
+    _width(_bound.bit_length()) or wider: 32, 64, 128, ... bits.  `_exact`
+    says that a scan (_tighten) would not lower `_bound`: it holds for a
+    value built from its terms, whose `_bound` is its largest |c_e|, and
+    for a scanned one, whose `_bound` is 2**b - 1 for that |c_e|'s bit
+    length b.  At one width the runs are canonical, so equal polys have
+    equal runs.
     `deg` bounds the total degree from above (exact after a multiply).
     Values are immutable by convention: every operation builds new runs.
     """
@@ -286,6 +270,7 @@ class MultiPoly:
                 slots[e - lo] = c
             runs[g] = (lo, _run(slots, w))
         self.table, self.runs, self.w, self._bound, self.deg = table, runs, w, bound, deg
+        self._exact = True
 
     @property
     def terms(self) -> Mapping[int, int]:
@@ -310,13 +295,13 @@ class MultiPoly:
 
     @staticmethod
     def zero(table: SymbolTable) -> "MultiPoly":
-        return _poly(table, {}, 32, 0, -1)
+        return _poly(table, {}, 32, 0, -1, True)
 
     @staticmethod
     def const(table: SymbolTable, c: int) -> "MultiPoly":
         if not c:
             return MultiPoly.zero(table)
-        return _poly(table, {0: (0, c)}, _width(c.bit_length()), abs(c), 0)
+        return _poly(table, {0: (0, c)}, _width(c.bit_length()), abs(c), 0, True)
 
     @staticmethod
     def monomial(table: SymbolTable, exps: Mapping[str, int], coeff: int = 1) -> "MultiPoly":
@@ -329,7 +314,7 @@ class MultiPoly:
             vec[table.position(nm)] = e
         key = table.pack(vec)
         return _poly(table, {key - vec[0] * table._step: (vec[0], coeff)},
-                     _width(coeff.bit_length()), abs(coeff), sum(vec))
+                     _width(coeff.bit_length()), abs(coeff), sum(vec), True)
 
     @staticmethod
     def symbol(table: SymbolTable, name: str) -> "MultiPoly":
@@ -418,12 +403,12 @@ class MultiPoly:
         v = self.w
         if w == v:
             return self.runs
-        return {g: (lo, _repack(x, v, w)) for g, (lo, x) in self.runs.items()}
+        return {g: (lo, _run(_slots(x, v), w)) for g, (lo, x) in self.runs.items()}
 
     def _tighten(self) -> None:
         """Make the bound exact (one scan per value), and narrow the slots
         if it allows; the value is unchanged."""
-        if not getattr(self, "_exact", False):
+        if not self._exact:
             self._bound = _scan(self)
             self._exact = True
         w = _width(self._bound.bit_length())
@@ -445,7 +430,8 @@ class MultiPoly:
             out = {g + g1: (lo + lo1, x) for g, (lo, x) in runs.items()}
         else:
             out = {g + g1: (lo + lo1, x * c) for g, (lo, x) in runs.items()}
-        return _poly(self.table, out, w, bound, self.deg + deg1)
+        return _poly(self.table, out, w, bound, self.deg + deg1,
+                     self._exact and c_abs == 1)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -493,7 +479,7 @@ class MultiPoly:
 
     def __neg__(self):
         return _poly(self.table, {g: (lo, -x) for g, (lo, x) in self.runs.items()},
-                     self.w, self._bound, self.deg)
+                     self.w, self._bound, self.deg, self._exact)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -604,7 +590,7 @@ class MultiPoly:
     def embed(self, table: SymbolTable) -> "MultiPoly":
         """Recoded copy over a table containing all of this poly's symbols."""
         if table.same_as(self.table):
-            return _poly(table, self.runs, self.w, self._bound, self.deg)
+            return _poly(table, self.runs, self.w, self._bound, self.deg, self._exact)
         old = self.table
         out: dict = {}
         for k, c in self.terms.items():
@@ -624,12 +610,14 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _poly(table: SymbolTable, runs: dict, w: int, bound: int, deg: int) -> MultiPoly:
+def _poly(table: SymbolTable, runs: dict, w: int, bound: int, deg: int,
+          exact: bool = False) -> MultiPoly:
     p = _new(MultiPoly)
     p.table = table
     p.runs = runs
     p.w = w
     p._bound = bound
+    p._exact = exact
     p.deg = deg
     return p
 
@@ -637,10 +625,14 @@ def _poly(table: SymbolTable, runs: dict, w: int, bound: int, deg: int) -> Multi
 def _make_room(bound, *polys: MultiPoly) -> tuple:
     """(w, bound) for a result whose coefficients are at most
     bound(*operand bounds), called when that overflows the operands'
-    slots: the operand bounds are made exact first."""
-    for p in polys:
-        p._tighten()
+    slots.  The operand bounds are made exact first, unless even bounds
+    of 1 would need slots as wide as the tracked bounds do: then no scan
+    can narrow the result."""
     b = bound(*[p._bound for p in polys])
+    if _width(bound(*[1] * len(polys)).bit_length()) < _width(b.bit_length()):
+        for p in polys:
+            p._tighten()
+        b = bound(*[p._bound for p in polys])
     return max(_width(b.bit_length()), *[p.w for p in polys]), b
 
 

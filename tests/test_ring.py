@@ -95,16 +95,30 @@ def test_mul_inverse(f):
     assert f * (1 / f) == 1
 
 
+def _vanishes_at_a_q1_b23(p):
+    """Whether p is identically zero at a = q + 1, b = 2/3: its term dict
+    expanded by binomial coefficients, with no ring arithmetic."""
+    out = {}
+    for k, c in p.terms.items():
+        eq, ea, eb = TABLE.unpack(k)
+        for i in range(ea + 1):
+            out[eq + i] = out.get(eq + i, 0) + c * math.comb(ea, i) * Fraction(2, 3) ** eb
+    return not any(out.values())
+
+
 @given(ratfuns(), ratfuns())
 # g's denominator 3*q^2*b^2*(3*b - 2) vanishes at b = 2/3
 @example(f=RatFun.zero(TABLE), g=parse_ratfun("1/(9*q^2*b^3 - 6*q^2*b^2)", TABLE))
 def test_substitute_commutes_with_arithmetic(f, g):
     q = RatFun.sym(TABLE, "q")
     assignments = {"a": q + 1, "b": Fraction(2, 3)}
-    try:
-        fs, gs = f.substitute(assignments), g.substitute(assignments)
-    except PoleError:
-        assume(False)  # the identity holds only where f and g are defined
+    poles = [_vanishes_at_a_q1_b23(h.den) for h in (f, g)]
+    for h, pole in zip((f, g), poles):
+        if pole:
+            with pytest.raises(PoleError):
+                h.substitute(assignments)
+    assume(not any(poles))  # the identity holds only where f and g are defined
+    fs, gs = f.substitute(assignments), g.substitute(assignments)
     assert (f * g).substitute(assignments) == fs * gs
     assert (f + g).substitute(assignments) == fs + gs
 
@@ -683,6 +697,27 @@ def test_width_boundaries_match_dict_references(ops):
         assert (num.terms, den.terms) == _cancel_ref(table, d1, d2)
         num, den = _cancel(p1 * p2, p2)
         assert (num.terms, den.terms) == _cancel_ref(table, prod, d2)
+
+
+def test_no_scan_where_exact_bounds_cannot_narrow_the_slots(monkeypatch):
+    # a scan walks every slot of a run, so a sparse run costs its full length
+    sparse = MultiPoly.monomial(TABLE, {"q": 1 << 16}) + 1
+    sparse = sparse + sparse  # a tracked bound of 4 on coefficients of 2
+    scans = []
+    scan = ring._scan
+    monkeypatch.setattr(ring, "_scan", lambda p: scans.append(p) or scan(p))
+    # any nonzero coefficient times 2**40 needs 64-bit slots: no scan
+    s = sparse.scaled(2**40)
+    assert scans == [] and s.w == 64
+    assert s.terms == {k: c << 40 for k, c in sparse.terms.items()}
+    # 4 * 2**29 overflows 32-bit slots but the exact 2 * 2**29 does not
+    s = sparse.scaled(2**29)
+    assert scans == [sparse] and s.w == 32
+    assert s.terms == {k: c << 29 for k, c in sparse.terms.items()}
+    # a bound already exact is not scanned again
+    assert sparse.scaled(2**30).w == 64 and len(scans) == 1
+    exact = MultiPoly(TABLE, {0: 3, TABLE.pack((1 << 16, 0, 0)): 2})
+    assert exact.scaled(2**30).w == 64 and len(scans) == 1
 
 
 def test_array_fallback_gives_the_same_runs_and_text(monkeypatch):
