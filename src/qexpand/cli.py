@@ -289,6 +289,9 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
         for case in cases:
             if "m" not in case or "q" not in case:
                 raise ParseError("each qqq point needs \"m\" and \"q\"")
+            extra = sorted(set(case) - {"m", "q"})
+            if extra:
+                raise ParseError(f"qqq point has symbols {extra}; it takes only \"m\" and \"q\"")
             try:
                 m = int(str(case["m"]))
             except ValueError:

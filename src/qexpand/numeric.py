@@ -24,11 +24,20 @@ sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.  That bound
 is at least |cq^I|, so each factor is first tested by one comparison,
 |cq^I| < 2^-(precision+7), and the bound's division runs only for the last
 few factors; the truncation index, every product and every rounding are
-those of testing the bound at every factor.  For real c and q the loop
-runs on the raw _mpf_ tuples: it calls the mpmath.libmp functions that the
-mpf operators call (mpf_mul, mpf_sub, mpf_abs, mpf_lt, mpf_div), at the
-context's working precision with round-to-nearest, so every factor and
-rounding is the operators' own without an mpf object per step.
+those of testing the bound at every factor.
+
+Real values run on a small integer kernel (_Kernel): a value is a signed
+int mantissa m and an exponent e, and each +, -, * and / is computed
+exactly on ints and rounded once to the working precision, half to even.
+mpmath's mpf_add, mpf_mul and mpf_div at round_nearest are correctly
+rounded too (on operands of at most the working precision, which all of
+ours are), so both give the one nearest value and the kernel's bits are
+the mpf operators' bits, without an mpf object or a normalization per
+step.  Integer powers are the exception: mpf_pow_int's binary powering is
+not correctly rounded, so the kernel takes its result as it is rather than
+recompute it, once per base and exponent within an evaluation.  Values
+become mpf only where _report rounds and prints them.  Complex inputs to
+_qpoch_inf keep the mpf/mpc operator loop.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
-from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from .errors import DomainError, StructureError
 
@@ -129,17 +138,125 @@ def _report(name: str, point: Dict[str, str], precision: int,
     )
 
 
-def _sum_terms(terms: Iterator, tol, force: int = 0) -> "mpmath.mpf":
+_ZERO = (0, 0)
+_ONE = (1, 0)
+
+
+def _round(m: int, e: int, prec: int) -> Tuple[int, int]:
+    """m * 2^e rounded to prec bits, half to even; m may be negative."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)  # a floor shift, so the test below holds for either sign
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
+
+
+def _from_raw(x) -> Tuple[int, int]:
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+class _Kernel:
+    """Real values as (m, e) int pairs, the number m * 2^e, at prec bits.
+
+    +, -, * and / are computed exactly on ints and rounded once to prec
+    bits, half to even.  Every value the kernel makes or is given has at
+    most prec significant bits.  Powers come from mpf_pow_int and are
+    cached per (base, exponent) for the kernel's lifetime, which is one
+    evaluation.
+    """
+
+    __slots__ = ("prec", "_powers")
+
+    def __init__(self, prec: int):
+        self.prec = prec
+        self._powers: Dict[Tuple[Tuple[int, int], int], Tuple[int, int]] = {}
+
+    @staticmethod
+    def from_mpf(x) -> Tuple[int, int]:
+        return _from_raw(x._mpf_)
+
+    @staticmethod
+    def to_mpf(x) -> "mpmath.mpf":
+        return mpmath.mp.make_mpf(from_man_exp(*x))
+
+    def add(self, x, y):
+        (xm, xe), (ym, ye) = x, y
+        if xe < ye:
+            xm, xe, ym, ye = ym, ye, xm, xe
+        if not ym:
+            return xm, xe
+        if not xm:
+            return ym, ye
+        d = xe - ye
+        # |y| below a sixteenth of x's last place cannot move the rounding
+        # of x (which has at most prec bits), so x + y rounds to x
+        if d + xm.bit_length() - ym.bit_length() > self.prec + 4:
+            return xm, xe
+        return _round((xm << d) + ym, ye, self.prec)
+
+    def sub(self, x, y):
+        return self.add(x, (-y[0], y[1]))
+
+    def mul(self, x, y):
+        return _round(x[0] * y[0], x[1] + y[1], self.prec)
+
+    def div(self, x, y):
+        (xm, xe), (ym, ye) = x, y
+        if not ym:
+            raise ZeroDivisionError("division by zero")
+        # a quotient of at least prec + 2 bits, then a sticky bit for any
+        # remainder: the rounding position sees the exact quotient's side
+        extra = max(0, self.prec + 2 - xm.bit_length() + ym.bit_length())
+        quot, rem = divmod(xm << extra, ym)
+        if rem:
+            return _round(2 * quot + 1, xe - ye - extra - 1, self.prec)
+        return _round(quot, xe - ye - extra, self.prec)
+
+    @staticmethod
+    def neg(x):
+        return -x[0], x[1]
+
+    @staticmethod
+    def abs(x):
+        return (-x[0], x[1]) if x[0] < 0 else x
+
+    @staticmethod
+    def lt(x, y) -> bool:
+        (xm, xe), (ym, ye) = x, y
+        if (xm < 0) != (ym < 0) or not xm or not ym:
+            return xm < ym
+        tx, ty = xm.bit_length() + xe, ym.bit_length() + ye
+        if tx != ty:
+            return (tx < ty) == (xm > 0)
+        d = xe - ye  # under either mantissa's bit length
+        return (xm << d) < ym if d >= 0 else xm < (ym << -d)
+
+    def pow(self, x, n: int):
+        """x^n exactly as the mpf operator ** gives it, through mpf_pow_int."""
+        key = (x, n)
+        try:
+            return self._powers[key]
+        except KeyError:
+            value = _from_raw(mpf_pow_int(from_man_exp(*x), n, self.prec, round_nearest))
+            self._powers[key] = value
+            return value
+
+
+def _sum_terms(k: _Kernel, terms: Iterator, tol, force: int = 0):
     """Sum until 5 consecutive terms fall below tol/100 in magnitude.
 
     Terms before index force are summed but never counted as small.
     """
-    cutoff = tol / 100
-    total = mpmath.mpf(0)
+    add, lt, absv = k.add, k.lt, k.abs
+    cutoff = k.div(tol, (100, 0))
+    total = _ZERO
     small = 0
     for count, t in enumerate(terms):
-        total += t
-        if count >= force and abs(t) < cutoff:
+        total = add(total, t)
+        if count >= force and lt(absv(t), cutoff):
             small += 1
             if small == 5:
                 return total
@@ -151,6 +268,32 @@ def _sum_terms(terms: Iterator, tol, force: int = 0) -> "mpmath.mpf":
                 "point too close to the region boundary"
             )
     return total
+
+
+def _qpoch_inf_real(k: _Kernel, c, q, precision: int):
+    """(c;q)_inf and its tail bound for real c and q, on the kernel.
+
+    The same loop as _qpoch_inf's; each kernel operation returns the bits
+    of the mpf operator it stands for.
+    """
+    absq = k.abs(q)
+    if not k.lt(absq, _ONE):
+        raise DomainError(f"(c;q)_inf needs |q| < 1, got |q| = {_nstr(k.to_mpf(absq))}")
+    mul, sub, lt, absv = k.mul, k.sub, k.lt, k.abs
+    eps = (1, -(precision + 8))
+    near = (1, -max(1, precision + 7))  # min(1/2, 2 eps)
+    one_minus_absq = sub(_ONE, absq)
+    out = _ONE
+    cur = c
+    for _ in range(_MAX_TERMS):
+        mag = absv(cur)
+        if lt(mag, near):
+            bound = k.div(mag, mul(one_minus_absq, sub(_ONE, mag)))
+            if lt(bound, eps):
+                return out, bound
+        out = mul(out, sub(_ONE, cur))
+        cur = mul(cur, q)
+    raise DomainError("infinite product did not converge (|q| too close to 1)")
 
 
 def _qpoch_inf(c, q, precision: int):
@@ -165,47 +308,29 @@ def _qpoch_inf(c, q, precision: int):
     is their rounded product, so the rounded bound is at least |cq^I| up
     to one rounding, and a bound below eps needs |cq^I| < 2 eps.
 
-    For real c and q the loop works on the raw _mpf_ tuples and calls the
-    mpmath.libmp functions that the mpf operators call, with the context's
-    working precision and round-to-nearest, so each factor, the index I
-    and the bound are bit-identical to the operator loop that complex
-    inputs take.
+    Real c and q run on the kernel (_qpoch_inf_real) and come back as mpf;
+    complex inputs take the mpf/mpc operator loop below.
     """
+    if isinstance(c, mpmath.mpf) and isinstance(q, mpmath.mpf):
+        k = _Kernel(mpmath.mp.prec)
+        out, bound = _qpoch_inf_real(k, k.from_mpf(c), k.from_mpf(q), precision)
+        return k.to_mpf(out), k.to_mpf(bound)
     absq = abs(q)
     if absq >= 1:
         raise DomainError(f"(c;q)_inf needs |q| < 1, got |q| = {_nstr(absq)}")
     eps = mpmath.mpf(2) ** (-(precision + 8))
     near = min(mpmath.mpf("0.5"), 2 * eps)
     one_minus_absq = 1 - absq
-    if isinstance(c, mpmath.mpf) and isinstance(q, mpmath.mpf):
-        prec, rnd = mpmath.mp.prec, round_nearest
-        eps, near, one_minus_absq = eps._mpf_, near._mpf_, one_minus_absq._mpf_
-        qv = q._mpf_
-        out = fone
-        cur = c._mpf_
-        for _ in range(_MAX_TERMS):
-            mag = mpf_abs(cur, prec, rnd)
-            if mpf_lt(mag, near):
-                bound = mpf_div(
-                    mag,
-                    mpf_mul(one_minus_absq, mpf_sub(fone, mag, prec, rnd), prec, rnd),
-                    prec, rnd,
-                )
-                if mpf_lt(bound, eps):
-                    return mpmath.mp.make_mpf(out), mpmath.mp.make_mpf(bound)
-            out = mpf_mul(out, mpf_sub(fone, cur, prec, rnd), prec, rnd)
-            cur = mpf_mul(cur, qv, prec, rnd)
-    else:
-        out = mpmath.mpf(1)
-        cur = c
-        for _ in range(_MAX_TERMS):
-            mag = abs(cur)
-            if mag < near:
-                bound = mag / (one_minus_absq * (1 - mag))
-                if bound < eps:
-                    return out, bound
-            out = out * (1 - cur)
-            cur = cur * q
+    out = mpmath.mpf(1)
+    cur = c
+    for _ in range(_MAX_TERMS):
+        mag = abs(cur)
+        if mag < near:
+            bound = mag / (one_minus_absq * (1 - mag))
+            if bound < eps:
+                return out, bound
+        out = out * (1 - cur)
+        cur = cur * q
     raise DomainError("infinite product did not converge (|q| too close to 1)")
 
 
@@ -238,7 +363,7 @@ def qpoch_num(c, n, q, precision: int = DEFAULT_PRECISION):
 
 
 # ---------------------------------------------------------------------------
-# identity evaluators: each side summed on its own
+# identity evaluators: each side summed on its own, on the kernel
 
 
 def _require(cond: bool, message: str) -> None:
@@ -251,85 +376,93 @@ def _region_q_z(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
-def _ratio_terms(a, b, z, q, qn):
+def _ratio_terms(k, a, b, z, q, qn):
     """(a qn;q)_n/(b qn;q)_n z^n for n = 0, 1, ..., incrementally."""
-    cur = mpmath.mpf(1)
+    mul, sub, div = k.mul, k.sub, k.div
+    cur = _ONE
     while True:
         yield cur
-        cur = cur * z * (1 - a * qn) / (1 - b * qn)
-        qn *= q
+        cur = div(mul(mul(cur, z), sub(_ONE, mul(a, qn))), sub(_ONE, mul(b, qn)))
+        qn = mul(qn, q)
 
 
-def _rogers_fine_lhs(v, tol, precision):
+def _rogers_fine_lhs(k, v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
-    return (1 - z) * _sum_terms(_ratio_terms(a, b, z, q, q), tol)
+    return k.mul(k.sub(_ONE, z), _sum_terms(k, _ratio_terms(k, a, b, z, q, q), tol))
 
 
-def _rogers_fine_rhs(v, tol, precision):
+def _rogers_fine_rhs(k, v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+    mul, sub, div, power = k.mul, k.sub, k.div, k.pow
+    az = mul(a, z)
 
     def terms():
-        base = mpmath.mpf(1)
+        base = _ONE
         n = 0
         while True:
-            yield base * (1 - a * z * q ** (2 * n + 1))
-            base = (
-                base
-                * b * z * q ** (2 * n + 1)
-                * (1 - a * q ** (n + 1)) * (1 - a * z * q ** (n + 1) / b)
-                / ((1 - b * q ** (n + 1)) * (1 - z * q ** (n + 1)))
-            )
+            q_odd, q_next = power(q, 2 * n + 1), power(q, n + 1)
+            yield mul(base, sub(_ONE, mul(az, q_odd)))
+            # base * b z q^(2n+1) (1 - a q^(n+1)) (1 - a z q^(n+1) / b)
+            #   / ((1 - b q^(n+1)) (1 - z q^(n+1)))
+            num = mul(mul(mul(base, b), z), q_odd)
+            num = mul(mul(num, sub(_ONE, mul(a, q_next))), sub(_ONE, div(mul(az, q_next), b)))
+            base = div(num, mul(sub(_ONE, mul(b, q_next)), sub(_ONE, mul(z, q_next))))
             n += 1
 
-    return _sum_terms(terms(), tol)
+    return _sum_terms(k, terms(), tol)
 
 
-def _coogan_ono_lhs(v, tol, precision):
+def _coogan_ono_lhs(k, v, tol, precision):
     q, z = v["q"], v["z"]
+    add, mul, sub, div, power = k.add, k.mul, k.sub, k.div, k.pow
 
     def terms():
-        cur = 1 / (1 + z)
+        cur = div(_ONE, add(_ONE, z))
         n = 0
         while True:
             yield cur
-            cur = cur * z * (1 - z * q**n) / (1 + z * q ** (n + 1))
+            num = mul(mul(cur, z), sub(_ONE, mul(z, power(q, n))))
+            cur = div(num, add(_ONE, mul(z, power(q, n + 1))))
             n += 1
 
-    return _sum_terms(terms(), tol)
+    return _sum_terms(k, terms(), tol)
 
 
-def _theta_z2_terms(q, z):
+def _theta_z2_terms(k, q, z):
     """(-1)^k q^(k^2) z^(2k), incrementally."""
-    cur = mpmath.mpf(1)
-    k = 0
+    mul, power = k.mul, k.pow
+    cur = _ONE
+    i = 0
     while True:
         yield cur
-        cur = cur * (-(q ** (2 * k + 1))) * z * z
-        k += 1
+        cur = mul(mul(mul(cur, k.neg(power(q, 2 * i + 1))), z), z)
+        i += 1
 
 
-def _coogan_ono_rhs(v, tol, precision):
-    return _sum_terms(_theta_z2_terms(v["q"], v["z"]), tol)
+def _coogan_ono_rhs(k, v, tol, precision):
+    return _sum_terms(k, _theta_z2_terms(k, v["q"], v["z"]), tol)
 
 
-def _lemma13_lhs(v, tol, precision):
+def _lemma13_lhs(k, v, tol, precision):
     q, z = v["q"], v["z"]
+    add, mul, sub, div, power = k.add, k.mul, k.sub, k.div, k.pow
 
     def terms():
-        cur = 1 - z
+        cur = sub(_ONE, z)
         n = 0
         while True:
             yield cur
-            cur = cur * z * (1 - z * q ** (n + 1)) / (1 + z * q ** (n + 1))
+            zq = mul(z, power(q, n + 1))
+            cur = div(mul(mul(cur, z), sub(_ONE, zq)), add(_ONE, zq))
             n += 1
 
-    return _sum_terms(terms(), tol)
+    return _sum_terms(k, terms(), tol)
 
 
-def _lemma13_rhs(v, tol, precision):
-    gen = _theta_z2_terms(v["q"], v["z"])
+def _lemma13_rhs(k, v, tol, precision):
+    gen = _theta_z2_terms(k, v["q"], v["z"])
     next(gen)  # k = 0 term enters with weight 1, the rest with weight 2
-    return 1 + 2 * _sum_terms(gen, tol)
+    return k.add(_ONE, k.mul((2, 0), _sum_terms(k, gen, tol)))
 
 
 def _region_1psi1(v) -> None:
@@ -339,37 +472,41 @@ def _region_1psi1(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
-def _1psi1_lhs(v, tol, precision):
+def _1psi1_lhs(k, v, tol, precision):
     """sum_(k=-inf)^inf (a;q)_k/(b;q)_k z^k as two one-sided sums."""
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+    mul, sub, div = k.mul, k.sub, k.div
 
     def negative():
         # (c;q)_(-m) = 1/prod_(j=1..m)(1 - c q^-j)
-        cur = mpmath.mpf(1)
-        qmj = mpmath.mpf(1)
+        cur = _ONE
+        qmj = _ONE
         while True:
-            qmj /= q
-            cur = cur * (1 - b * qmj) / ((1 - a * qmj) * z)
+            qmj = div(qmj, q)
+            cur = div(mul(cur, sub(_ONE, mul(b, qmj))), mul(sub(_ONE, mul(a, qmj)), z))
             yield cur
 
-    nonneg = _ratio_terms(a, b, z, q, mpmath.mpf(1))
-    return _sum_terms(nonneg, tol) + _sum_terms(negative(), tol)
+    nonneg = _ratio_terms(k, a, b, z, q, _ONE)
+    return k.add(_sum_terms(k, nonneg, tol), _sum_terms(k, negative(), tol))
 
 
-def _1psi1_rhs(v, tol, precision):
+def _1psi1_rhs(k, v, tol, precision):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
-    num = [a * z, q / (a * z), q, b / a]
-    den = [z, b / (a * z), b, q / a]
-    out = mpmath.mpf(1)
+    mul, div = k.mul, k.div
+    az = mul(a, z)
+    num = [az, div(q, az), q, div(b, a)]
+    den = [z, div(b, az), b, div(q, a)]
+    out = _ONE
     for c in num:
-        out *= _qpoch_inf(c, q, precision)[0]
+        out = mul(out, _qpoch_inf_real(k, c, q, precision)[0])
     for c in den:
-        out /= _qpoch_inf(c, q, precision)[0]
+        out = div(out, _qpoch_inf_real(k, c, q, precision)[0])
     return out
 
 
 class _IdentityNumeric(NamedTuple):
-    """One identity; each side is called as side(v, tol, precision)."""
+    """One identity.  region(v) tests the mpf point; each side is called as
+    side(k, v, tol, precision) with the point and tol as kernel values."""
 
     symbols: Tuple[str, ...]
     region: Callable
@@ -444,34 +581,69 @@ def check_identity_numeric(
     missing = [s for s in check.symbols if s not in point]
     if missing:
         raise StructureError(f"point misses symbols {missing} for {name}")
+    extra = sorted(set(point) - set(check.symbols))
+    if extra:
+        raise StructureError(f"point has symbols {extra} that {name} does not take")
     with mpmath.workprec(precision + 16):
-        v = {k: _to_mp(point[k]) for k in check.symbols}
+        v = {s: _to_mp(point[s]) for s in check.symbols}
         tolv = _to_mp(tol)
         check.region(v)
+        k = _Kernel(mpmath.mp.prec)
+        kv = {s: k.from_mpf(x) for s, x in v.items()}
+        ktol = k.from_mpf(tolv)
         try:
-            lhs = check.lhs(v, tolv, precision)
-            rhs = check.rhs(v, tolv, precision)
+            lhs = check.lhs(k, kv, ktol, precision)
+            rhs = check.rhs(k, kv, ktol, precision)
         except ZeroDivisionError:
             raise DomainError(
                 f"{name} has a pole at this point: a denominator factor vanishes"
             ) from None
-        diff = abs(lhs - rhs)
-    point = _point_str({k: point[k] for k in check.symbols})
-    return _report(name, point, precision, lhs, rhs, diff, tolv)
+        diff = k.abs(k.sub(lhs, rhs))
+    lhs, rhs, diff = k.to_mpf(lhs), k.to_mpf(rhs), k.to_mpf(diff)
+    return _report(name, _point_str(point), precision, lhs, rhs, diff, tolv)
 
 
 # ---------------------------------------------------------------------------
 # the finite theta-sum specialization (z = q^(-m))
 
 
-def _partial_theta_terms(z, q):
+def _partial_theta_terms(k, z, q):
     """(-1)^k q^(k(k-1)/2) z^k for k = 0, 1, ..., incrementally."""
-    term = mpmath.mpf(1)
-    qk = mpmath.mpf(1)
+    mul = k.mul
+    term = _ONE
+    qk = _ONE
     while True:
         yield term
-        term = term * (-qk) * z
-        qk *= q
+        term = mul(mul(term, k.neg(qk)), z)
+        qk = mul(qk, q)
+
+
+def _qqq_sides(k, m: int, q, tol):
+    """Both sides of check_qqq's identity at z = q^(-m), on the kernel."""
+    add, sub, mul, div, power = k.add, k.sub, k.mul, k.div, k.pow
+    lhs = rhs = _ZERO
+    for n in range(m + 1):
+        pre = _ONE  # (-1;q)_n / (-q^(1-m);q)_n
+        for i in range(n):
+            pre = mul(pre, div(add(_ONE, power(q, i)), add(_ONE, power(q, 1 - m + i))))
+        binom = _ONE  # (q;q)_m / ((q;q)_n (q;q)_(m-n))
+        for i in range(1, m + 1):
+            binom = mul(binom, sub(_ONE, power(q, i)))
+        for i in range(1, n + 1):
+            binom = div(binom, sub(_ONE, power(q, i)))
+        for i in range(1, m - n + 1):
+            binom = div(binom, sub(_ONE, power(q, i)))
+        common = mul(pre, binom)
+        # z-exponents n(3n +/- 1)/2 are integers for every n
+        lhs = add(lhs, mul(common, power(q, n * (3 * n + 1) // 2 - 2 * n * m)))
+        bracket = sub(add(add(_ONE, power(q, n)), power(q, n - m)), power(q, 2 * n - m))
+        theta = _sum_terms(
+            k, _partial_theta_terms(k, power(q, 2 * n - 2 * m + 1), mul(q, q)), tol,
+            force=max(0, 2 * (m - n) + 2),
+        )
+        term = mul(mul(common, power(q, n * (3 * n - 1) // 2 - 2 * n * m)), bracket)
+        rhs = add(rhs, mul(term, theta))
+    return lhs, rhs
 
 
 def check_qqq(
@@ -496,34 +668,11 @@ def check_qqq(
     if not 0 < qf < 1:
         raise DomainError(f"need 0 < q < 1, got {qf}")
     with mpmath.workprec(precision + 16):
-        qv = _to_mp(qf)
         tolv = _to_mp(tol)
-        lhs = mpmath.mpf(0)
-        rhs = mpmath.mpf(0)
-        for n in range(m + 1):
-            pre = mpmath.mpf(1)  # (-1;q)_n / (-q^(1-m);q)_n
-            for i in range(n):
-                pre *= (1 + qv**i) / (1 + qv ** (1 - m + i))
-            binom = mpmath.mpf(1)  # (q;q)_m / ((q;q)_n (q;q)_(m-n))
-            for i in range(1, m + 1):
-                binom *= 1 - qv**i
-            for i in range(1, n + 1):
-                binom /= 1 - qv**i
-            for i in range(1, m - n + 1):
-                binom /= 1 - qv**i
-            common = pre * binom
-            # z-exponents n(3n +/- 1)/2 are integers for every n
-            lhs += common * qv ** (n * (3 * n + 1) // 2 - 2 * n * m)
-            bracket = 1 + qv**n + qv ** (n - m) - qv ** (2 * n - m)
-            theta = _sum_terms(
-                _partial_theta_terms(qv ** (2 * n - 2 * m + 1), qv * qv), tolv,
-                force=max(0, 2 * (m - n) + 2),
-            )
-            rhs += (
-                common * qv ** (n * (3 * n - 1) // 2 - 2 * n * m)
-                * bracket * theta
-            )
-        diff = abs(lhs - rhs)
+        k = _Kernel(mpmath.mp.prec)
+        lhs, rhs = _qqq_sides(k, m, k.from_mpf(_to_mp(qf)), k.from_mpf(tolv))
+        diff = k.abs(k.sub(lhs, rhs))
+    lhs, rhs, diff = k.to_mpf(lhs), k.to_mpf(rhs), k.to_mpf(diff)
     return _report("qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, diff, tolv)
 
 

@@ -395,6 +395,23 @@ def test_numeric_verify_qqq_non_integer_m_exits_2(tmp_path, capsys, m):
     assert out == ""
 
 
+@pytest.mark.parametrize("identity,point,extra", [
+    ("lemma13", {"q": "1/2", "z": "1/2", "b": 7}, "['b']"),
+    ("lemma13", {"q": "3/10", "z": "2/5", "a": "1/2"}, "['a']"),
+    ("coogan_ono", {"q": "3/10", "z": "2/5", "a": "1", "m": "2"}, "['a', 'm']"),
+    ("qqq", {"m": 2, "q": "1/2", "z": "1/3"}, "['z']"),
+], ids=["lemma13_b", "lemma13_a", "coogan_ono_a_m", "qqq_z"])
+def test_numeric_verify_extra_symbols_exit_2(tmp_path, capsys, identity, point, extra):
+    # a symbol the identity does not have was once dropped, and the point passed
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps([point]))
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
+                             "--points", str(pf))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"symbols {extra}" in err
+
+
 @pytest.mark.parametrize("identity,point", [
     # b = 1/q: the factor (1 - bq^n) is exactly 0 at n = 1
     ("rogers_fine", {"q": "1/5", "a": "3/10", "b": "5", "z": "1/5"}),

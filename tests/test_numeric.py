@@ -6,21 +6,40 @@ three spot-check statuses (passed / failed / inconclusive)."""
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
+from qexpand import numeric
 from qexpand.errors import DomainError, StructureError
 from qexpand.numeric import (
     DEFAULT_POINTS,
+    DEFAULT_QQQ_POINTS,
     DEFAULT_TOLERANCE,
+    NUMERIC_CHECKS,
     _MAX_TERMS,
+    _Kernel,
     _partial_theta_terms,
     _qpoch_inf,
+    _qqq_sides,
     _sum_terms,
+    _to_mp,
     check_identity_numeric,
     check_qqq,
     default_numeric_reports,
@@ -128,8 +147,8 @@ _q_in_disc = st.integers(2, 10).flatmap(
 @example(Fraction(1), Fraction(9, 10), 1100)
 @example(Fraction(-7, 3), Fraction(-1, 2), 8)
 def test_qpoch_inf_real_loop_matches_operator_loop(c, q, precision):
-    # the raw-tuple loop against mpf operators, bit for bit; c = 1 makes
-    # the product exactly 0
+    # the kernel loop against mpf operators, bit for bit; c = 1 makes the
+    # product exactly 0
     with mpmath.workprec(precision + 16):
         cv, qv = _mp(c), _mp(q)
         got = _qpoch_inf(cv, qv, precision)
@@ -170,6 +189,103 @@ def test_qpoch_num_domain_errors():
         qpoch_num(Fraction(1, 2), 1.5, Fraction(1, 2))
 
 
+# -- the integer kernel against mpmath.libmp ------------------------------------
+
+
+def _raw(v):
+    return from_man_exp(*v)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A precision, two libmp values of at most that many bits (exponents
+    close or more than 100 apart, where mpf_add takes its shortcut), and an
+    integer power."""
+    prec = draw(st.integers(8, 1100))
+
+    def value(exp):
+        if draw(st.integers(0, 19)) == 0:
+            return fzero
+        bits = draw(st.integers(1, prec))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        return from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+    exp = draw(st.integers(-2000, 2000))
+    gap = draw(st.one_of(
+        st.integers(-4, 4), st.integers(-prec - 8, prec + 8), st.integers(-4000, 4000),
+    ))
+    return prec, value(exp), value(exp + gap), draw(st.integers(-60, 60))
+
+
+def _mf(man, exp=0):
+    return from_man_exp(man, exp)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_kernel_cases())
+# mul ties at 8 bits: 129 * 3 = 0b110000011 rounds up to the even 194,
+# 131 * 3 = 0b110001001 stays at the even 196
+@example((8, _mf(129), _mf(3), 2))
+@example((8, _mf(131), _mf(3), 2))
+# add ties: 255 + 1/2 rounds up to 256, a power of two; 254 + 1/2 stays
+@example((8, _mf(255), _mf(1, -1), 1))
+@example((8, _mf(254), _mf(1, -1), -1))
+# 255 + 3/4 rounds up to 256 without a tie; x - x is an exact zero
+@example((8, _mf(255), _mf(3, -2), 0))
+@example((8, _mf(-77, 5), _mf(-77, 5), -3))
+# far apart: the small operand only perturbs the large one
+@example((53, _mf(1), _mf(-1, -200), -1))
+@example((1100, _mf((1 << 1100) - 1, -1100), _mf(1, -1210), 7))
+# division with no remainder, operands of each sign, and zero divisors
+@example((8, _mf(6), _mf(3), 3))
+@example((8, _mf(-6), _mf(3), -3))
+@example((8, _mf(6), _mf(-3), -2))
+@example((8, _mf(-6), _mf(-3), 5))
+@example((64, _mf(5), fzero, -1))
+@example((64, fzero, fzero, 2))
+def test_kernel_ops_match_libmp(case):
+    prec, x, y, n = case
+    k = _Kernel(prec)
+    kx, ky = k.from_mpf(mpmath.mp.make_mpf(x)), k.from_mpf(mpmath.mp.make_mpf(y))
+    rnd = round_nearest
+    assert _raw(k.mul(kx, ky)) == mpf_mul(x, y, prec, rnd)
+    assert _raw(k.add(kx, ky)) == mpf_add(x, y, prec, rnd)
+    assert _raw(k.sub(kx, ky)) == mpf_sub(x, y, prec, rnd)
+    assert _raw(k.sub(ky, kx)) == mpf_sub(y, x, prec, rnd)
+    if y == fzero:
+        with pytest.raises(ZeroDivisionError):
+            mpf_div(x, y, prec, rnd)
+        with pytest.raises(ZeroDivisionError):
+            k.div(kx, ky)
+    else:
+        assert _raw(k.div(kx, ky)) == mpf_div(x, y, prec, rnd)
+    if x == fzero and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            k.pow(kx, n)
+    else:
+        assert _raw(k.pow(kx, n)) == mpf_pow_int(x, n, prec, rnd)
+        assert k.pow(kx, n) is k.pow(kx, n)  # one evaluation per (base, exponent)
+    assert k.lt(kx, ky) == mpf_lt(x, y)
+    assert k.lt(ky, kx) == mpf_lt(y, x)
+    assert not k.lt(kx, kx)
+    assert _raw(k.abs(kx)) == mpf_abs(x, prec, rnd)
+    assert k.to_mpf(kx)._mpf_ == x
+
+
+def test_kernel_exact_zero_at_the_1psi1_point():
+    # at the first default 1psi1 point a*z = 1, so 1 - a*z is exactly 0, the
+    # right side is exactly 0, and dividing by that factor raises
+    point = DEFAULT_POINTS["ramanujan_1psi1"][0]
+    with mpmath.workprec(144):
+        a, z = _to_mp(point["a"]), _to_mp(point["z"])
+        k = _Kernel(mpmath.mp.prec)
+        factor = k.sub((1, 0), k.mul(k.from_mpf(a), k.from_mpf(z)))
+        assert _raw(factor) == fzero == (1 - a * z)._mpf_
+        with pytest.raises(ZeroDivisionError):
+            k.div((1, 0), factor)
+    assert mpmath.mpf(check_identity_numeric("ramanujan_1psi1", point).rhs) == 0
+
+
 # -- identity battery ---------------------------------------------------------
 
 
@@ -185,12 +301,18 @@ def test_default_grid_all_pass():
 
 
 # sha256 of the sorted-key JSON of default_numeric_reports(precision=P).
-# lhs, rhs and abs_diff are printed to 30 digits; at 128 bits that reaches
-# the last bits of the products in _qpoch_inf, so a changed rounding or a
-# changed truncation index there changes a digest.
+# lhs, rhs and abs_diff are printed to 30 digits; at 96 and 128 bits that
+# reaches the last bits of the products in _qpoch_inf, so a changed rounding
+# or a changed truncation index there changes a digest.  From 200 bits on
+# the 30 printed digits stop well above the last bits: there the digests pin
+# truncation indices and the stop rule, and test_sides_match_mpf_operators
+# pins the bits.
 GOLDEN_BATTERY_SHA256 = {
+    96: "e261d45073d708562e60f79cb87a4243b584108f269c4084d48a1cf7196d525c",
     128: "2e97bdadd54043888672b6363d056df8ebc198e59d9e1e796ff85bb8c0f93d50",
+    200: "d63e41ff1bd87e8816ead70d717bb4cd82d8b861015793035ff42a5232b27697",
     256: "25b55135de1e5c276971e86fbfe626d66f89bf5b986d0b5a7e662fd0751cee44",
+    512: "f87ba9d462f270f6e20292661c6a11fead50eb12e54b6ce80cc36db94a946331",
     1024: "9db14e7ffc70285a997d3482b0e87f5aa99b4af9a08553db9906922366b98285",
 }
 
@@ -200,6 +322,232 @@ def test_battery_reports_are_byte_stable(precision):
     reports = [r.to_json_dict() for r in default_numeric_reports(precision=precision)]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_BATTERY_SHA256[precision]
+
+
+# The mpf-operator sides the kernel replaced, kept as the reference for
+# test_sides_match_mpf_operators: each is the operator code the battery ran
+# before, side(v, tol, precision) on mpf values.
+
+
+def _mpf_sum_terms(terms, tol, force=0):
+    cutoff = tol / 100
+    total = mpmath.mpf(0)
+    small = 0
+    for count, t in enumerate(terms):
+        total += t
+        if count >= force and abs(t) < cutoff:
+            small += 1
+            if small == 5:
+                return total
+        else:
+            small = 0
+    raise AssertionError("unreachable")
+
+
+def _mpf_ratio_terms(a, b, z, q, qn):
+    cur = mpmath.mpf(1)
+    while True:
+        yield cur
+        cur = cur * z * (1 - a * qn) / (1 - b * qn)
+        qn *= q
+
+
+def _mpf_theta_z2_terms(q, z):
+    cur = mpmath.mpf(1)
+    i = 0
+    while True:
+        yield cur
+        cur = cur * (-(q ** (2 * i + 1))) * z * z
+        i += 1
+
+
+def _mpf_rogers_fine_lhs(v, tol, precision):
+    q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+    return (1 - z) * _mpf_sum_terms(_mpf_ratio_terms(a, b, z, q, q), tol)
+
+
+def _mpf_rogers_fine_rhs(v, tol, precision):
+    q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+
+    def terms():
+        base = mpmath.mpf(1)
+        n = 0
+        while True:
+            yield base * (1 - a * z * q ** (2 * n + 1))
+            base = (
+                base
+                * b * z * q ** (2 * n + 1)
+                * (1 - a * q ** (n + 1)) * (1 - a * z * q ** (n + 1) / b)
+                / ((1 - b * q ** (n + 1)) * (1 - z * q ** (n + 1)))
+            )
+            n += 1
+
+    return _mpf_sum_terms(terms(), tol)
+
+
+def _mpf_coogan_ono_lhs(v, tol, precision):
+    q, z = v["q"], v["z"]
+
+    def terms():
+        cur = 1 / (1 + z)
+        n = 0
+        while True:
+            yield cur
+            cur = cur * z * (1 - z * q**n) / (1 + z * q ** (n + 1))
+            n += 1
+
+    return _mpf_sum_terms(terms(), tol)
+
+
+def _mpf_coogan_ono_rhs(v, tol, precision):
+    return _mpf_sum_terms(_mpf_theta_z2_terms(v["q"], v["z"]), tol)
+
+
+def _mpf_lemma13_lhs(v, tol, precision):
+    q, z = v["q"], v["z"]
+
+    def terms():
+        cur = 1 - z
+        n = 0
+        while True:
+            yield cur
+            cur = cur * z * (1 - z * q ** (n + 1)) / (1 + z * q ** (n + 1))
+            n += 1
+
+    return _mpf_sum_terms(terms(), tol)
+
+
+def _mpf_lemma13_rhs(v, tol, precision):
+    gen = _mpf_theta_z2_terms(v["q"], v["z"])
+    next(gen)
+    return 1 + 2 * _mpf_sum_terms(gen, tol)
+
+
+def _mpf_1psi1_lhs(v, tol, precision):
+    q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+
+    def negative():
+        cur = mpmath.mpf(1)
+        qmj = mpmath.mpf(1)
+        while True:
+            qmj /= q
+            cur = cur * (1 - b * qmj) / ((1 - a * qmj) * z)
+            yield cur
+
+    nonneg = _mpf_ratio_terms(a, b, z, q, mpmath.mpf(1))
+    return _mpf_sum_terms(nonneg, tol) + _mpf_sum_terms(negative(), tol)
+
+
+def _mpf_1psi1_rhs(v, tol, precision):
+    q, a, b, z = v["q"], v["a"], v["b"], v["z"]
+    num = [a * z, q / (a * z), q, b / a]
+    den = [z, b / (a * z), b, q / a]
+    out = mpmath.mpf(1)
+    for c in num:
+        out *= _qpoch_inf_every_factor(c, q, precision)[0]
+    for c in den:
+        out /= _qpoch_inf_every_factor(c, q, precision)[0]
+    return out
+
+
+_MPF_SIDES = {
+    "rogers_fine": (_mpf_rogers_fine_lhs, _mpf_rogers_fine_rhs),
+    "coogan_ono": (_mpf_coogan_ono_lhs, _mpf_coogan_ono_rhs),
+    "lemma13": (_mpf_lemma13_lhs, _mpf_lemma13_rhs),
+    "ramanujan_1psi1": (_mpf_1psi1_lhs, _mpf_1psi1_rhs),
+}
+
+
+def _mpf_partial_theta_terms(z, q):
+    term = mpmath.mpf(1)
+    qk = mpmath.mpf(1)
+    while True:
+        yield term
+        term = term * (-qk) * z
+        qk *= q
+
+
+def _mpf_qqq_sides(m, qv, tolv):
+    lhs = mpmath.mpf(0)
+    rhs = mpmath.mpf(0)
+    for n in range(m + 1):
+        pre = mpmath.mpf(1)
+        for i in range(n):
+            pre *= (1 + qv**i) / (1 + qv ** (1 - m + i))
+        binom = mpmath.mpf(1)
+        for i in range(1, m + 1):
+            binom *= 1 - qv**i
+        for i in range(1, n + 1):
+            binom /= 1 - qv**i
+        for i in range(1, m - n + 1):
+            binom /= 1 - qv**i
+        common = pre * binom
+        lhs += common * qv ** (n * (3 * n + 1) // 2 - 2 * n * m)
+        bracket = 1 + qv**n + qv ** (n - m) - qv ** (2 * n - m)
+        theta = _mpf_sum_terms(
+            _mpf_partial_theta_terms(qv ** (2 * n - 2 * m + 1), qv * qv), tolv,
+            force=max(0, 2 * (m - n) + 2),
+        )
+        rhs += common * qv ** (n * (3 * n - 1) // 2 - 2 * n * m) * bracket * theta
+    return lhs, rhs
+
+
+@pytest.fixture
+def summed_terms(monkeypatch):
+    """Every term that the kernel's _sum_terms and the reference
+    _mpf_sum_terms add, as libmp tuples: (kernel terms, reference terms)."""
+    kernel, reference = [], []
+    kernel_sum_terms, mpf_sum_terms = numeric._sum_terms, _mpf_sum_terms
+
+    def logged(terms, log, raw):
+        for t in terms:
+            log.append(raw(t))
+            yield t
+
+    monkeypatch.setattr(numeric, "_sum_terms", lambda k, terms, tol, force=0: kernel_sum_terms(
+        k, logged(terms, kernel, _raw), tol, force))
+    monkeypatch.setattr(sys.modules[__name__], "_mpf_sum_terms", lambda terms, tol, force=0: (
+        mpf_sum_terms(logged(terms, reference, lambda t: t._mpf_), tol, force)))
+    return kernel, reference
+
+
+_SIDE_PRECISIONS = [53, 128, 200, 256, 512, 1024]
+
+
+@pytest.mark.parametrize("name", numeric_check_names())
+@pytest.mark.parametrize("precision", _SIDE_PRECISIONS)
+def test_sides_match_mpf_operators(summed_terms, precision, name):
+    # each side on the kernel, and every term its sums add, equals the mpf
+    # operator code bit for bit at the working precision, before _report
+    # rounds and prints it
+    check = NUMERIC_CHECKS[name]
+    kernel_terms, mpf_terms = summed_terms
+    with mpmath.workprec(precision + 16):
+        tol = _to_mp(DEFAULT_TOLERANCE)
+        for point in DEFAULT_POINTS[name]:
+            v = {s: _to_mp(point[s]) for s in check.symbols}
+            for side, ref in zip((check.lhs, check.rhs), _MPF_SIDES[name]):
+                del kernel_terms[:], mpf_terms[:]
+                k = _Kernel(mpmath.mp.prec)
+                kv = {s: k.from_mpf(x) for s, x in v.items()}
+                got = side(k, kv, k.from_mpf(tol), precision)
+                assert _raw(got) == ref(v, tol, precision)._mpf_, (point, side.__name__)
+                assert kernel_terms == mpf_terms, (point, side.__name__)
+
+
+@pytest.mark.parametrize("precision", _SIDE_PRECISIONS)
+def test_qqq_sides_match_mpf_operators(summed_terms, precision):
+    kernel_terms, mpf_terms = summed_terms
+    with mpmath.workprec(precision + 16):
+        tol = _to_mp(DEFAULT_TOLERANCE)
+        for case in DEFAULT_QQQ_POINTS:
+            del kernel_terms[:], mpf_terms[:]
+            q = _to_mp(case["q"])
+            k = _Kernel(mpmath.mp.prec)
+            got = _qqq_sides(k, case["m"], k.from_mpf(q), k.from_mpf(tol))
+            want = _mpf_qqq_sides(case["m"], q, tol)
+            assert [_raw(g) for g in got] == [w._mpf_ for w in want], case
+            assert kernel_terms == mpf_terms, case
 
 
 @pytest.mark.parametrize("name", numeric_check_names())
@@ -253,6 +601,12 @@ def test_unknown_name_and_missing_symbols():
         check_identity_numeric("nosuch", {"q": Fraction(1, 2)})
     with pytest.raises(StructureError, match="misses symbols"):
         check_identity_numeric("coogan_ono", {"q": Fraction(1, 2)})
+
+
+def test_extra_symbols_are_rejected():
+    # a symbol the identity does not have was once dropped without a word
+    with pytest.raises(StructureError, match=r"symbols \['b'\] that lemma13 does not take"):
+        check_identity_numeric("lemma13", {"q": "1/2", "z": "1/2", "b": 7})
 
 
 def test_report_json_shape():
@@ -321,8 +675,10 @@ def test_theta_sums_match_the_dedicated_loop(m, precision):
                     z = q ** (2 * n - 2 * m + 1)
                     for force in (0, max(0, 2 * (m - n) + 2)):
                         want = _theta_loop(z, q * q, tol, force)
-                        got = _sum_terms(_partial_theta_terms(z, q * q), tol, force=force)
-                        assert got == want, (tolf, qf, n, force)
+                        k = _Kernel(mpmath.mp.prec)
+                        terms = _partial_theta_terms(k, k.from_mpf(z), k.from_mpf(q * q))
+                        got = _sum_terms(k, terms, k.from_mpf(tol), force=force)
+                        assert k.to_mpf(got)._mpf_ == want._mpf_, (tolf, qf, n, force)
 
 
 def test_check_qqq_domain_errors():
