@@ -23,7 +23,7 @@ _EXPORTS = {
         lt_inverse matrix_entry_thm25 matrix_thm25 reconstruct sn_polynomial""",
     "numeric": """DEFAULT_PRECISION DEFAULT_TOLERANCE NumericReport
         check_identity_numeric check_qqq default_numeric_reports
-        numeric_check_names qpoch_num spot_check_series""",
+        numeric_check_names""",
     "ring": "MultiPoly RatFun SymbolTable parse_ratfun symbols",
     "series": """TruncSeries base_element inv_pochhammer_infinite partial_theta
         pochhammer_finite pochhammer_infinite qhyper qpoch_param

@@ -327,7 +327,7 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
 def cmd_bench(config: RunConfig, args) -> int:
     import random
 
-    from .identities import check_names, run_check
+    from .identities import build_sides, check_names, compare
     from .inversion import base_matrix, expand_theorem15, expand_triangular, lt_inverse
     from .numeric import default_numeric_reports
     from .ring import RatFun, symbols
@@ -364,8 +364,13 @@ def cmd_bench(config: RunConfig, args) -> int:
     timed(f"base_matrix + lt_inverse + product check (n = {n})", inverse_pair)
     timed(f"expansion, both routes, random series (n = {n})", dual_expand)
     for name in check_names():
-        timed(f"identity {name} (n = {n})",
-              lambda name=name: run_check(name, n, config.seed).passed)
+        t0 = time.perf_counter()
+        sides = build_sides(name, n, config.seed)
+        t1 = time.perf_counter()
+        ok = compare(sides).passed
+        t2 = time.perf_counter()
+        rows.append({"task": f"identity {name} (n = {n})", "seconds": round(t2 - t0, 3),
+                     "ok": ok, "build_s": round(t1 - t0, 3), "compare_s": round(t2 - t1, 3)})
     timed("numeric default battery",
           lambda: all(r.passed
                       for r in default_numeric_reports(config.tolerance,

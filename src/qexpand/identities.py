@@ -2,10 +2,11 @@
 
 Each check builds both sides of one identity as truncated z-series with
 exact coefficients over the identity's own symbol table, then compares
-every coefficient 0..N by exact cross-multiplication.  Summands on the
-right side are kept as separate term series so a harness can scale any
-single term by (1+q) and confirm the check fails exactly where the
-perturbation first lands.
+every coefficient 0..N by exact cross-multiplication.  The right side is
+kept as one summed series, and its summands are available as separate
+term series -- built on first read where a builder sums them another way
+-- so a harness can scale any single term by (1+q) and confirm the check
+fails exactly where the perturbation first lands.
 
 `compare` stops at the first coefficient where the sides differ.  With
 term j scaled by (1+q), coefficient m of the right side is rhs[m] +
@@ -30,7 +31,7 @@ always carries z-valuation >= n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -97,29 +98,51 @@ class IdentityReport:
         }
 
 
-@dataclass
 class IdentitySides:
     """Both sides of an identity, scaled by a common nonzero factor.
 
-    `rhs()` is the balanced sum of `rhs_terms`.  It is kept together with
-    the term objects it summed and rebuilt whenever the list's length or
-    any entry's identity differs, so both assigning a new list and
-    replacing entries in place take effect.
+    `rhs()` is the sum of `rhs_terms`.  A builder either gives the terms
+    as a list, whose balanced sum `rhs()` takes on first call, or gives
+    their sum as `rhs_sum` with `rhs_terms` a function that builds the
+    list; that function runs on the first read of `rhs_terms`, so an
+    unperturbed compare builds no term.  The sum is kept together with the
+    term objects it stands for (the built list, once read) and re-summed
+    with `sum_series` whenever the list's length or any entry's identity
+    differs, so both assigning a new list and replacing entries in place
+    take effect.
     """
 
-    name: str
-    parameters: List[Tuple[str, str]]
-    order: int
-    table: SymbolTable
-    lhs: TruncSeries
-    rhs_terms: List[TruncSeries]
-    scale: RatFun
-    # (the term objects summed, their balanced sum)
-    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, name: str, parameters: List[Tuple[str, str]], order: int,
+                 table: SymbolTable, lhs: TruncSeries, rhs_terms, scale: RatFun,
+                 rhs_sum: Optional[TruncSeries] = None):
+        self.name = name
+        self.parameters = parameters
+        self.order = order
+        self.table = table
+        self.lhs = lhs
+        self.scale = scale
+        if rhs_sum is None:
+            self._terms, self._build, self._kept = rhs_terms, None, None
+        else:
+            # (the term objects summed, their sum); None until they are built
+            self._terms, self._build, self._kept = None, rhs_terms, (None, rhs_sum)
+
+    @property
+    def rhs_terms(self) -> List[TruncSeries]:
+        if self._terms is None:
+            self._terms = self._build()
+            self._build = None
+            self._kept = (tuple(self._terms), self._kept[1])
+        return self._terms
+
+    @rhs_terms.setter
+    def rhs_terms(self, terms: List[TruncSeries]) -> None:
+        self._terms, self._build, self._kept = terms, None, None
 
     def rhs(self) -> TruncSeries:
-        terms, kept = self.rhs_terms, self._kept
-        if (kept is None or len(kept[0]) != len(terms)
+        terms, kept = self._terms, self._kept
+        if terms is not None and (
+                kept is None or len(kept[0]) != len(terms)
                 or any(x is not y for x, y in zip(kept[0], terms))):
             kept = self._kept = (tuple(terms), sum_series(terms, self.table, self.order))
         return kept[1]
@@ -265,22 +288,33 @@ def _telescoped_sides(
 
     Term n is assembled in three steps: the pieces inner[k] q^(nk)
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
-    list, divided by (1 - az) when `divide` is set, and only then is each
-    nonzero coefficient multiplied by the z-free prefactor, first by the
-    one-run q-polynomial cof[n], then by (aq/b;q)_n b^n q^(n(n-1)).  So
-    the dense products of the pieces never carry the prefactor, which
-    multiplies each of the order - n + 1 output coefficients once.  For
-    the registered checks every coefficient's denominator is one term (an
-    integer times a monomial), and for such a quotient RatFun's
-    normalization is a full gcd reduction; each value then has one
-    representation, so the order of the products changes no output byte.
+    list, divided by (1 - az) when `divide` is set, and each nonzero
+    coefficient is multiplied by the one-run q-polynomial cof[n].  That
+    gives X_n, term n without its prefactor P_n = (aq/b;q)_n b^n
+    q^(n(n-1)), so the dense products of the pieces never carry it.
+
+    P_(n+1) = P_n r_n with the binomial r_n = (b - aq^(n+1)) q^(2n), so the
+    right side sum_n P_n X_n is H_0 of the Horner recursion
+    H_order = X_order, H_n = X_n + r_n H_(n+1): each step multiplies by
+    one binomial, where scaling term n by its whole P_n multiplies by a
+    prefactor that grows with n.  Term n has z-valuation >= n, so
+    coefficient m of H_(m+1) is zero and each coefficient m runs its own
+    recursion from n = m down to 0; only one partial sum is alive at a
+    time.  The terms P_n X_n, with the products of the eager assembly in
+    the same order, are built only when `rhs_terms` is first read, each
+    replacing its X_n.
+
+    Regrouping the sum is byte-safe where every coefficient's denominator
+    is one term (an integer times a monomial), as for every registered
+    check: there RatFun's normalization is a full gcd reduction, each
+    value has one representation, and H_0 renders as the balanced sum of
+    the terms does.  With multi-term denominators only the values agree.
     """
     table = a.table
     q = RatFun.sym(table, "q")
     zero = RatFun.zero(table)
     ratios = _ratio_chain(a, b, order, table)
-    rhs_terms = []
-    paqb = RatFun.one(table)  # (aq/b;q)_n b^n
+    xs = []
     for n in range(order + 1):
         coeffs = [zero] * (order + 1)
         for k in range(order - n + 1):
@@ -293,17 +327,35 @@ def _telescoped_sides(
         term = TruncSeries(table, order, coeffs)
         if divide:
             term = term.div_linear(a)
+        xs.append(TruncSeries(table, order, [
+            c if c.is_zero() else c * cof[n] for c in term.coeffs
+        ]))
+    rs = [(b - a * q ** (n + 1)) * q ** (2 * n) for n in range(order)]
+    h = []
+    for m in range(order + 1):
+        # coefficient m of H_n, from n = m (where H_(m+1) is zero) down to 0
+        acc = xs[m].coeffs[m]
+        for n in range(m - 1, -1, -1):
+            x = xs[n].coeffs[m]
+            acc = x if acc.is_zero() else x + acc * rs[n]
+        h.append(acc)
+    return IdentitySides(name, [], order, table, lhs,
+                         lambda: _prefactored_terms(xs, a, b, order), scale,
+                         rhs_sum=TruncSeries(table, order, h))
+
+
+def _prefactored_terms(xs: List[TruncSeries], a: RatFun, b: RatFun, order: int) -> List[TruncSeries]:
+    """The telescoped terms X_n (aq/b;q)_n b^n q^(n(n-1)), each built in
+    place of its X_n in `xs`, so no X_n outlives its term."""
+    table = a.table
+    q = RatFun.sym(table, "q")
+    paqb = RatFun.one(table)  # (aq/b;q)_n b^n
+    for n, x in enumerate(xs):
         rest = paqb * q ** (n * (n - 1))
-        # scaled in place and the unscaled list dropped, so no unscaled
-        # coefficient outlives its product
-        coeffs = term.coeffs
-        for m, c in enumerate(coeffs):
-            if not c.is_zero():
-                coeffs[m] = c * cof[n] * rest
-        rhs_terms.append(term)
+        xs[n] = TruncSeries(table, order, [c if c.is_zero() else c * rest for c in x.coeffs])
         if n < order:
             paqb = paqb * (b - a * q ** (n + 1))
-    return IdentitySides(name, [], order, table, lhs, rhs_terms, scale)
+    return xs
 
 
 def _cleared_hyper(

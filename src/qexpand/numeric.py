@@ -36,22 +36,18 @@ the mpf operators' bits, without an mpf object or a normalization per
 step.  Integer powers are the exception: mpf_pow_int's binary powering is
 not correctly rounded, so the kernel takes its result as it is rather than
 recompute it, once per base and exponent within an evaluation.  Values
-become mpf only where _report rounds and prints them.  Complex inputs to
-_qpoch_inf keep the mpf/mpc operator loop.
+become mpf only where _report rounds and prints them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from .errors import DomainError, StructureError
-
-if TYPE_CHECKING:  # the battery runs without the symbolic engine
-    from .series import TruncSeries
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = Fraction(1, 10**25)
@@ -98,11 +94,9 @@ class NumericReport(NamedTuple):
 
 
 def _to_mp(v):
-    """Exact rational (or mp number) -> mpf/mpc at the working precision."""
-    if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+    """Exact rational (or mpf) -> mpf at the working precision."""
+    if isinstance(v, mpmath.mpf):
         return +v
-    if isinstance(v, complex):
-        return mpmath.mpc(v.real, v.imag)
     f = Fraction(v)
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
 
@@ -271,10 +265,18 @@ def _sum_terms(k: _Kernel, terms: Iterator, tol, force: int = 0):
 
 
 def _qpoch_inf_real(k: _Kernel, c, q, precision: int):
-    """(c;q)_inf and its tail bound for real c and q, on the kernel.
+    """(c;q)_inf with its log-remainder tail bound for real c and q, on
+    the kernel; needs |q| < 1.
 
-    The same loop as _qpoch_inf's; each kernel operation returns the bits
-    of the mpf operator it stands for.
+    Truncated at the first index I where |cq^I| < 1/2 and the bound
+    sum_(i>=I) |cq^i|/(1-|cq^i|) <= |cq^I| / ((1-|q|)(1-|cq^I|))
+    falls below eps = 2^-(precision+8); the bound is returned alongside.
+
+    The division is only tried once |cq^I| < min(1/2, 2 eps).  That test
+    cannot move I: both factors of the denominator are at most 1, and so
+    is their rounded product, so the rounded bound is at least |cq^I| up
+    to one rounding, and a bound below eps needs |cq^I| < 2 eps.  Each
+    kernel operation returns the bits of the mpf operator it stands for.
     """
     absq = k.abs(q)
     if not k.lt(absq, _ONE):
@@ -294,72 +296,6 @@ def _qpoch_inf_real(k: _Kernel, c, q, precision: int):
         out = mul(out, sub(_ONE, cur))
         cur = mul(cur, q)
     raise DomainError("infinite product did not converge (|q| too close to 1)")
-
-
-def _qpoch_inf(c, q, precision: int):
-    """(c;q)_inf with its log-remainder tail bound; needs |q| < 1.
-
-    Truncated at the first index I where |cq^I| < 1/2 and the bound
-    sum_(i>=I) |cq^i|/(1-|cq^i|) <= |cq^I| / ((1-|q|)(1-|cq^I|))
-    falls below eps = 2^-(precision+8); the bound is returned alongside.
-
-    The division is only tried once |cq^I| < min(1/2, 2 eps).  That test
-    cannot move I: both factors of the denominator are at most 1, and so
-    is their rounded product, so the rounded bound is at least |cq^I| up
-    to one rounding, and a bound below eps needs |cq^I| < 2 eps.
-
-    Real c and q run on the kernel (_qpoch_inf_real) and come back as mpf;
-    complex inputs take the mpf/mpc operator loop below.
-    """
-    if isinstance(c, mpmath.mpf) and isinstance(q, mpmath.mpf):
-        k = _Kernel(mpmath.mp.prec)
-        out, bound = _qpoch_inf_real(k, k.from_mpf(c), k.from_mpf(q), precision)
-        return k.to_mpf(out), k.to_mpf(bound)
-    absq = abs(q)
-    if absq >= 1:
-        raise DomainError(f"(c;q)_inf needs |q| < 1, got |q| = {_nstr(absq)}")
-    eps = mpmath.mpf(2) ** (-(precision + 8))
-    near = min(mpmath.mpf("0.5"), 2 * eps)
-    one_minus_absq = 1 - absq
-    out = mpmath.mpf(1)
-    cur = c
-    for _ in range(_MAX_TERMS):
-        mag = abs(cur)
-        if mag < near:
-            bound = mag / (one_minus_absq * (1 - mag))
-            if bound < eps:
-                return out, bound
-        out = out * (1 - cur)
-        cur = cur * q
-    raise DomainError("infinite product did not converge (|q| too close to 1)")
-
-
-def qpoch_num(c, n, q, precision: int = DEFAULT_PRECISION):
-    """(c;q)_n numerically: any integer n, or infinity (requires |q| < 1)."""
-    with mpmath.workprec(precision + 16):
-        cv = _to_mp(c)
-        qv = _to_mp(q)
-        if n == mpmath.inf:
-            value = _qpoch_inf(cv, qv, precision)[0]
-        elif isinstance(n, int):
-            value = mpmath.mpf(1)
-            if n >= 0:
-                cur = cv
-                for _ in range(n):
-                    value *= 1 - cur
-                    cur *= qv
-            else:
-                cur = cv
-                for _ in range(-n):
-                    cur /= qv
-                    factor = 1 - cur
-                    if factor == 0:
-                        raise DomainError("(c;q)_n at negative n hits a zero factor")
-                    value /= factor
-        else:
-            raise StructureError(f"n must be an integer or mpmath.inf, got {n!r}")
-    with mpmath.workprec(precision):
-        return +value
 
 
 # ---------------------------------------------------------------------------
@@ -674,54 +610,6 @@ def check_qqq(
         diff = k.abs(k.sub(lhs, rhs))
     lhs, rhs, diff = k.to_mpf(lhs), k.to_mpf(rhs), k.to_mpf(diff)
     return _report("qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, diff, tolv)
-
-
-# ---------------------------------------------------------------------------
-# numeric side of the symbolic engine: truncated series at a point
-
-
-def spot_check_series(
-    s: TruncSeries,
-    point: Point,
-    closedform: Callable,
-    tol=Fraction(1, 10**20),
-    precision: int = DEFAULT_PRECISION,
-) -> NumericReport:
-    """Compare sum c_n(point) z^n against a closed form at the same point.
-
-    The truncation tail is estimated geometrically from the last three
-    term magnitudes; when the estimate exceeds the tolerance the report
-    is inconclusive rather than failed.  Coefficients are evaluated
-    exactly (the point is rational) before rounding.
-    """
-    fpoint = {k: Fraction(v) for k, v in point.items()}
-    zf = fpoint.pop("z")
-    exact = [s.coefficient(n).evaluate(fpoint) for n in range(s.order + 1)]
-    with mpmath.workprec(precision + 16):
-        zv = _to_mp(zf)
-        tolv = _to_mp(tol)
-        terms = []
-        zp = mpmath.mpf(1)
-        for n, c in enumerate(exact):
-            terms.append(_to_mp(c) * zp)
-            zp *= zv
-        total = mpmath.fsum(terms)
-        # the tail stays infinite unless the last three terms bound it
-        mags = [abs(t) for t in terms[-3:]]
-        tail = mpmath.mpf("inf")
-        if len(mags) == 3 and not any(mags):
-            tail = mpmath.mpf(0)
-        elif len(mags) == 3 and mags[0] and mags[1]:
-            rho = max(mags[1] / mags[0], mags[2] / mags[1])
-            if rho < 1:
-                tail = mags[2] * rho / (1 - rho)
-        cf = closedform({k: _to_mp(v) for k, v in point.items()}, precision)
-        diff = abs(total - cf)
-        if tail > tolv:
-            status = "inconclusive"
-        else:
-            status = "passed" if diff <= tolv else "failed"
-    return _report("spot_check", _point_str(point), precision, total, cf, diff, tolv, status)
 
 
 def default_numeric_reports(

@@ -1031,11 +1031,30 @@ _MAX_DIGITS = 4300
 _MAX_INT = 10**_MAX_DIGITS
 
 
-def _power_too_long(c: int, e: int) -> bool:
-    """Whether c**e has more than _MAX_DIGITS digits, read from c's bit
-    length before the power is taken whenever that already settles it."""
-    c = abs(c)
-    return (c.bit_length() - 1) * e >= _MAX_INT.bit_length() or c**e >= _MAX_INT
+def _power_too_long(p: MultiPoly, e: int) -> bool:
+    """Whether p**e provably has a coefficient of more than _MAX_DIGITS
+    digits, decided before the power is taken.
+
+    At a point x with every symbol at 1 or -1, |p(x)|^e = |p^e(x)| is at
+    most the sum of p^e's absolute coefficients, so at most T times the
+    largest one, where T = prod_i (e span_i + 1) bounds p^e's number of
+    terms (span_i is the range of p's exponents of symbol i).  The points
+    tried are all ones and each symbol alone at -1.  For one term, T = 1
+    and the test is exact.
+    """
+    unpack = p.table.unpack
+    terms = [(unpack(k), c) for k, c in p.terms.items()]
+    spans = [max(col) - min(col) for col in zip(*(v for v, _ in terms))]
+    limit = _MAX_INT
+    for span in spans:
+        limit *= e * span + 1
+    values = [sum(c for _, c in terms)] + [
+        sum(-c if v[i] & 1 else c for v, c in terms)
+        for i, span in enumerate(spans) if span
+    ]
+    v = max(map(abs, values))
+    # the bit length settles most cases before any power is taken
+    return (v.bit_length() - 1) * e >= limit.bit_length() or v**e >= limit
 
 
 def _tokenize(text: str):
@@ -1132,9 +1151,8 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal")
             if val >= _LIMIT:
                 raise ParseError(f"exponent {val} reaches the bound 2**{_WIDTH}")
-            # the power of a one-term base has its coefficient to that power
             for p in (v.num, v.den):
-                if p.is_term() and _power_too_long(p.leading_coeff(), val):
+                if _power_too_long(p, val):
                     raise ParseError(f"a power to {val} passes the {_MAX_DIGITS}-digit "
                                      "integer limit")
             return v ** (-val if neg else val)

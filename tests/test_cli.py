@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,28 @@ def test_expand_unbounded_expressions_exit_2(capsys, coeffs):
     code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeffs", ["(1+q)^20000", "(1-q)^20000", "(a-b*q)^20000"])
+def test_expand_power_of_a_sum_past_4300_digits_exits_2_at_once(capsys, coeffs):
+    # a multi-term base had no bound on its power's size; (1+q)^20000 ran
+    # for minutes.  Its value at a point of ones and minus ones, to the
+    # power, over the number of terms, proves a coefficient too long
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--coeffs", coeffs, "--n", "0")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "4300-digit" in err
+
+
+def test_expand_power_of_a_sum_within_the_limit_prints(capsys):
+    # (1+q)^2000's largest coefficient has 601 digits: no proof, so it
+    # prints, 885 kB of it, with the bytes it always had
+    code, out, err = run_cli(capsys, "expand", "--coeffs", "(1+q)^2000", "--n", "0")
+    assert code == 0 and err == ""
+    assert len(out) == 885349
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a926d8733e4ba0cf1d3d2f59fe24090baa8195917cd42a5ff43c6920f200ac4c")
 
 
 def test_expand_power_of_a_power_exits_2_before_computing():
@@ -436,9 +459,13 @@ def test_bench_small_order(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "2", "--output", "json")
     assert code == 0
     rows = json.loads(out)
-    assert all(set(row) == {"task", "seconds", "ok"} for row in rows)
     assert all(row["ok"] for row in rows)
     tasks = [row["task"] for row in rows]
+    # an identity row splits its time into the build and the compare phase
+    for row in rows:
+        phases = {"build_s", "compare_s"} if row["task"].startswith("identity ") else set()
+        assert set(row) == {"task", "seconds", "ok"} | phases, row
+        assert all(row[k] >= 0 for k in phases), row
     # one row per registered check, so bench covers the whole corpus
     for name in check_names():
         assert tasks.count(f"identity {name} (n = 2)") == 1, name

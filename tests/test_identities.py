@@ -509,8 +509,8 @@ def test_perturbed_compare_matches_a_full_resum(sides):
                     == parse_ratfun(want_fail[side], sides.table)), (j, side)
 
 
-def test_reassigned_rhs_terms_rebuild_the_kept_sums():
-    sides = build_sides("rogers_fine", 4)
+def _reassigned_rhs_terms_rebuild_the_kept_sums(name):
+    sides = build_sides(name, 4)
     assert compare(sides).passed
     q = RatFun.sym(sides.table, "q")
     sides.rhs_terms = [sides.rhs_terms[0].scale(1 + q)] + sides.rhs_terms[1:]
@@ -519,8 +519,8 @@ def test_reassigned_rhs_terms_rebuild_the_kept_sums():
     assert report.first_failure.index == _first_nonzero_index(sides.rhs_terms[0])
 
 
-def test_in_place_edits_of_rhs_terms_rebuild_the_sum():
-    sides = build_sides("rogers_fine", 4)
+def _in_place_edits_of_rhs_terms_rebuild_the_sum(name):
+    sides = build_sides(name, 4)
     assert compare(sides).passed
     q = RatFun.sym(sides.table, "q")
     first = sides.rhs_terms[0]
@@ -534,6 +534,72 @@ def test_in_place_edits_of_rhs_terms_rebuild_the_sum():
     assert compare(sides).first_failure.index == _first_nonzero_index(first)
     sides.rhs_terms.pop()
     assert compare(sides).passed
+
+
+def test_reassigned_rhs_terms_rebuild_the_kept_sums():
+    _reassigned_rhs_terms_rebuild_the_kept_sums("rogers_fine")
+
+
+def test_in_place_edits_of_rhs_terms_rebuild_the_sum():
+    _in_place_edits_of_rhs_terms_rebuild_the_sum("rogers_fine")
+
+
+# the same for a check whose builder gives the sum and builds terms lazily
+
+
+def test_reassigned_lazy_rhs_terms_rebuild_the_kept_sums():
+    _reassigned_rhs_terms_rebuild_the_kept_sums("theorem16_const")
+
+
+def test_in_place_edits_of_lazy_rhs_terms_rebuild_the_sum():
+    _in_place_edits_of_rhs_terms_rebuild_the_sum("theorem16_const")
+
+
+def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(identities, "_prefactored_terms", boom)
+    sides = build_sides("theorem16_const", 5)
+    assert compare(sides).passed  # the builder's sum, and no term
+    monkeypatch.undo()
+
+    calls = []
+    build = identities._prefactored_terms
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(identities, "_prefactored_terms", counting)
+    first = sides.rhs_terms
+    assert len(calls) == 1 and len(first) == 6
+    again = sides.rhs_terms
+    assert len(calls) == 1 and again is first
+    assert all(x is y for x, y in zip(first, again))
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("the right side was re-summed")
+
+    # the kept sum now stands for the built terms: perturbing re-sums nothing
+    monkeypatch.setattr(identities, "sum_series", no_sum)
+    j = _last_visible_term(sides)
+    report = compare(sides, perturb=j)
+    assert report.first_failure.index == _first_nonzero_index(sides.rhs_terms[j])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [5, 6, 7, 8])
+@pytest.mark.parametrize("name", TELESCOPED)
+def test_horner_sum_equals_the_balanced_sum_of_the_terms(name, order):
+    # the builder's sum regroups sum_n P_n X_n; with one-term denominators
+    # that changes neither a value nor a byte of its text
+    sides = build_sides(name, order, 5)
+    horner = sides.rhs()
+    balanced = sum_series(sides.rhs_terms)
+    assert sides.rhs() is horner
+    assert horner.coeffs == balanced.coeffs
+    assert [str(c) for c in horner.coeffs] == [str(c) for c in balanced.coeffs]
 
 
 def test_failure_text_is_rendered_once_on_first_read(monkeypatch):

@@ -1,11 +1,13 @@
-"""Numeric cross-checks: the q-Pochhammer evaluator against independent
-oracles and against the loop that tests its tail bound at every factor,
-the identity battery on its default grid and its byte-pinned reports,
+"""Numeric cross-checks: q-Pochhammer products against exact Fractions,
+mpmath.qp and the loop that tests its tail bound at every factor, the
+identity battery on its default grid and its byte-pinned reports,
 region/domain errors, verdict stability under precision doubling, and the
-three spot-check statuses (passed / failed / inconclusive)."""
+three statuses (passed / failed / inconclusive) of a test-local spot check
+of truncated series against closed forms."""
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from mpmath.libmp import (
 )
 
 from qexpand import numeric
-from qexpand.errors import DomainError, StructureError
+from qexpand.errors import DomainError, PoleError, StructureError
 from qexpand.numeric import (
     DEFAULT_POINTS,
     DEFAULT_QQQ_POINTS,
@@ -36,7 +38,7 @@ from qexpand.numeric import (
     _MAX_TERMS,
     _Kernel,
     _partial_theta_terms,
-    _qpoch_inf,
+    _qpoch_inf_real,
     _qqq_sides,
     _sum_terms,
     _to_mp,
@@ -44,13 +46,24 @@ from qexpand.numeric import (
     check_qqq,
     default_numeric_reports,
     numeric_check_names,
-    qpoch_num,
-    spot_check_series,
 )
-from qexpand.ring import symbols
-from qexpand.series import TruncSeries
+from qexpand.ring import RatFun, symbols
+from qexpand.series import TruncSeries, qpoch_param
 
-# -- q-Pochhammer evaluator ---------------------------------------------------
+# -- q-Pochhammer products ----------------------------------------------------
+
+
+def _qpoch_fraction(c, n, q):
+    """(c;q)_n over Fraction for any integer n; n < 0 is 1/(cq^n;q)_(-n)."""
+    if n >= 0:
+        return math.prod((1 - c * q**i for i in range(n)), start=Fraction(1))
+    return 1 / math.prod((1 - c * q**i for i in range(n, 0)), start=Fraction(1))
+
+
+def _qpoch_at(c, n, q):
+    """The exact engine's (c;q)_n with symbolic q, evaluated at q."""
+    table, _ = symbols("q")
+    return qpoch_param(RatFun.from_fraction(table, c), n, table).evaluate({"q": q})
 
 
 def test_qpoch_num_finite_matches_exact_fractions():
@@ -58,12 +71,17 @@ def test_qpoch_num_finite_matches_exact_fractions():
     expected = Fraction(1)
     cur = c
     for n in range(7):
-        got = qpoch_num(c, n, q, precision=96)
-        with mpmath.workprec(96):
-            diff = abs(got - mpmath.mpf(expected.numerator) / expected.denominator)
-            assert diff < mpmath.mpf(2) ** -80
+        assert _qpoch_fraction(c, n, q) == expected
+        assert _qpoch_at(c, n, q) == expected
         expected *= 1 - cur
         cur *= q
+
+
+def _qpoch_inf_kernel(cv, qv, precision):
+    """_qpoch_inf_real on mpf inputs at the working precision, as mpf."""
+    k = _Kernel(mpmath.mp.prec)
+    out, bound = _qpoch_inf_real(k, k.from_mpf(cv), k.from_mpf(qv), precision)
+    return k.to_mpf(out), k.to_mpf(bound)
 
 
 @pytest.mark.parametrize(
@@ -76,8 +94,9 @@ def test_qpoch_num_finite_matches_exact_fractions():
 )
 def test_qpoch_num_infinite_matches_mpmath_qp(c, q):
     for precision in (128, 1024):
+        with mpmath.workprec(precision + 16):
+            ours = _qpoch_inf_kernel(_mp(c), _mp(q), precision)[0]
         with mpmath.workprec(precision + 12):
-            ours = qpoch_num(c, mpmath.inf, q, precision=precision)
             ref = mpmath.qp(_mp(c), _mp(q))
             assert abs(ours - ref) < mpmath.mpf(2) ** -(precision - 18)
 
@@ -98,6 +117,26 @@ def _qpoch_inf_every_factor(c, q, precision):
             return out, mag / ((1 - absq) * (1 - mag))
         out = out * (1 - cur)
         cur = cur * q
+
+
+def _qpoch_inf_operator_loop(c, q, precision):
+    """(c;q)_inf on mpf/mpc operators, dividing out the bound only once
+    |cq^I| < min(1/2, 2 eps): _qpoch_inf_real's loop for complex inputs."""
+    absq = abs(q)
+    eps = mpmath.mpf(2) ** (-(precision + 8))
+    near = min(mpmath.mpf("0.5"), 2 * eps)
+    one_minus_absq = 1 - absq
+    out = mpmath.mpf(1)
+    cur = c
+    for _ in range(_MAX_TERMS):
+        mag = abs(cur)
+        if mag < near:
+            bound = mag / (one_minus_absq * (1 - mag))
+            if bound < eps:
+                return out, bound
+        out = out * (1 - cur)
+        cur = cur * q
+    raise AssertionError("no convergence")
 
 
 _QPOCH_INF_CASES = {
@@ -125,14 +164,22 @@ def _mp_value(v):
 @pytest.mark.parametrize("precision", [64, 128, 256, 1024])
 @pytest.mark.parametrize("case", sorted(_QPOCH_INF_CASES))
 def test_qpoch_inf_matches_every_factor_bound_loop(case, precision):
+    # real cases run on the kernel; complex ones check the operator loop
+    # that the kernel loop was written from.  Both must stop where testing
+    # the bound at every factor stops, and agree with mpmath.qp
     c, q = _QPOCH_INF_CASES[case]
     with mpmath.workprec(precision + 16):
         cv, qv = _mp_value(c), _mp_value(q)
-        got = _qpoch_inf(cv, qv, precision)
+        if isinstance(cv, mpmath.mpc) or isinstance(qv, mpmath.mpc):
+            got = _qpoch_inf_operator_loop(cv, qv, precision)
+        else:
+            got = _qpoch_inf_kernel(cv, qv, precision)
         want = _qpoch_inf_every_factor(cv, qv, precision)
+        ref = mpmath.qp(cv, qv)
     assert type(got[0]) is type(want[0])
     assert got[0] == want[0] and got[1] == want[1]
     assert mpmath.mpf(0) <= got[1] < mpmath.mpf(2) ** -(precision + 8)
+    assert abs(got[0] - ref) <= mpmath.mpf(2) ** -(precision - 8) * max(1, abs(ref))
 
 
 _rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
@@ -151,21 +198,20 @@ def test_qpoch_inf_real_loop_matches_operator_loop(c, q, precision):
     # product exactly 0
     with mpmath.workprec(precision + 16):
         cv, qv = _mp(c), _mp(q)
-        got = _qpoch_inf(cv, qv, precision)
+        got = _qpoch_inf_kernel(cv, qv, precision)
         want = _qpoch_inf_every_factor(cv, qv, precision)
     assert type(got[0]) is type(want[0]) is mpmath.mpf
     assert got[0]._mpf_ == want[0]._mpf_ and got[1]._mpf_ == want[1]._mpf_
 
 
 def test_qpoch_num_quotient_law():
-    # (c;q)_n (cq^n;q)_inf = (c;q)_inf
+    # (c;q)_n (cq^n;q)_inf = (c;q)_inf, the finite part exact
     c, q = Fraction(2, 5), Fraction(1, 3)
-    with mpmath.workprec(170):
+    with mpmath.workprec(176):
         for n in (0, 1, 4, 9):
-            lhs = qpoch_num(c, n, q, precision=160) * qpoch_num(
-                c * q**n, mpmath.inf, q, precision=160
-            )
-            rhs = qpoch_num(c, mpmath.inf, q, precision=160)
+            lhs = _mp(_qpoch_fraction(c, n, q)) * _qpoch_inf_kernel(
+                _mp(c * q**n), _mp(q), 160)[0]
+            rhs = _qpoch_inf_kernel(_mp(c), _mp(q), 160)[0]
             assert abs(lhs - rhs) < mpmath.mpf(2) ** -140
 
 
@@ -174,19 +220,18 @@ def test_qpoch_num_negative_index():
     expected = Fraction(1)
     for j in range(1, m + 1):
         expected /= 1 - c * q**-j
-    got = qpoch_num(c, -m, q, precision=96)
-    with mpmath.workprec(96):
-        ref = mpmath.mpf(expected.numerator) / expected.denominator
-        assert abs(got - ref) < abs(ref) * mpmath.mpf(2) ** -80
+    assert _qpoch_fraction(c, -m, q) == expected
+    assert _qpoch_at(c, -m, q) == expected
 
 
 def test_qpoch_num_domain_errors():
-    with pytest.raises(DomainError, match="zero factor"):
-        qpoch_num(Fraction(1, 2), -1, Fraction(1, 2))
+    # (1/2;q)_(-1) = 1/(1 - 1/(2q)) has a pole at q = 1/2, and the product
+    # to infinity needs |q| < 1
+    with pytest.raises(PoleError, match="vanishes"):
+        _qpoch_at(Fraction(1, 2), -1, Fraction(1, 2))
+    k = _Kernel(96)
     with pytest.raises(DomainError, match=r"\|q\| < 1"):
-        qpoch_num(Fraction(1, 2), mpmath.inf, 1)
-    with pytest.raises(StructureError, match="integer"):
-        qpoch_num(Fraction(1, 2), 1.5, Fraction(1, 2))
+        _qpoch_inf_real(k, (1, -1), (1, 0), 96)
 
 
 # -- the integer kernel against mpmath.libmp ------------------------------------
@@ -693,54 +738,70 @@ def test_check_qqq_domain_errors():
 # -- truncated series at a point ----------------------------------------------
 
 
+def _spot_check(s, point, closedform, tol=Fraction(1, 10**20), precision=128):
+    """Status of sum c_n(point) z^n against a closed form at the point.
+
+    The coefficients are evaluated exactly; the truncation tail is
+    estimated geometrically from the last three term magnitudes, and when
+    the estimate exceeds tol the status is inconclusive, not failed.
+    Returns (status, |sum - closed form|).
+    """
+    fpoint = {k: Fraction(v) for k, v in point.items()}
+    zf = fpoint.pop("z")
+    exact = [s.coefficient(n).evaluate(fpoint) * zf**n for n in range(s.order + 1)]
+    with mpmath.workprec(precision + 16):
+        terms = [_mp(t) for t in exact]
+        total = mpmath.fsum(terms)
+        # the tail stays infinite unless the last three terms bound it
+        mags = [abs(t) for t in terms[-3:]]
+        tail = mpmath.inf
+        if len(mags) == 3 and not any(mags):
+            tail = 0
+        elif len(mags) == 3 and mags[0] and mags[1]:
+            rho = max(mags[1] / mags[0], mags[2] / mags[1])
+            if rho < 1:
+                tail = mags[2] * rho / (1 - rho)
+        diff = abs(total - closedform({k: _mp(Fraction(v)) for k, v in point.items()}))
+        tolv = _mp(Fraction(tol))
+        if tail > tolv:
+            return "inconclusive", diff
+        return ("passed" if diff <= tolv else "failed"), diff
+
+
 def _geometric(order):
     table, (q,) = symbols("q")
     one = TruncSeries.one(table, order)
     return TruncSeries(table, order, [one.coeffs[0]] * (order + 1))
 
 
-def _closed_geometric(vals, precision):
+def _closed_geometric(vals):
     return 1 / (1 - vals["z"])
 
 
+_HALF = {"q": Fraction(1, 10), "z": Fraction(1, 2)}
+
+
 def test_spot_check_passes_when_tail_is_small():
-    r = spot_check_series(
-        _geometric(80), {"q": Fraction(1, 10), "z": Fraction(1, 2)}, _closed_geometric
-    )
-    assert r.status == "passed"
+    assert _spot_check(_geometric(80), _HALF, _closed_geometric)[0] == "passed"
 
 
 def test_spot_check_inconclusive_when_tail_dominates():
-    r = spot_check_series(
-        _geometric(8), {"q": Fraction(1, 10), "z": Fraction(1, 2)}, _closed_geometric
-    )
-    assert r.status == "inconclusive"
-    assert not r.passed
+    assert _spot_check(_geometric(8), _HALF, _closed_geometric)[0] == "inconclusive"
 
 
 def test_spot_check_fails_on_wrong_closed_form():
-    r = spot_check_series(
-        _geometric(80),
-        {"q": Fraction(1, 10), "z": Fraction(1, 2)},
-        lambda vals, precision: 1 / (1 - vals["z"]) + 1,
-    )
-    assert r.status == "failed"
+    status, _ = _spot_check(_geometric(80), _HALF, lambda vals: 1 / (1 - vals["z"]) + 1)
+    assert status == "failed"
 
 
 def test_spot_check_polynomial_has_zero_tail():
     table, (q,) = symbols("q")
     s = TruncSeries.from_coeffs(table, [1, 2, 3], 10)
-    r = spot_check_series(
-        s,
-        {"q": "1/7", "z": "1/2"},
-        lambda vals, precision: 1 + 2 * vals["z"] + 3 * vals["z"] ** 2,
+    status, diff = _spot_check(
+        s, {"q": "1/7", "z": "1/2"}, lambda vals: 1 + 2 * vals["z"] + 3 * vals["z"] ** 2
     )
-    assert r.status == "passed"
-    assert mpmath.mpf(r.abs_diff) == 0
+    assert status == "passed" and diff == 0
 
 
 def test_spot_check_too_short_is_inconclusive():
-    r = spot_check_series(
-        _geometric(1), {"q": Fraction(1, 10), "z": Fraction(1, 2)}, _closed_geometric
-    )
-    assert r.status == "inconclusive"
+    assert _spot_check(_geometric(1), _HALF, _closed_geometric)[0] == "inconclusive"
