@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
@@ -113,18 +113,20 @@ class IdentitySides:
     """
 
     def __init__(self, name: str, parameters: List[Tuple[str, str]], order: int,
-                 table: SymbolTable, lhs: TruncSeries, rhs_terms, scale: RatFun,
-                 rhs_sum: Optional[TruncSeries] = None):
+                 table: SymbolTable, lhs: TruncSeries,
+                 rhs_terms: Union[List[TruncSeries], Callable[[], List[TruncSeries]]],
+                 scale: RatFun, rhs_sum: Optional[TruncSeries] = None):
         self.name = name
         self.parameters = parameters
         self.order = order
         self.table = table
         self.lhs = lhs
         self.scale = scale
+        # _kept is (the term objects the sum stands for, the sum); the
+        # objects are None while a lazy list is unbuilt
         if rhs_sum is None:
             self._terms, self._build, self._kept = rhs_terms, None, None
         else:
-            # (the term objects summed, their sum); None until they are built
             self._terms, self._build, self._kept = None, rhs_terms, (None, rhs_sum)
 
     @property
