@@ -132,8 +132,10 @@ class IdentitySides:
     @property
     def rhs_terms(self) -> List[TruncSeries]:
         if self._terms is None:
-            self._terms = self._build()
-            self._build = None
+            # taken first: the build replaces its inputs in place, so one
+            # that fails part way must never run again
+            build, self._build = self._build, None
+            self._terms = build()
             self._kept = (tuple(self._terms), self._kept[1])
         return self._terms
 
