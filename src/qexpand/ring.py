@@ -35,7 +35,10 @@ The term dict `MultiPoly.terms` is decoded only when read.
 Multiplication.  A one-term factor shifts the other's run keys and scales
 its runs.  Any other product is a Kronecker substitution in x that needs
 no conversion: each pair of runs multiplies as two ints, so that CPython's
-big-int multiply does the convolution (see _mul_runs).
+big-int multiply does the convolution.  A pair product is added to its
+output run at that run's own lowest power, so no int is wider than the
+run it builds; a one-run factor gives each output run one product, with
+nothing to add (see _mul_runs).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -647,6 +650,15 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     slots began to pay for a scan on one long run, a 32x32-slot product);
     each operand is scanned once.  A smaller product keeps the wider
     operand's slots unless its bound overflows them.
+
+    Each output run is accumulated as (lo, X), X an int holding its slots
+    from x^lo up.  The first pair product for a key sets it; a later one
+    is shifted up to it, or it up to the later one, as __add__ aligns
+    runs, so a run far above the operands' lowest powers never becomes a
+    wide int.  A run is shifted down only when its lowest slot cancelled.
+    When one operand has a single run, the output keys are distinct and
+    each product's lowest slot is c1*c2, nonzero because the bound keeps
+    it inside its slot: each output run is one product as it stands.
     """
     n1 = sum(x.bit_length() // p.w + 1 for _, x in p.runs.values())
     n2 = sum(x.bit_length() // r.w + 1 for _, x in r.runs.values())
@@ -661,18 +673,33 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b1, b2: b1 * b2 * n, p, r)
     r1, r2 = p._at(w), r._at(w)
-    base = min(lo for lo, _ in r1.values()) + min(lo for lo, _ in r2.values())
+    for one, many in ((r1, r2), (r2, r1)):
+        if len(one) == 1:
+            # distinct output keys, each product's lowest slot c1*c2 nonzero
+            ((g1, (lo1, x1)),) = one.items()
+            out = {g1 + g2: (lo1 + lo2, x1 * x2) for g2, (lo2, x2) in many.items()}
+            return _poly(p.table, out, w, bound, p.deg + r.deg)
     acc: dict = {}
     get = acc.get
     for g1, (lo1, x1) in r1.items():
         for g2, (lo2, x2) in r2.items():
             g = g1 + g2
-            acc[g] = get(g, 0) + (x1 * x2 << w * (lo1 + lo2 - base))
+            lo = lo1 + lo2
+            run = get(g)
+            if run is None:
+                acc[g] = (lo, x1 * x2)
+            elif run[0] <= lo:
+                acc[g] = (run[0], run[1] + (x1 * x2 << w * (lo - run[0])))
+            else:
+                acc[g] = (lo, x1 * x2 + (run[1] << w * (run[0] - lo)))
     out = {}
-    for g, x in acc.items():
-        if x:
+    mask = (1 << w) - 1
+    for g, (lo, x) in acc.items():
+        if x & mask:
+            out[g] = (lo, x)
+        elif x:  # the lowest slot cancelled
             s = ((x & -x).bit_length() - 1) // w
-            out[g] = (base + s, x >> w * s)
+            out[g] = (lo + s, x >> w * s)
     return _poly(p.table, out, w, bound, p.deg + r.deg)
 
 
@@ -756,6 +783,9 @@ class RatFun:
       coefficients multiply.  A quotient also makes its new denominator's
       leading coefficient positive.
     - The negation and the powers of a normal value are normal.
+    - Over denominator 1 on both sides, a product or a sum is normal as
+      it stands: the content is 1, no monomial divides the constant 1,
+      and its leading coefficient is 1.  So neither is cancelled.
     """
 
     __slots__ = ("num", "den")
@@ -846,6 +876,8 @@ class RatFun:
         if other.num.is_zero():
             return self
         if self.den == other.den:
+            if self.den == 1:
+                return _ratfun(self.num + other.num, self.den)
             return RatFun(self.num + other.num, self.den)
         for x, y in ((self, other), (other, self)):
             if y.den.is_term():
@@ -874,6 +906,8 @@ class RatFun:
         _check_tables(self, other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFun.zero(self.table)
+        if self.den == 1 and other.den == 1:
+            return _ratfun(self.num * other.num, self.den)
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
         return _ratfun(n1 * n2, d1 * d2)

@@ -274,6 +274,15 @@ def test_parse_caps_integer_powers_by_digits():
             parse_ratfun(text, t)
 
 
+def test_power_of_a_base_with_one_term_per_run():
+    # each a^k*q^k of (1 + a*q)^1000 sits in its own one-slot run, so the
+    # squarings multiply hundreds of runs by hundreds of runs
+    t = SymbolTable(("q", "a"))
+    f = parse_ratfun("(1+a*q)^1000", t)
+    binomial = MultiPoly(t, {t.pack((k, k)): math.comb(1000, k) for k in range(1001)})
+    assert f.den == 1 and f.num == binomial
+
+
 def test_expression_symbols_first_use_order():
     assert expression_symbols("b*q + c0*(b - d)") == ["b", "q", "c0", "d"]
 
@@ -424,11 +433,14 @@ multi_terms = polys(max_terms=4, max_exp=3, max_coeff=2**70).filter(
     lambda p: not p.is_zero() and not p.is_term())
 numerators = st.one_of(st.just(MultiPoly.zero(TABLE)), one_terms, polys(),
                        polys(max_coeff=2**70), st.builds(operator.mul, one_terms, polys()))
-denominators = st.one_of(one_terms, multi_terms, st.builds(operator.mul, one_terms, multi_terms))
+# the constant 1 makes polynomials, whose products and sums skip normalization
+denominators = st.one_of(st.just(MultiPoly.const(TABLE, 1)), one_terms, multi_terms,
+                         st.builds(operator.mul, one_terms, multi_terms))
 normal_ratfuns = st.builds(RatFun, numerators, denominators)
 
 _6q2 = RatFun(MultiPoly.const(TABLE, 1), _one_term(6, (2, 0, 0)))
 _10aq5 = RatFun(MultiPoly.const(TABLE, 1), _one_term(10, (5, 1, 0)))
+_poly = RatFun(_one_term(4, (1, 2, 0)) - _one_term(6, (0, 0, 3)), MultiPoly.const(TABLE, 1))
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
@@ -437,6 +449,8 @@ _10aq5 = RatFun(MultiPoly.const(TABLE, 1), _one_term(10, (5, 1, 0)))
 @example(x=_6q2, y=_10aq5)
 @example(x=_6q2, y=1 / _10aq5)
 @example(x=-1 / _6q2, y=-_10aq5)
+@example(x=_poly, y=-_poly)
+@example(x=_poly, y=_6q2)
 def test_arithmetic_matches_full_normalization(op, x, y):
     if op == "/" and y.is_zero():
         return
@@ -447,6 +461,7 @@ def test_arithmetic_matches_full_normalization(op, x, y):
 @settings(max_examples=80, derandomize=True)
 @given(normal_ratfuns, st.integers(-3, 4))
 @example(x=-1 / _6q2, k=-3)
+@example(x=_poly, k=3)
 def test_negation_and_powers_match_full_normalization(x, k):
     _same_form(-x, RatFun(-x.num, x.den))
     if k < 0 and x.is_zero():
@@ -697,6 +712,70 @@ def test_width_boundaries_match_dict_references(ops):
         assert (num.terms, den.terms) == _cancel_ref(table, d1, d2)
         num, den = _cancel(p1 * p2, p2)
         assert (num.terms, den.terms) == _cancel_ref(table, prod, d2)
+
+
+# ---------------------------------------------------------------------------
+# products of runs, each output run accumulated at its own lowest power
+
+
+# scales that put small coefficients' products into 32-, 64- and 128-bit
+# slots: products of at most 3*s in magnitude, summed over few slots
+MUL_SCALES = {32: 1, 64: 2**20, 128: 2**40}
+
+
+def _assert_product_matches_reference(table, d1, d2, w):
+    s = MUL_SCALES[w]
+    d1 = {k: c * s for k, c in d1.items()}
+    d2 = {k: c * s for k, c in d2.items()}
+    p1, p2 = MultiPoly(table, d1), MultiPoly(table, d2)
+    reference = _mul_terms(d1, d2)
+    for prod in (p1 * p2, p2 * p1):
+        assert prod.terms == reference
+        assert prod == MultiPoly(table, reference)
+        # canonical runs: the slot of each run's lowest power is nonzero
+        assert all(ring._low(x, prod.w) for _, x in prod.runs.values())
+        if d1 and d2:
+            assert prod.w == w
+
+
+def _mul_cases(table):
+    x = MultiPoly.symbol(table, table.names[0])
+    y = MultiPoly.symbol(table, table.names[-1])
+    return [
+        # a one-run operand, on either side
+        (y * (2 + x - x**3), 1 - x * y + 3 * x**2 * y**2 + x**4),
+        # pair products that land on the key y at x^1 and at x^8, added
+        # in both orders: (y + x^3)(x^5*y + x)
+        (y + x**3, x**5 * y + x),
+        # y*(1 + x)*x - x*y cancels the lowest slot of the key y and leaves
+        # x^2*y: (x + y)(y + x*y - x) = y^2 + x*y^2 + x^2*y - x^2
+        (x + y, y + x * y - x),
+        (x - 2 * y + 3 * x**2 * y, 2 * x * y - x**2 + y + 3 * x**3 * y),
+    ]
+
+
+@pytest.mark.parametrize("w", sorted(MUL_SCALES))
+@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+def test_mul_runs_accumulate_at_each_runs_own_base(table, w):
+    for p, r in _mul_cases(table):
+        _assert_product_matches_reference(table, p.terms, r.terms, w)
+
+
+@st.composite
+def small_term_dicts(draw, table):
+    # coefficients of +-1 on few exponents make pair products cancel often
+    exps = st.tuples(*[st.integers(0, 2)] * len(table))
+    terms = draw(st.dictionaries(exps, st.sampled_from([-1, 1]), max_size=6))
+    return {table.pack(e): c for e, c in terms.items() if c}
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.sampled_from(RUN_TABLES).flatmap(
+    lambda t: st.tuples(st.just(t), small_term_dicts(t), small_term_dicts(t))),
+    st.sampled_from(sorted(MUL_SCALES)))
+def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
+    table, d1, d2 = td
+    _assert_product_matches_reference(table, d1, d2, w)
 
 
 def test_no_scan_where_exact_bounds_cannot_narrow_the_slots(monkeypatch):
