@@ -785,7 +785,8 @@ class RatFun:
     - The negation and the powers of a normal value are normal.
     - Over denominator 1 on both sides, a product or a sum is normal as
       it stands: the content is 1, no monomial divides the constant 1,
-      and its leading coefficient is 1.  So neither is cancelled.
+      and the denominator's leading coefficient is 1.  So neither is
+      cancelled; a sum that is zero already has denominator 1.
     """
 
     __slots__ = ("num", "den")

@@ -718,8 +718,8 @@ def test_width_boundaries_match_dict_references(ops):
 # products of runs, each output run accumulated at its own lowest power
 
 
-# scales that put small coefficients' products into 32-, 64- and 128-bit
-# slots: products of at most 3*s in magnitude, summed over few slots
+# scales that put the products of coefficients of at most 3 times s into
+# 32-, 64- and 128-bit slots
 MUL_SCALES = {32: 1, 64: 2**20, 128: 2**40}
 
 
@@ -750,6 +750,7 @@ def _mul_cases(table):
         # y*(1 + x)*x - x*y cancels the lowest slot of the key y and leaves
         # x^2*y: (x + y)(y + x*y - x) = y^2 + x*y^2 + x^2*y - x^2
         (x + y, y + x * y - x),
+        # several keys, each summed from pair products at several powers
         (x - 2 * y + 3 * x**2 * y, 2 * x * y - x**2 + y + 3 * x**3 * y),
     ]
 
@@ -766,7 +767,7 @@ def small_term_dicts(draw, table):
     # coefficients of +-1 on few exponents make pair products cancel often
     exps = st.tuples(*[st.integers(0, 2)] * len(table))
     terms = draw(st.dictionaries(exps, st.sampled_from([-1, 1]), max_size=6))
-    return {table.pack(e): c for e, c in terms.items() if c}
+    return {table.pack(e): c for e, c in terms.items()}
 
 
 @settings(max_examples=200, derandomize=True)
