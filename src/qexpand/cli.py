@@ -37,7 +37,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .errors import OrderError, ParseError, QExpandError, StructureError
@@ -47,24 +46,6 @@ from .errors import OrderError, ParseError, QExpandError, StructureError
 if TYPE_CHECKING:
     from .ring import RatFun, SymbolTable
     from .series import TruncSeries
-
-
-class RunConfig:
-    """Options shared by the subcommands; the seed fixes all randomized inputs.
-
-    precision and tolerance default to numeric's defaults, read when a
-    config is made, not when this module loads.
-    """
-
-    def __init__(self, order: int = 10, output: str = "text", seed: int = 0,
-                 precision: Optional[int] = None,
-                 tolerance: Optional[Fraction] = None) -> None:
-        numeric = import_module(".numeric", __package__)
-        self.order = order
-        self.output = output
-        self.seed = seed
-        self.precision = numeric.DEFAULT_PRECISION if precision is None else precision
-        self.tolerance = numeric.DEFAULT_TOLERANCE if tolerance is None else tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +92,34 @@ def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
 # subcommands
 
 
-def cmd_matrix(config: RunConfig, args) -> int:
+def cmd_matrix(args) -> int:
     from .inversion import base_matrix, lt_inverse
     from .ring import parse_ratfun
 
     table = _parameter_table(args.a, args.b)
     a = parse_ratfun(args.a, table)
     b = parse_ratfun(args.b, table)
-    m = base_matrix(a, b, config.order)
+    m = base_matrix(a, b, args.n)
     if args.which == "B":
         m = lt_inverse(m)
     entries = [[str(e) for e in row] for row in m.rows]
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({
             "which": args.which,
-            "n": config.order,
+            "n": args.n,
             "a": str(a),
             "b": str(b),
             "entries": entries,
         })
     else:
-        lines = [f"{args.which}  (n = {config.order}, a = {a}, b = {b})"]
+        lines = [f"{args.which}  (n = {args.n}, a = {a}, b = {b})"]
         for i, row in enumerate(entries):
             lines.append(f"  [{i}]  " + ",  ".join(row))
         _emit("\n".join(lines))
     return 0
 
 
-def cmd_expand(config: RunConfig, args) -> int:
+def cmd_expand(args) -> int:
     from .inversion import expand_theorem15, expand_triangular
     from .ring import parse_ratfun
     from .series import TruncSeries
@@ -152,20 +133,20 @@ def cmd_expand(config: RunConfig, args) -> int:
     a = parse_ratfun(args.a, table)
     b = parse_ratfun(args.b, table)
     if texts:
-        if len(texts) > config.order + 1:
+        if len(texts) > args.n + 1:
             raise OrderError(
-                f"{len(texts)} coefficients exceed truncation order {config.order}"
+                f"{len(texts)} coefficients exceed truncation order {args.n}"
             )
         given = [parse_ratfun(t, table) for t in texts]
-        f = TruncSeries.from_coeffs(table, given, config.order)
+        f = TruncSeries.from_coeffs(table, given, args.n)
     else:
-        f = _builtin_series(args.builtin, table, a, b, config.order, args.k)
+        f = _builtin_series(args.builtin, table, a, b, args.n, args.k)
     r1 = expand_triangular(f, a, b)
     r2 = expand_theorem15(f, a, b)
     agree = all(x == y for x, y in zip(r1.coeffs, r2.coeffs))
-    if config.output == "json":
+    if args.output == "json":
         _emit_json({
-            "n": config.order,
+            "n": args.n,
             "a": str(a),
             "b": str(b),
             "triangular_solve": [str(c) for c in r1.coeffs],
@@ -173,7 +154,7 @@ def cmd_expand(config: RunConfig, args) -> int:
             "agree": agree,
         })
     else:
-        lines = [f"expansion over z^n (az;q)_n/(bz;q)_n  (n = {config.order}, "
+        lines = [f"expansion over z^n (az;q)_n/(bz;q)_n  (n = {args.n}, "
                  f"a = {a}, b = {b})"]
         for i, (x, y) in enumerate(zip(r1.coeffs, r2.coeffs)):
             note = "" if x == y else f"   closed formula disagrees: {y}"
@@ -183,23 +164,23 @@ def cmd_expand(config: RunConfig, args) -> int:
     return 0 if agree else 1
 
 
-def cmd_gn(config: RunConfig, args) -> int:
+def cmd_gn(args) -> int:
     from .inversion import gn_polynomials
     from .ring import SymbolTable
 
     table = SymbolTable(("q",))
-    g = gn_polynomials(config.order, table)
-    rendered = [str(g[m]) for m in range(1, config.order + 1)]
-    if config.output == "json":
-        _emit_json({"n": config.order, "g": rendered})
+    g = gn_polynomials(args.n, table)
+    rendered = [str(g[m]) for m in range(1, args.n + 1)]
+    if args.output == "json":
+        _emit_json({"n": args.n, "g": rendered})
     else:
         lines = [f"g_{m} = {s}" for m, s in enumerate(rendered, start=1)]
         _emit("\n".join(lines) if lines else "(empty: --n 0)")
     return 0
 
 
-def _emit_identity_reports(config: RunConfig, reports) -> int:
-    if config.output == "json":
+def _emit_identity_reports(args, reports) -> int:
+    if args.output == "json":
         _emit_json([r.to_json_dict() for r in reports])
     else:
         lines = []
@@ -218,32 +199,32 @@ def _emit_identity_reports(config: RunConfig, reports) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_verify(config: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     from .identities import run_check
 
     reports = [
-        run_check(name, config.order, config.seed, perturb=args.perturb)
+        run_check(name, args.n, args.seed, perturb=args.perturb)
         for name in args.names
     ]
-    return _emit_identity_reports(config, reports)
+    return _emit_identity_reports(args, reports)
 
 
-def cmd_verify_all(config: RunConfig, args) -> int:
+def cmd_verify_all(args) -> int:
     from .identities import check_names, run_all
 
-    reports = run_all(config.order, args.filter, config.seed)
+    reports = run_all(args.n, args.filter, args.seed)
     if not reports:
         raise StructureError(
             f"no check matches {args.filter!r}; known: {', '.join(check_names())}"
         )
-    return _emit_identity_reports(config, reports)
+    return _emit_identity_reports(args, reports)
 
 
 def _load_points(path: str) -> List[Dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int past 4300 digits
         raise ParseError(f"points file {path}: {exc}") from None
     if not isinstance(data, list) or not all(isinstance(p, dict) for p in data):
         raise ParseError(f"points file {path}: expected a JSON array of objects")
@@ -262,13 +243,22 @@ def _positive_fraction(text: str) -> Fraction:
 
 
 def _to_fraction(text, where: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    text = str(text)
+    # A report prints the coordinate, and CPython prints ints of at most 4300
+    # digits.  An exponent of 10000 or more puts any nonzero value past that,
+    # and is refused before Fraction computes 10 to its power.
+    exponent = text.strip().lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")
+    if not (exponent.isdecimal() and len(exponent) > 4):
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        if max(abs(value.numerator), value.denominator) < 10**4300:
+            return value
+    raise ParseError(f"{where}: a numerator or denominator passes the 4300-digit limit")
 
 
-def cmd_numeric_verify(config: RunConfig, args) -> int:
+def cmd_numeric_verify(args) -> int:
     from .numeric import (
         DEFAULT_POINTS,
         DEFAULT_QQQ_POINTS,
@@ -278,7 +268,7 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
         numeric_check_names,
     )
 
-    tol, prec = config.tolerance, config.precision
+    tol, prec = args.tol, args.precision
     if args.identity is None:
         if args.points:
             raise ParseError("--points requires --identity")
@@ -307,7 +297,7 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
             {k: _to_fraction(v, k) for k, v in p.items()} for p in raw
         ]
         reports = [check_identity_numeric(name, p, tol, prec) for p in points]
-    if config.output == "json":
+    if args.output == "json":
         _emit_json([r.to_json_dict() for r in reports])
     else:
         lines = []
@@ -324,7 +314,7 @@ def cmd_numeric_verify(config: RunConfig, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_bench(config: RunConfig, args) -> int:
+def cmd_bench(args) -> int:
     import random
 
     from .identities import build_sides, check_names, compare
@@ -342,7 +332,7 @@ def cmd_bench(config: RunConfig, args) -> int:
                      "seconds": round(time.perf_counter() - t0, 3),
                      "ok": ok})
 
-    n = config.order
+    n = args.n
     table, (_, a, b) = symbols("q a b")
 
     def inverse_pair():
@@ -350,7 +340,7 @@ def cmd_bench(config: RunConfig, args) -> int:
         return (lt_inverse(m) @ m).is_identity()
 
     def dual_expand():
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         coeffs = [
             RatFun.from_fraction(table, Fraction(rng.randint(-9, 9),
                                                  rng.randint(1, 9)))
@@ -365,7 +355,7 @@ def cmd_bench(config: RunConfig, args) -> int:
     timed(f"expansion, both routes, random series (n = {n})", dual_expand)
     for name in check_names():
         t0 = time.perf_counter()
-        sides = build_sides(name, n, config.seed)
+        sides = build_sides(name, n, args.seed)
         t1 = time.perf_counter()
         ok = compare(sides).passed
         t2 = time.perf_counter()
@@ -373,10 +363,9 @@ def cmd_bench(config: RunConfig, args) -> int:
                      "ok": ok, "build_s": round(t1 - t0, 3), "compare_s": round(t2 - t1, 3)})
     timed("numeric default battery",
           lambda: all(r.passed
-                      for r in default_numeric_reports(config.tolerance,
-                                                       config.precision)))
+                      for r in default_numeric_reports(args.tol, args.precision)))
 
-    if config.output == "json":
+    if args.output == "json":
         _emit_json(rows)
     else:
         lines = [
@@ -443,6 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized inputs (default %(default)s)")
 
+    def numeric(p):
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                       help="working precision in bits (default %(default)s)")
+        p.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOLERANCE,
+                       metavar="T", help="absolute tolerance (default 1e-25)")
+
     def ab(p):
         p.add_argument("--a", default="a", metavar="EXPR",
                        help="value of a (default symbolic)")
@@ -493,18 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: whole battery)")
     p.add_argument("--points", default=None, metavar="FILE",
                    help="JSON array of points, e.g. [{\"q\": \"0.1\", ...}]")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                   help="working precision in bits (default %(default)s)")
-    p.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOLERANCE,
-                   metavar="T", help="absolute tolerance (default 1e-25)")
+    numeric(p)
     common(p, with_order=False)
     p.set_defaults(func=cmd_numeric_verify)
 
     p = sub.add_parser("bench", help="wall-clock timings of the main computations")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                   help="bits for the numeric battery (default %(default)s)")
-    p.add_argument("--tol", type=_positive_fraction, default=DEFAULT_TOLERANCE,
-                   metavar="T", help="tolerance for the numeric battery")
+    numeric(p)
     common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -518,18 +507,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(_fold_negative_values(raw))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    options = {"order": "n", "output": "output", "seed": "seed",
-               "precision": "precision", "tolerance": "tol"}
-    config = RunConfig(**{key: getattr(args, dest) for key, dest in options.items()
-                          if hasattr(args, dest)})
-    if config.order < 0:
+    if getattr(args, "n", 0) < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return 2
-    if config.precision < 8:
+    if getattr(args, "precision", 8) < 8:
         print("error: --precision must be >= 8 bits", file=sys.stderr)
         return 2
     try:
-        return args.func(config, args)
+        return args.func(args)
     except QExpandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

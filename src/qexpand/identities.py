@@ -460,14 +460,7 @@ def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None)
         raise StructureError("check_theorem16 needs both a and b, or neither")
     if a is None:
         table, (q, a, b) = symbols("q a b")
-    table = a.table
-    t_eff = []
-    for v in list(t)[: order + 1]:
-        r = RatFun.one(table)._coerce(v)
-        if r is NotImplemented:
-            raise StructureError(f"bad coefficient {v!r}")
-        t_eff.append(r)
-    t_eff += [RatFun.zero(table)] * (order + 1 - len(t_eff))
+    t_eff = TruncSeries.from_coeffs(a.table, list(t), order).coeffs
     return compare(_theorem16_sides("theorem16", t_eff, a, b, order))
 
 

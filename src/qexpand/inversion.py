@@ -23,7 +23,7 @@ F = 1 yields every matrix entry of B directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .errors import OrderError, SingularMatrixError, StructureError
 from .ring import RatFun, SymbolTable, _dot
@@ -281,8 +281,7 @@ def coro310_coeffs(f: TruncSeries, a: RatFun) -> ExpansionResult:
 # the generating polynomial S_n(y) behind the closed row sums
 
 
-def sn_polynomial(n: int, a: RatFun, b: RatFun, y: RatFun,
-                  col: Optional[List[RatFun]] = None) -> RatFun:
+def sn_polynomial(n: int, a: RatFun, b: RatFun, y: RatFun) -> RatFun:
     """Cleared row-sum polynomial S_n(y) with S_n(y)/prod_(j<n)(y-aq^j) = sum_k B[n][k] y^k.
 
     S_n(y) = y^(n+1) prod_(i<=n-2)(y - bq^i)
@@ -295,8 +294,7 @@ def sn_polynomial(n: int, a: RatFun, b: RatFun, y: RatFun,
         raise OrderError("S_n is defined for n >= 1")
     table = a.table
     q = RatFun.sym(table, "q")
-    if col is None:
-        col = b_column1(a, b, n)
+    col = b_column1(a, b, n)
 
     def prod(factors) -> RatFun:
         acc = RatFun.one(table)

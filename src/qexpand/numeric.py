@@ -42,7 +42,7 @@ become mpf only where _report rounds and prints them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple, Union
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
@@ -109,17 +109,14 @@ def _nstr(x) -> str:
     return mpmath.nstr(x, 30)
 
 
-def _report(name: str, point: Dict[str, str], precision: int,
-            lhs, rhs, diff, tol, status: Optional[str] = None) -> NumericReport:
-    """Round the values back to precision and report them.
-
-    Without an explicit status the rounded gap is judged against the
-    rounded tolerance.
-    """
+def _report(k: _Kernel, name: str, point: Dict[str, str], precision: int,
+            lhs, rhs, tol) -> NumericReport:
+    """Round the kernel values lhs and rhs, their gap and the mpf tol back
+    to precision, and judge the rounded gap against the rounded tolerance."""
+    diff = k.to_mpf(k.abs(k.sub(lhs, rhs)))
     with mpmath.workprec(precision):
-        lhs, rhs, diff, tol = +lhs, +rhs, +diff, +tol
-    if status is None:
-        status = "passed" if diff <= tol else "failed"
+        lhs, rhs, diff, tol = +k.to_mpf(lhs), +k.to_mpf(rhs), +diff, +tol
+    status = "passed" if diff <= tol else "failed"
     return NumericReport(
         name=name,
         point=point,
@@ -534,9 +531,7 @@ def check_identity_numeric(
             raise DomainError(
                 f"{name} has a pole at this point: a denominator factor vanishes"
             ) from None
-        diff = k.abs(k.sub(lhs, rhs))
-    lhs, rhs, diff = k.to_mpf(lhs), k.to_mpf(rhs), k.to_mpf(diff)
-    return _report(name, _point_str(point), precision, lhs, rhs, diff, tolv)
+    return _report(k, name, _point_str(point), precision, lhs, rhs, tolv)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +602,7 @@ def check_qqq(
         tolv = _to_mp(tol)
         k = _Kernel(mpmath.mp.prec)
         lhs, rhs = _qqq_sides(k, m, k.from_mpf(_to_mp(qf)), k.from_mpf(tolv))
-        diff = k.abs(k.sub(lhs, rhs))
-    lhs, rhs, diff = k.to_mpf(lhs), k.to_mpf(rhs), k.to_mpf(diff)
-    return _report("qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, diff, tolv)
+    return _report(k, "qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, tolv)
 
 
 def default_numeric_reports(

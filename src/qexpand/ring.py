@@ -780,9 +780,11 @@ class RatFun:
     - A product first cancels each numerator against the other
       denominator, and is then normal as it stands: content is
       multiplicative (Gauss's lemma), monomial contents add, and leading
-      coefficients multiply.  A quotient also makes its new denominator's
-      leading coefficient positive.
-    - The negation and the powers of a normal value are normal.
+      coefficients multiply.
+    - The negation and the powers of a normal value are normal.  A
+      negative power swaps numerator and denominator and makes the new
+      denominator's leading coefficient positive.
+    - A quotient is the product with the divisor's inverse, its power -1.
     - Over denominator 1 on both sides, a product or a sum is normal as
       it stands: the content is 1, no monomial divides the constant 1,
       and the denominator's leading coefficient is 1.  So neither is
@@ -922,13 +924,7 @@ class RatFun:
         _check_tables(self, other)
         if other.num.is_zero():
             raise PoleError("division by zero")
-        if self.num.is_zero():
-            return self
-        n1, n2 = _cancel(self.num, other.num)
-        d2, d1 = _cancel(other.den, self.den)
-        if n2.leading_coeff() < 0:
-            n1, n2 = -n1, -n2
-        return _ratfun(n1 * d2, d1 * n2)
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -951,16 +947,9 @@ class RatFun:
     def substitute(self, assignments) -> "RatFun":
         """Simultaneously replace symbols by RatFun values.
 
-        `assignments` maps symbol names to RatFun / int / Fraction values;
-        a list of (name, value) pairs is also accepted.  Unassigned symbols
-        stay themselves.
+        `assignments` maps symbol names to RatFun / int / Fraction values.
+        Unassigned symbols stay themselves.
         """
-        if not isinstance(assignments, Mapping):
-            pairs = list(assignments)
-            names = [nm for nm, _ in pairs]
-            if len(set(names)) != len(names):
-                raise StructureError("assignments target a symbol twice")
-            assignments = dict(pairs)
         table = self.table
         vals = {}
         for nm, v in assignments.items():

@@ -49,7 +49,7 @@ def _coerce_scalar(table: SymbolTable, c: Scalar) -> RatFun:
         return RatFun.from_int(table, c)
     if isinstance(c, Fraction):
         return RatFun.from_fraction(table, c)
-    raise StructureError(f"not a coefficient: {c!r}")
+    raise StructureError(f"bad coefficient {c!r}")
 
 
 class TruncSeries:

@@ -2,19 +2,21 @@
 for a fixed flag set, and the argv preprocessing that lets option values
 start with a minus sign."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qexpand.cli import RunConfig, _fold_negative_values, main
+from qexpand.cli import _fold_negative_values, build_parser, main
 from qexpand.identities import check_names
-from qexpand.numeric import DEFAULT_PRECISION, DEFAULT_TOLERANCE, numeric_check_names
+from qexpand.numeric import numeric_check_names
 
 
 def run_cli(capsys, *argv):
@@ -26,13 +28,20 @@ def run_cli(capsys, *argv):
 # -- plumbing -----------------------------------------------------------------
 
 
-def test_run_config_defaults():
-    config = RunConfig()
-    assert config.order == 10
-    assert config.output == "text"
-    assert config.seed == 0
-    assert config.precision == DEFAULT_PRECISION
-    assert config.tolerance == DEFAULT_TOLERANCE
+def test_parser_defaults():
+    # each default lives in build_parser alone, and the subcommands read args
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    required = {"expand": ["--builtin", "one"], "verify": ["lemma13"]}
+    for command in sub.choices:
+        args = vars(parser.parse_args([command, *required.get(command, [])]))
+        want = {"output": "text", "seed": 0}
+        if command != "numeric-verify":
+            want["n"] = 10
+        if command in ("numeric-verify", "bench"):
+            want.update(precision=128, tol=Fraction(1, 10**25))
+        got = {k: args[k] for k in ("n", "output", "seed", "precision", "tol") if k in args}
+        assert got == want, command
 
 
 def test_fold_negative_values():
@@ -433,6 +442,48 @@ def test_numeric_verify_extra_symbols_exit_2(tmp_path, capsys, identity, point, 
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"symbols {extra}" in err
+
+
+@pytest.mark.parametrize("identity,point", [
+    ("lemma13", {"q": "1e-5000", "z": "1/2"}),
+    ("qqq", {"m": 1, "q": "1e-5000"}),
+    ("lemma13", {"q": "1/2", "z": "1e5000"}),
+    # refused before 10^100000000 is computed
+    ("lemma13", {"q": "1e-100000000", "z": "1/2"}),
+    ("qqq", {"m": 1, "q": " 1E-1_0000_0000 "}),
+], ids=["lemma13_q", "qqq_q", "lemma13_z_large", "lemma13_q_huge_exponent", "qqq_q_huge_exponent"])
+def test_numeric_verify_coordinates_past_4300_digits_exit_2(tmp_path, capsys, identity, point):
+    # 1e-5000 was once evaluated in full, then printing its 5001-digit
+    # denominator ended in a ValueError traceback with exit 1
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps([point]))
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
+                             "--points", str(pf))
+    assert time.process_time() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "4300-digit limit" in err
+
+
+def test_numeric_verify_coordinate_at_4300_digits_passes(tmp_path, capsys):
+    # 10^4299 has 4300 digits, the most CPython prints
+    pf = tmp_path / "points.json"
+    pf.write_text(json.dumps([{"q": "1e-4299", "z": "1/2"}]))
+    code, out, _ = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
+                           "--points", str(pf), "--output", "json")
+    assert code == 0
+    assert json.loads(out)[0]["point"]["q"] == "1/1" + "0" * 4299
+
+
+def test_numeric_verify_json_integer_past_4300_digits_exits_2(tmp_path, capsys):
+    # json.load raises a ValueError that is not a JSONDecodeError for it
+    pf = tmp_path / "points.json"
+    pf.write_text('[{"q": 1' + "0" * 4300 + ', "z": "1/2"}]')
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
+                             "--points", str(pf))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: points file")
 
 
 @pytest.mark.parametrize("identity,point", [

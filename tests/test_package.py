@@ -1,10 +1,11 @@
 """The package's lazy exports: every public name resolves to the object its
 submodule defines, dir() lists them, unknown names raise AttributeError,
-submodules still import through the package, and no module imports a
-name it never uses."""
+submodules still import through the package, no module imports a name it
+never uses, and no private helper goes unused."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,70 @@ def test_no_module_imports_an_unused_name():
         for path in sorted(src.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _read_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _dead_helpers(modules):
+    """(module, name) of each private module-level function and private
+    method that no code in `modules` reads outside its own definition.
+
+    `modules` maps a module name to its (source, namespace).  Dunders are
+    exempt, and so are methods that override a base-class method, which
+    the base class's code calls.
+    """
+    reads = Counter()
+    helpers = []
+    for module, (source, namespace) in modules.items():
+        tree = ast.parse(source)
+        reads.update(filter(None, map(_read_name, ast.walk(tree))))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                helpers.append((module, node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                bases = namespace[node.name].__mro__[1:]
+                helpers += [(module, f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not any(hasattr(base, item.name) for base in bases)]
+    dead = []
+    for module, qualname, node in helpers:
+        name = node.name
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        own = sum(_read_name(n) == name for n in ast.walk(node))
+        if reads[name] == own:
+            dead.append((module, qualname))
+    return sorted(dead)
+
+
+def test_dead_helper_finder_flags_only_unread_helpers():
+    source = (
+        "class Base:\n"
+        "    def run(self): return self._hook()\n"
+        "    def _hook(self): return 0\n"
+        "class Sub(Base):\n"
+        "    def _hook(self): return 1\n"
+        "    def _recurse(self): return self._recurse()\n"
+        "    def __len__(self): return 0\n"
+        "def _used(): return 0\n"
+        "def _dead(): return 0\n"
+        "def public(): return _used()\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    assert _dead_helpers({"m": (source, namespace)}) == [("m", "Sub._recurse"), ("m", "_dead")]
+
+
+def test_no_private_helper_is_unused():
+    src = Path(qexpand.__file__).parent
+    modules = {}
+    for path in sorted(src.glob("*.py")):
+        name = "qexpand" if path.stem == "__init__" else f"qexpand.{path.stem}"
+        modules[name] = (path.read_text(encoding="utf-8"), vars(importlib.import_module(name)))
+    assert _dead_helpers(modules) == []

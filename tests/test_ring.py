@@ -130,9 +130,13 @@ def test_ratfun_arith_examples(qab):
     assert (1 - q) * (1 + q) == 1 - q**2
     assert (1 - q**2) / (1 - q) == 1 + q
     assert a / b * b == a
-    with pytest.raises(PoleError):
-        a / RatFun.zero(t)
-    with pytest.raises(PoleError):
+    # the divisor is tested before it is inverted
+    for x in (a, RatFun.zero(t), 1):
+        with pytest.raises(PoleError, match="division by zero"):
+            x / RatFun.zero(t)
+    with pytest.raises(PoleError, match="division by zero"):
+        a / 0
+    with pytest.raises(PoleError, match="negative power of zero"):
         RatFun.zero(t) ** (-1)
 
 
@@ -441,6 +445,12 @@ normal_ratfuns = st.builds(RatFun, numerators, denominators)
 _6q2 = RatFun(MultiPoly.const(TABLE, 1), _one_term(6, (2, 0, 0)))
 _10aq5 = RatFun(MultiPoly.const(TABLE, 1), _one_term(10, (5, 1, 0)))
 _poly = RatFun(_one_term(4, (1, 2, 0)) - _one_term(6, (0, 0, 3)), MultiPoly.const(TABLE, 1))
+# multi-term numerators and denominators that share the one-term factor 2q
+_over_multi = RatFun(_one_term(6, (2, 0, 0)) * (_one_term(3, (0, 1, 1)) - MultiPoly.const(TABLE, 1)),
+                     _one_term(1, (0, 0, 2)) + MultiPoly.const(TABLE, 2))
+# its numerator's leading coefficient is negative, so its inverse changes sign
+_neg_lead = RatFun(_one_term(2, (1, 0, 0)) * (_one_term(-2, (1, 1, 0)) + _one_term(5, (0, 0, 1))),
+                   _one_term(1, (2, 0, 0)) + _one_term(3, (0, 1, 0)))
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
@@ -451,6 +461,8 @@ _poly = RatFun(_one_term(4, (1, 2, 0)) - _one_term(6, (0, 0, 3)), MultiPoly.cons
 @example(x=-1 / _6q2, y=-_10aq5)
 @example(x=_poly, y=-_poly)
 @example(x=_poly, y=_6q2)
+@example(x=_over_multi, y=_neg_lead)
+@example(x=RatFun.zero(TABLE), y=_neg_lead)
 def test_arithmetic_matches_full_normalization(op, x, y):
     if op == "/" and y.is_zero():
         return
