@@ -476,6 +476,21 @@ def test_numeric_verify_coordinate_at_4300_digits_passes(tmp_path, capsys):
     assert json.loads(out)[0]["point"]["q"] == "1/1" + "0" * 4299
 
 
+def test_numeric_verify_json_numbers_are_exact(tmp_path, capsys):
+    # read as doubles, 1e-400 became z = 0 and 0.10000000000000000001 became 1/10
+    pf = tmp_path / "points.json"
+    pf.write_text('[{"q": 0.5, "z": 1e-400}, {"q": 0.5, "z": 0.10000000000000000001}]')
+    code, out, _ = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
+                           "--points", str(pf), "--output", "json")
+    assert code == 0
+    assert [r["point"]["z"] for r in json.loads(out)] == [
+        "1/1" + "0" * 400, "10000000000000000001/1" + "0" * 20]
+    pf.write_text('[{"q": 1e-5000, "z": 0.5}]')
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", "lemma13",
+                             "--points", str(pf))
+    assert code == 2 and out == "" and "4300-digit limit" in err
+
+
 def test_numeric_verify_json_integer_past_4300_digits_exits_2(tmp_path, capsys):
     # json.load raises a ValueError that is not a JSONDecodeError for it
     pf = tmp_path / "points.json"
