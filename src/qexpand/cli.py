@@ -224,10 +224,13 @@ def _load_points(path: str) -> List[Dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=str)  # kept exact, not rounded to a double
-    except ValueError as exc:  # bad JSON, bad UTF-8, an int past 4300 digits
+    # bad JSON, bad UTF-8, an int past 4300 digits; arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"points file {path}: {exc}") from None
     if not isinstance(data, list) or not all(isinstance(p, dict) for p in data):
         raise ParseError(f"points file {path}: expected a JSON array of objects")
+    if not data:
+        raise ParseError(f"points file {path}: lists no points")
     return data
 
 

@@ -112,14 +112,13 @@ class IdentitySides:
     take effect.
     """
 
-    def __init__(self, name: str, parameters: List[Tuple[str, str]], order: int,
-                 table: SymbolTable, lhs: TruncSeries,
+    def __init__(self, name: str, parameters: List[Tuple[str, str]], lhs: TruncSeries,
                  rhs_terms: Union[List[TruncSeries], Callable[[], List[TruncSeries]]],
                  scale: RatFun, rhs_sum: Optional[TruncSeries] = None):
         self.name = name
         self.parameters = parameters
-        self.order = order
-        self.table = table
+        self.order = lhs.order
+        self.table = lhs.table
         self.lhs = lhs
         self.scale = scale
         # _kept is (the term objects the sum stands for, the sum); the
@@ -200,7 +199,7 @@ def build_coogan_ono(order: int) -> IdentitySides:
         TruncSeries.z_power(table, 2 * k, order, (-1) ** k * q ** (k * k))
         for k in range(order // 2 + 1)
     ]
-    return IdentitySides("coogan_ono", [], order, table, lhs, rhs_terms, RatFun.one(table))
+    return IdentitySides("coogan_ono", [], lhs, rhs_terms, RatFun.one(table))
 
 
 def build_lemma13(order: int) -> IdentitySides:
@@ -212,7 +211,7 @@ def build_lemma13(order: int) -> IdentitySides:
         TruncSeries.z_power(table, 2 * k, order, 2 * (-1) ** k * q ** (k * k))
         for k in range(1, order // 2 + 1)
     ]
-    return IdentitySides("lemma13", [], order, table, lhs, rhs_terms, RatFun.one(table))
+    return IdentitySides("lemma13", [], lhs, rhs_terms, RatFun.one(table))
 
 
 def build_rogers_fine(order: int) -> IdentitySides:
@@ -232,7 +231,7 @@ def build_rogers_fine(order: int) -> IdentitySides:
         rhs_terms.append(_element(piece, n, order).scale(scalar))
         pa = pa * (1 - a * q ** (n + 1))
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(1)
-    return IdentitySides("rogers_fine", [], order, table, lhs, rhs_terms, cof[0])
+    return IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +342,7 @@ def _telescoped_sides(
             x = xs[n].coeffs[m]
             acc = x if acc.is_zero() else x + acc * rs[n]
         h.append(acc)
-    return IdentitySides(name, [], order, table, lhs,
-                         lambda: _prefactored_terms(xs, a, b, order), scale,
+    return IdentitySides(name, [], lhs, lambda: _prefactored_terms(xs, a, b, order), scale,
                          rhs_sum=TruncSeries(table, order, h))
 
 
@@ -561,7 +559,7 @@ def build_partial_theta(order: int) -> IdentitySides:
         )
         pm1 = pm1 * (1 + q**n)
     lhs = sum_series(lhs_parts)
-    return IdentitySides("partial_theta", [], order, table, lhs, rhs_terms, cof[0])
+    return IdentitySides("partial_theta", [], lhs, rhs_terms, cof[0])
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +591,7 @@ def build_1psi1_coeff(order: int) -> IdentitySides:
         for n in range(k + 1, order + 1):
             coeffs[n] = -aq * col[n - k] * qpow(table, (n - k) * k) * wk
         rhs_terms.append(TruncSeries(table, order, coeffs))
-    return IdentitySides(
-        "1psi1_coeff", [], order, table, lhs, rhs_terms, RatFun.one(table)
-    )
+    return IdentitySides("1psi1_coeff", [], lhs, rhs_terms, RatFun.one(table))
 
 
 def build_floor_sum(order: int) -> IdentitySides:
@@ -620,9 +616,7 @@ def build_floor_sum(order: int) -> IdentitySides:
             if not e.is_zero():
                 coeffs[n] = e * weight
         rhs_terms.append(TruncSeries(table, order, coeffs))
-    return IdentitySides(
-        "floor_sum", [("a", "1"), ("b", "-q")], order, table, lhs, rhs_terms, one
-    )
+    return IdentitySides("floor_sum", [("a", "1"), ("b", "-q")], lhs, rhs_terms, one)
 
 
 # ---------------------------------------------------------------------------

@@ -243,15 +243,10 @@ def gn_polynomials(n: int, table: SymbolTable) -> List[RatFun]:
 
 
 def carlitz_coeffs(f: TruncSeries, b: RatFun) -> ExpansionResult:
-    """Expansion over z^n/(bz;q)_n (the a = 0 base): c_n = [z^n]{f (bz;q)_(n-1)}."""
-    table = f.table
-    q = RatFun.sym(table, "q")
-    p = f.div_linear(b / q)  # f * (bz;q)_{-1}
-    coeffs = [p.coeffs[0]]
-    for n in range(1, f.order + 1):
-        p = p.mul_linear(b * q ** (n - 2))
-        coeffs.append(p.coeffs[n])
-    return ExpansionResult(coeffs, "carlitz")
+    """Expansion over z^n/(bz;q)_n (the a = 0 base): c_n = [z^n]{f (bz;q)_(n-1)},
+    the kernel at a = 0, where dividing by (az;q)_n changes no coefficient."""
+    chain = _kernel_chain(f, RatFun.zero(f.table), b)
+    return ExpansionResult([w.coeffs[n] for n, w in enumerate(chain)], "carlitz")
 
 
 def coro310_coeffs(f: TruncSeries, a: RatFun) -> ExpansionResult:

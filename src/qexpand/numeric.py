@@ -80,17 +80,7 @@ class NumericReport(NamedTuple):
         return self.status == "passed"
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "point": dict(self.point),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance,
-            "precision": self.precision,
-            "status": self.status,
-            "passed": self.passed,
-        }
+        return {**self._asdict(), "point": dict(self.point), "passed": self.passed}
 
 
 def _to_mp(v):

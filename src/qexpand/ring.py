@@ -960,8 +960,9 @@ class RatFun:
                 raise StructureError(f"bad substitution value for {nm!r}")
             _check_tables(self, r)
             vals[nm] = r
-        num = _poly_substitute(self.num, vals)
-        den = _poly_substitute(self.den, vals)
+        one, zero = RatFun.one(table), RatFun.zero(table)
+        num = _poly_substitute(self.num, vals, one, zero)
+        den = _poly_substitute(self.den, vals, one, zero)
         if den.is_zero():
             raise PoleError("substitution sends the denominator to zero")
         return num / den
@@ -1006,30 +1007,31 @@ def _dot(pairs: Iterable[Tuple[RatFun, RatFun]], acc: RatFun) -> RatFun:
     return acc
 
 
-def _poly_substitute(p: MultiPoly, vals: Mapping[str, RatFun]) -> RatFun:
+def _poly_substitute(p: MultiPoly, vals: Mapping[str, object], one, zero):
+    """p with the symbols in vals replaced by their values, RatFuns or series
+    (which a RatFun scales), whose unit and zero are `one` and `zero`."""
     table = p.table
-    touched = {table.position(nm) for nm in vals}
-    powers = {nm: [RatFun.one(table)] for nm in vals}
+    touched = {table.position(nm): nm for nm in vals}
+    powers = {nm: [one] for nm in vals}
 
-    def power_of(nm: str, e: int) -> RatFun:
+    def power_of(nm: str, e: int):
         cache = powers[nm]
         while len(cache) <= e:
             cache.append(cache[-1] * vals[nm])
         return cache[e]
 
-    total = RatFun.zero(table)
+    const_one = MultiPoly.const(table, 1)
+    total = zero
     for k, c in p.terms.items():
-        vec = table.unpack(k)
         rest = [0] * len(table)
-        factor = RatFun.from_int(table, c)
-        for i, e in enumerate(vec):
+        factor = one
+        for i, e in enumerate(table.unpack(k)):
             if i in touched:
                 if e:
-                    factor = factor * power_of(table.names[i], e)
+                    factor = factor * power_of(touched[i], e)
             else:
                 rest[i] = e
-        mono = MultiPoly(table, {table.pack(rest): 1})
-        total = total + factor * mono
+        total = total + factor * RatFun(MultiPoly(table, {table.pack(rest): c}), const_one)
     return total
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import MultiPoly, RatFun, SymbolTable, _dot
+from .ring import MultiPoly, RatFun, SymbolTable, _dot, _poly_substitute
 
 Scalar = Union[RatFun, int, Fraction]
 
@@ -149,6 +149,9 @@ class TruncSeries:
         return TruncSeries(self.table, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        """The series product, or each coefficient times a RatFun operand."""
+        if isinstance(other, RatFun):
+            return TruncSeries(self.table, self.order, [x * other for x in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = self._common_order(other)
@@ -260,17 +263,7 @@ def qpoch_param(c: Scalar, n: int, table: SymbolTable) -> RatFun:
     """(c;q)_n as a RatFun, for any integer n (z-free parameter Pochhammer)."""
     if n >= 0:
         return qpoch_param_range(c, 0, n, table)
-    c = _coerce_scalar(table, c)
-    q = _q(table)
-    prod = RatFun.one(table)
-    f = c
-    for _ in range(-n):
-        f = f / q
-        factor = 1 - f
-        if factor.is_zero():
-            raise PoleError(f"(c;q)_{n} hits a zero factor")
-        prod = prod * factor
-    return 1 / prod
+    return 1 / qpoch_param_range(c, n, 0, table)
 
 
 def qpoch_param_range(c: Scalar, lo: int, hi: int, table: SymbolTable) -> RatFun:
@@ -449,49 +442,17 @@ def substitute_in_series(s: TruncSeries, vals: Mapping[str, TruncSeries]) -> Tru
     """
     table = s.table
     order = s.order
-    caches: dict = {}
     for nm, v in vals.items():
         if nm not in table:
             raise StructureError(f"unknown symbol {nm!r}")
         if not v.table.same_as(table):
             raise StructureError("substitution values must share the table")
-        caches[nm] = [TruncSeries.one(table, order)]
-
-    def power_of(nm: str, e: int) -> TruncSeries:
-        cache = caches[nm]
-        while len(cache) <= e:
-            cache.append(cache[-1] * vals[nm])
-        return cache[e]
-
-    def poly_series(p: MultiPoly) -> TruncSeries:
-        out = TruncSeries.zero(table, order)
-        for k, coeff in p.terms.items():
-            vec = table.unpack(k)
-            rest = [0] * len(table)
-            spart = None
-            for i, e in enumerate(vec):
-                nm = table.names[i]
-                if nm in vals:
-                    if e:
-                        pw = power_of(nm, e)
-                        spart = pw if spart is None else spart * pw
-                else:
-                    rest[i] = e
-            scalar = RatFun(
-                MultiPoly(table, {table.pack(rest): coeff}),
-                MultiPoly.const(table, 1),
-            )
-            if spart is None:
-                out.coeffs[0] = out.coeffs[0] + scalar
-            else:
-                out = out + spart.scale(scalar)
-        return out
-
-    result = TruncSeries.zero(table, order)
+    one, zero = TruncSeries.one(table, order), TruncSeries.zero(table, order)
+    result = zero
     for n, cn in enumerate(s.coeffs):
         if cn.is_zero():
             continue
-        ns = poly_series(cn.num)
-        ds = poly_series(cn.den)
+        ns = _poly_substitute(cn.num, vals, one, zero)
+        ds = _poly_substitute(cn.den, vals, one, zero)
         result = result + (ns * ds.invert()).mul_z(n)
     return result

@@ -501,6 +501,30 @@ def test_numeric_verify_json_integer_past_4300_digits_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: points file")
 
 
+@pytest.mark.parametrize("identity", ["lemma13", "qqq"])
+def test_numeric_verify_deeply_nested_points_file_exits_2(tmp_path, capsys, identity):
+    # json.load raises RecursionError, which once ended in a traceback with exit 1
+    pf = tmp_path / "points.json"
+    pf.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
+                             "--points", str(pf))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: points file")
+    assert "recursion" in err
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("identity", ["lemma13", "qqq"])
+def test_numeric_verify_empty_points_file_exits_2(tmp_path, capsys, identity, output):
+    # [] once printed "0/0 points passed" (or [] as JSON) and exited 0
+    pf = tmp_path / "points.json"
+    pf.write_text("[]")
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
+                             "--points", str(pf), "--output", output)
+    assert code == 2 and out == ""
+    assert err == f"error: points file {pf}: lists no points\n"
+
+
 @pytest.mark.parametrize("identity,point", [
     # b = 1/q: the factor (1 - bq^n) is exactly 0 at n = 1
     ("rogers_fine", {"q": "1/5", "a": "3/10", "b": "5", "z": "1/5"}),

@@ -285,7 +285,7 @@ def _per_piece_sides(name, lhs, inner, a, b, order, cof, scale, divide=False):
         rhs_terms.append(term.div_linear(a) if divide else term)
         if n < order:
             paqb = paqb * (b - a * q ** (n + 1))
-    return IdentitySides(name, [], order, table, lhs, rhs_terms, scale)
+    return IdentitySides(name, [], lhs, rhs_terms, scale)
 
 
 def test_telescoped_coefficients_have_one_term_denominators():
@@ -480,7 +480,7 @@ def _synthetic_sides(count):
     ]
     scale = RatFun.one(table) if count % 2 else 1 - a * q
     lhs = sum_series(terms)
-    return IdentitySides(f"synthetic{count}", [], order, table, lhs, terms, scale)
+    return IdentitySides(f"synthetic{count}", [], lhs, terms, scale)
 
 
 @pytest.mark.parametrize(

@@ -143,3 +143,30 @@ def test_no_private_helper_is_unused():
         name = "qexpand" if path.stem == "__init__" else f"qexpand.{path.stem}"
         modules[name] = (path.read_text(encoding="utf-8"), vars(importlib.import_module(name)))
     assert _dead_helpers(modules) == []
+
+
+_TERM_FORMAT = {"terms", "runs", "pack", "unpack"}
+
+
+def _term_format_reads(source: str):
+    """(line, attribute) of each read of the packed-term attributes."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in _TERM_FORMAT
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_term_format_finder_flags_only_reads():
+    source = ("n = len(p.terms)\nx.runs = {}\nk = table.pack(v)\n"
+              "table.unpack(k)\np.term_count\nruns = terms\n")
+    assert _term_format_reads(source) == [(1, "terms"), (3, "pack"), (4, "unpack")]
+
+
+def test_term_format_stays_in_ring():
+    # only ring.py decodes the packed keys and runs, so the format can
+    # change there alone
+    src = Path(qexpand.__file__).parent
+    found = {
+        path.name: _term_format_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py")) if path.name != "ring.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

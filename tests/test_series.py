@@ -10,11 +10,11 @@ together exactly.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qexpand.errors import NonInvertibleError, OrderError, PoleError
-from qexpand.ring import RatFun, SymbolTable
+from qexpand.ring import MultiPoly, RatFun, SymbolTable, parse_ratfun
 from qexpand.series import (
     TruncSeries,
     _ratio_chain,
@@ -163,7 +163,8 @@ def test_qpoch_param_values(t, syms):
     assert qpoch_param(a, 2, t) == (1 - a) * (1 - a * q)
     assert qpoch_param(a, -1, t) == 1 / (1 - a / q)
     assert qpoch_param_range(a, 2, 4, t) == (1 - a * q**2) * (1 - a * q**3)
-    with pytest.raises(PoleError):
+    assert qpoch_param(a, -3, t) == 1 / ((1 - a / q) * (1 - a / q**2) * (1 - a / q**3))
+    with pytest.raises(PoleError, match="division by zero"):
         qpoch_param(q, -1, t)  # (q;q)_(-1) hits the factor 1 - q/q
 
 
@@ -253,6 +254,70 @@ def test_substitute_in_series_composes(t, syms):
     bz = TruncSeries.z_power(t, 1, 4, coeff=b)
     out = substitute_in_series(s, {"a": bz})
     assert out == TruncSeries.from_coeffs(t, [1, 0, -1 * b], 4)
+
+
+_SUB_TABLE = SymbolTable(("q", "a", "b"))
+_SUB_ORDER = 3
+# the values have no pole at this point
+_SUB_POINT = {"q": Fraction(3, 7), "a": Fraction(-5, 11), "b": Fraction(2, 13)}
+_SUB_VALUES = ["0", "1", "-2/3", "q", "a*q", "b - q^2", "1/(1 + q)", "q/(a - 2*b)"]
+
+
+def _sub_poly(terms):
+    acc = MultiPoly.zero(_SUB_TABLE)
+    for (eq, ea, eb), c in terms:
+        acc = acc + MultiPoly.monomial(_SUB_TABLE, {"q": eq, "a": ea, "b": eb}, c)
+    return acc
+
+
+_sub_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4)), max_size=3
+).map(_sub_poly)
+
+_sub_series = st.lists(
+    st.tuples(_sub_polys, _sub_polys.filter(lambda p: not p.is_zero())),
+    min_size=_SUB_ORDER + 1, max_size=_SUB_ORDER + 1,
+).map(lambda nds: TruncSeries(_SUB_TABLE, _SUB_ORDER, [RatFun(n, d) for n, d in nds]))
+
+# one or two of the three symbols, so at least one is always kept
+_sub_assignments = st.dictionaries(
+    st.sampled_from(["q", "a", "b"]), st.sampled_from(_SUB_VALUES), min_size=1, max_size=2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_sub_series, _sub_assignments)
+@example(s=TruncSeries.from_coeffs(_SUB_TABLE, [parse_ratfun("a*q^2 - b", _SUB_TABLE)] * 4,
+                                   _SUB_ORDER),
+         assignments={"a": "q/(a - 2*b)"})
+@example(s=TruncSeries.from_coeffs(
+             _SUB_TABLE, [parse_ratfun(e, _SUB_TABLE) for e in
+                          ["1", "a^2*b/(1 + q*b)", "0", "(a - b)/(q + 2)"]], _SUB_ORDER),
+         assignments={"a": "b - q^2", "b": "0"})
+@example(s=TruncSeries.from_coeffs(_SUB_TABLE, [parse_ratfun("1/a", _SUB_TABLE)], _SUB_ORDER),
+         assignments={"a": "0"})
+def test_substitute_in_series_matches_ratfun_substitute(s, assignments):
+    # z-free values: every coefficient maps to its own RatFun substitution
+    rvals = {nm: parse_ratfun(v, _SUB_TABLE) for nm, v in assignments.items()}
+    svals = {nm: TruncSeries.const(_SUB_TABLE, r, _SUB_ORDER) for nm, r in rvals.items()}
+    try:
+        want = [c.substitute(rvals) for c in s.coeffs]
+    except PoleError:
+        with pytest.raises(NonInvertibleError):
+            substitute_in_series(s, svals)
+        assume(False)  # a denominator vanishes under the substitution
+    got = substitute_in_series(s, svals)
+    assert got.order == _SUB_ORDER
+    assert [str(c) for c in got.coeffs] == [str(c) for c in want]
+    # and both agree with substituting the values' values at a point
+    point = {**_SUB_POINT, **{nm: r.evaluate(_SUB_POINT) for nm, r in rvals.items()}}
+    assert [c.evaluate(_SUB_POINT) for c in want] == [c.evaluate(point) for c in s.coeffs]
+
+
+def test_series_times_ratfun_scales_each_coefficient(t, syms):
+    q, a, b = syms
+    s = pochhammer_finite(a, 2, 3, t)
+    assert (s * (b / q)).coeffs == s.scale(b / q).coeffs
+    assert (s * RatFun.zero(t)).is_zero()
 
 
 def test_json_rendering(t, syms):
