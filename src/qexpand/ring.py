@@ -1024,14 +1024,16 @@ def _poly_substitute(p: MultiPoly, vals: Mapping[str, object], one, zero):
     total = zero
     for k, c in p.terms.items():
         rest = [0] * len(table)
-        factor = one
+        factor = None  # not one: a unit series would cost a series multiply per term
         for i, e in enumerate(table.unpack(k)):
             if i in touched:
                 if e:
-                    factor = factor * power_of(touched[i], e)
+                    pw = power_of(touched[i], e)
+                    factor = pw if factor is None else factor * pw
             else:
                 rest[i] = e
-        total = total + factor * RatFun(MultiPoly(table, {table.pack(rest): c}), const_one)
+        scalar = RatFun(MultiPoly(table, {table.pack(rest): c}), const_one)
+        total = total + (one if factor is None else factor) * scalar
     return total
 
 
