@@ -179,45 +179,41 @@ def cmd_gn(args) -> int:
     return 0
 
 
-def _emit_identity_reports(args, reports) -> int:
+def _emit_reports(args, reports, line, noun: str) -> int:
+    """Print the reports as JSON, or one line(report) each and a count of
+    the passed checks or points; exit 0 only if all of them passed."""
     if args.output == "json":
         _emit_json([r.to_json_dict() for r in reports])
     else:
-        lines = []
-        for r in reports:
-            if r.passed:
-                lines.append(f"{r.name}  (n = {r.order}): pass")
-            else:
-                f = r.first_failure
-                lines.append(
-                    f"{r.name}  (n = {r.order}): FAIL at z^{f.index}: "
-                    f"lhs = {f.lhs}, rhs = {f.rhs}"
-                )
-        npass = sum(r.passed for r in reports)
-        lines.append(f"{npass}/{len(reports)} checks passed")
+        lines = [line(r) for r in reports]
+        lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} {noun} passed")
         _emit("\n".join(lines))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_verify(args) -> int:
-    from .identities import run_check
+    """verify NAME ... and verify-all."""
+    from .identities import check_names, run_all, run_check
 
-    reports = [
-        run_check(name, args.n, args.seed, perturb=args.perturb)
-        for name in args.names
-    ]
-    return _emit_identity_reports(args, reports)
+    if args.command == "verify":
+        reports = [
+            run_check(name, args.n, args.seed, perturb=args.perturb)
+            for name in args.names
+        ]
+    else:
+        reports = run_all(args.n, args.filter, args.seed)
+        if not reports:
+            raise StructureError(
+                f"no check matches {args.filter!r}; known: {', '.join(check_names())}"
+            )
 
+    def line(r):
+        if r.passed:
+            return f"{r.name}  (n = {r.order}): pass"
+        f = r.first_failure
+        return f"{r.name}  (n = {r.order}): FAIL at z^{f.index}: lhs = {f.lhs}, rhs = {f.rhs}"
 
-def cmd_verify_all(args) -> int:
-    from .identities import check_names, run_all
-
-    reports = run_all(args.n, args.filter, args.seed)
-    if not reports:
-        raise StructureError(
-            f"no check matches {args.filter!r}; known: {', '.join(check_names())}"
-        )
-    return _emit_identity_reports(args, reports)
+    return _emit_reports(args, reports, line, "checks")
 
 
 def _load_points(path: str) -> List[Dict[str, str]]:
@@ -245,28 +241,10 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _to_fraction(text, where: str) -> Fraction:
-    text = str(text)
-    # A report prints the coordinate, and CPython prints ints of at most 4300
-    # digits.  An exponent of 10000 or more puts any nonzero value past that,
-    # and is refused before Fraction computes 10 to its power.
-    exponent = text.strip().lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")
-    if not (exponent.isdecimal() and len(exponent) > 4):
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
-        if max(abs(value.numerator), value.denominator) < 10**4300:
-            return value
-    raise ParseError(f"{where}: a numerator or denominator passes the 4300-digit limit")
-
-
 def cmd_numeric_verify(args) -> int:
     from .numeric import (
         DEFAULT_POINTS,
-        DEFAULT_QQQ_POINTS,
         check_identity_numeric,
-        check_qqq,
         default_numeric_reports,
         numeric_check_names,
     )
@@ -276,45 +254,20 @@ def cmd_numeric_verify(args) -> int:
         if args.points:
             raise ParseError("--points requires --identity")
         reports = default_numeric_reports(tol, prec)
-    elif args.identity == "qqq":
-        cases = _load_points(args.points) if args.points else DEFAULT_QQQ_POINTS
-        reports = []
-        for case in cases:
-            if "m" not in case or "q" not in case:
-                raise ParseError("each qqq point needs \"m\" and \"q\"")
-            extra = sorted(set(case) - {"m", "q"})
-            if extra:
-                raise ParseError(f"qqq point has symbols {extra}; it takes only \"m\" and \"q\"")
-            try:
-                m = int(str(case["m"]))
-            except ValueError:
-                raise ParseError(f"m: not an integer: {case['m']!r}") from None
-            reports.append(check_qqq(m, _to_fraction(case["q"], "q"), tol, prec))
     else:
         name = args.identity
-        known = numeric_check_names() + ["qqq"]
-        if name not in known:
-            raise ParseError(f"unknown identity {name!r}; known: {', '.join(known)}")
-        raw = _load_points(args.points) if args.points else DEFAULT_POINTS[name]
-        points = [
-            {k: _to_fraction(v, k) for k, v in p.items()} for p in raw
-        ]
+        if name not in DEFAULT_POINTS:
+            known = ", ".join(numeric_check_names())
+            raise ParseError(f"unknown identity {name!r}; known: {known}")
+        points = _load_points(args.points) if args.points else DEFAULT_POINTS[name]
         reports = [check_identity_numeric(name, p, tol, prec) for p in points]
-    if args.output == "json":
-        _emit_json([r.to_json_dict() for r in reports])
-    else:
-        lines = []
-        for r in reports:
-            at = " ".join(f"{k}={v}" for k, v in r.point.items())
-            lines.append(
-                f"{r.name} @ {at}: {r.status}  "
-                f"(|lhs - rhs| = {r.abs_diff}, tol = {r.tolerance}, "
-                f"{r.precision} bits)"
-            )
-        npass = sum(r.passed for r in reports)
-        lines.append(f"{npass}/{len(reports)} points passed")
-        _emit("\n".join(lines))
-    return 0 if all(r.passed for r in reports) else 1
+
+    def line(r):
+        at = " ".join(f"{k}={v}" for k, v in r.point.items())
+        return (f"{r.name} @ {at}: {r.status}  (|lhs - rhs| = {r.abs_diff}, "
+                f"tol = {r.tolerance}, {r.precision} bits)")
+
+    return _emit_reports(args, reports, line, "points")
 
 
 def cmd_bench(args) -> int:
@@ -482,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None, metavar="SUBSTRING",
                    help="only checks whose name contains SUBSTRING")
     common(p)
-    p.set_defaults(func=cmd_verify_all)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("numeric-verify",
                        help="high-precision numeric check of an identity")
     p.add_argument("--identity", default=None, metavar="NAME",
-                   help=f"one of: {', '.join(numeric_check_names() + ['qqq'])} "
+                   help=f"one of: {', '.join(numeric_check_names())} "
                         "(default: whole battery)")
     p.add_argument("--points", default=None, metavar="FILE",
                    help="JSON array of points, e.g. [{\"q\": \"0.1\", ...}]")

@@ -4,16 +4,17 @@ The symbolic checks prove coefficientwise equality to order N; the checks
 here corroborate the full analytic statements at sample points inside
 their convergence regions, entirely independently of the exact engine
 (both sides are summed or multiplied term by term in mpmath, sharing
-nothing beyond the q-Pochhammer evaluator).  One identity -- the finite
-theta-sum specialization at z = q^(-m) -- lives only here, because its
-theta tails are unbounded in the q-degree and a truncated symbolic
-comparison would not be a verification.
+nothing beyond the q-Pochhammer evaluator).  One registered identity, qqq,
+the finite theta-sum specialization at z = q^(-m), lives only here,
+because its theta tails are unbounded in the q-degree and a truncated
+symbolic comparison would not be a verification.
 
 Precision is per call, never global: every entry point wraps its work in
 mpmath.workprec with guard bits and rounds the result back to the
 requested precision.  Comparisons always use an explicit tolerance.
-Points are taken as exact rationals (Fractions or strings like "1/10")
-so a point is the same number at every precision.
+Points are read and checked here before any evaluation: each coordinate
+is an exact rational (an int, a Fraction or text like "1/10") of at most
+4300 digits, so a point is the same number at every precision.
 
 Infinite sums stop after 5 consecutive terms fall below tol/100 (one rule,
 _sum_terms).  The n-th theta sum of the finite specialization at
@@ -22,9 +23,9 @@ so it counts small terms only from k = force = 2(m - n) + 2 on.  Infinite
 products stop when the log-remainder tail bound
 sum_(i>=I) |cq^i|/(1-|cq^i|) drops below the precision target.  That bound
 is at least |cq^I|, so each factor is first tested by one comparison,
-|cq^I| < 2^-(precision+7), and the bound's division runs only for the last
-few factors; the truncation index, every product and every rounding are
-those of testing the bound at every factor.
+|cq^I| < 2^-(prec-9) at the kernel's precision prec, and the bound's
+division runs only for the last few factors; the truncation index, every
+product and every rounding are those of testing the bound at every factor.
 
 Real values run on a small integer kernel (_Kernel): a value is a signed
 int mantissa m and an exponent e, and each +, -, * and / is computed
@@ -47,7 +48,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple, Union
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, ParseError, StructureError
 
 DEFAULT_PRECISION = 128
 DEFAULT_TOLERANCE = Fraction(1, 10**25)
@@ -91,8 +92,25 @@ def _to_mp(v):
     return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
 
 
-def _point_str(point: Point) -> Dict[str, str]:
-    return {k: str(Fraction(v)) for k, v in sorted(point.items())}
+def _to_fraction(value, where: str) -> Fraction:
+    """A coordinate as an exact rational: an int or a Fraction as it is,
+    anything else read as text."""
+    if type(value) not in (int, Fraction):
+        text = str(value)
+        # A report prints the coordinate, and CPython prints ints of at most
+        # 4300 digits.  An exponent of 10000 or more puts any nonzero value
+        # past that, and is refused before Fraction computes 10 to its power.
+        exponent = text.strip().lower().partition("e")[2].replace("_", "").lstrip("+-").lstrip("0")
+        if exponent.isdecimal() and len(exponent) > 4:
+            value = 10**4300  # past the limit, without computing it
+        else:
+            try:
+                value = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"{where}: {exc}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**4300:
+        raise ParseError(f"{where}: a numerator or denominator passes the 4300-digit limit")
+    return Fraction(value)
 
 
 def _nstr(x) -> str:
@@ -251,13 +269,13 @@ def _sum_terms(k: _Kernel, terms: Iterator, tol, force: int = 0):
     return total
 
 
-def _qpoch_inf_real(k: _Kernel, c, q, precision: int):
+def _qpoch_inf_real(k: _Kernel, c, q):
     """(c;q)_inf with its log-remainder tail bound for real c and q, on
     the kernel; needs |q| < 1.
 
     Truncated at the first index I where |cq^I| < 1/2 and the bound
     sum_(i>=I) |cq^i|/(1-|cq^i|) <= |cq^I| / ((1-|q|)(1-|cq^I|))
-    falls below eps = 2^-(precision+8); the bound is returned alongside.
+    falls below eps = 2^-(k.prec-8); the bound is returned alongside.
 
     The division is only tried once |cq^I| < min(1/2, 2 eps).  That test
     cannot move I: both factors of the denominator are at most 1, and so
@@ -269,8 +287,8 @@ def _qpoch_inf_real(k: _Kernel, c, q, precision: int):
     if not k.lt(absq, _ONE):
         raise DomainError(f"(c;q)_inf needs |q| < 1, got |q| = {_nstr(k.to_mpf(absq))}")
     mul, sub, lt, absv = k.mul, k.sub, k.lt, k.abs
-    eps = (1, -(precision + 8))
-    near = (1, -max(1, precision + 7))  # min(1/2, 2 eps)
+    eps = (1, 8 - k.prec)
+    near = (1, -max(1, k.prec - 9))  # min(1/2, 2 eps)
     one_minus_absq = sub(_ONE, absq)
     out = _ONE
     cur = c
@@ -309,12 +327,12 @@ def _ratio_terms(k, a, b, z, q, qn):
         qn = mul(qn, q)
 
 
-def _rogers_fine_lhs(k, v, tol, precision):
+def _rogers_fine_lhs(k, v, tol):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
     return k.mul(k.sub(_ONE, z), _sum_terms(k, _ratio_terms(k, a, b, z, q, q), tol))
 
 
-def _rogers_fine_rhs(k, v, tol, precision):
+def _rogers_fine_rhs(k, v, tol):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
     mul, sub, div, power = k.mul, k.sub, k.div, k.pow
     az = mul(a, z)
@@ -335,7 +353,7 @@ def _rogers_fine_rhs(k, v, tol, precision):
     return _sum_terms(k, terms(), tol)
 
 
-def _coogan_ono_lhs(k, v, tol, precision):
+def _coogan_ono_lhs(k, v, tol):
     q, z = v["q"], v["z"]
     add, mul, sub, div, power = k.add, k.mul, k.sub, k.div, k.pow
 
@@ -362,11 +380,11 @@ def _theta_z2_terms(k, q, z):
         i += 1
 
 
-def _coogan_ono_rhs(k, v, tol, precision):
+def _coogan_ono_rhs(k, v, tol):
     return _sum_terms(k, _theta_z2_terms(k, v["q"], v["z"]), tol)
 
 
-def _lemma13_lhs(k, v, tol, precision):
+def _lemma13_lhs(k, v, tol):
     q, z = v["q"], v["z"]
     add, mul, sub, div, power = k.add, k.mul, k.sub, k.div, k.pow
 
@@ -382,7 +400,7 @@ def _lemma13_lhs(k, v, tol, precision):
     return _sum_terms(k, terms(), tol)
 
 
-def _lemma13_rhs(k, v, tol, precision):
+def _lemma13_rhs(k, v, tol):
     gen = _theta_z2_terms(k, v["q"], v["z"])
     next(gen)  # k = 0 term enters with weight 1, the rest with weight 2
     return k.add(_ONE, k.mul((2, 0), _sum_terms(k, gen, tol)))
@@ -395,7 +413,7 @@ def _region_1psi1(v) -> None:
     _require(abs(v["z"]) < 1, "|z| < 1")
 
 
-def _1psi1_lhs(k, v, tol, precision):
+def _1psi1_lhs(k, v, tol):
     """sum_(k=-inf)^inf (a;q)_k/(b;q)_k z^k as two one-sided sums."""
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
     mul, sub, div = k.mul, k.sub, k.div
@@ -413,7 +431,7 @@ def _1psi1_lhs(k, v, tol, precision):
     return k.add(_sum_terms(k, nonneg, tol), _sum_terms(k, negative(), tol))
 
 
-def _1psi1_rhs(k, v, tol, precision):
+def _1psi1_rhs(k, v, tol):
     q, a, b, z = v["q"], v["a"], v["b"], v["z"]
     mul, div = k.mul, k.div
     az = mul(a, z)
@@ -421,26 +439,90 @@ def _1psi1_rhs(k, v, tol, precision):
     den = [z, div(b, az), b, div(q, a)]
     out = _ONE
     for c in num:
-        out = mul(out, _qpoch_inf_real(k, c, q, precision)[0])
+        out = mul(out, _qpoch_inf_real(k, c, q)[0])
     for c in den:
-        out = div(out, _qpoch_inf_real(k, c, q, precision)[0])
+        out = div(out, _qpoch_inf_real(k, c, q)[0])
     return out
+
+
+def _region_qqq(v) -> None:
+    _require(v["m"] >= 1, "need m >= 1")
+    _require(0 < v["q"] < 1, "0 < q < 1")
+    if v["m"] > 1000:  # the work grows as m^2: 3 s of CPU at m = 1000
+        raise DomainError("qqq takes m up to 1000")
+
+
+def _partial_theta_terms(k, z, q):
+    """(-1)^k q^(k(k-1)/2) z^k for k = 0, 1, ..., incrementally."""
+    mul = k.mul
+    term = _ONE
+    qk = _ONE
+    while True:
+        yield term
+        term = mul(mul(term, k.neg(qk)), z)
+        qk = mul(qk, q)
+
+
+def _qqq_common(k, m: int, q):
+    """(-1;q)_n/(-q^(1-m);q)_n [m n]_q for n = 0, 1, ..., m, the factor
+    term n of both sides has, with the bits of computing each n alone."""
+    add, sub, mul, div, power = k.add, k.sub, k.mul, k.div, k.pow
+    factors = [sub(_ONE, power(q, i)) for i in range(m + 1)]  # 1 - q^i
+    qq_m = _ONE  # (q;q)_m
+    for i in range(1, m + 1):
+        qq_m = mul(qq_m, factors[i])
+    pre = _ONE  # (-1;q)_n / (-q^(1-m);q)_n
+    for n in range(m + 1):
+        binom = qq_m  # (q;q)_m / ((q;q)_n (q;q)_(m-n))
+        for i in range(1, n + 1):
+            binom = div(binom, factors[i])
+        for i in range(1, m - n + 1):
+            binom = div(binom, factors[i])
+        yield mul(pre, binom)
+        pre = mul(pre, div(add(_ONE, power(q, n)), add(_ONE, power(q, 1 - m + n))))
+
+
+# The sides of check_qqq's identity.  m is an integer, so its kernel
+# exponent is at least 0; the z-exponents n(3n +/- 1)/2 are integers.
+
+
+def _qqq_lhs(k, v, tol):
+    m, q = v["m"][0] << v["m"][1], v["q"]
+    total = _ZERO
+    for n, common in enumerate(_qqq_common(k, m, q)):
+        total = k.add(total, k.mul(common, k.pow(q, n * (3 * n + 1) // 2 - 2 * n * m)))
+    return total
+
+
+def _qqq_rhs(k, v, tol):
+    m, q = v["m"][0] << v["m"][1], v["q"]
+    add, sub, mul, power = k.add, k.sub, k.mul, k.pow
+    total = _ZERO
+    for n, common in enumerate(_qqq_common(k, m, q)):
+        bracket = sub(add(add(_ONE, power(q, n)), power(q, n - m)), power(q, 2 * n - m))
+        theta = _sum_terms(
+            k, _partial_theta_terms(k, power(q, 2 * n - 2 * m + 1), mul(q, q)), tol,
+            force=max(0, 2 * (m - n) + 2),
+        )
+        term = mul(common, power(q, n * (3 * n - 1) // 2 - 2 * n * m))
+        total = add(total, mul(mul(term, bracket), theta))
+    return total
 
 
 class _IdentityNumeric(NamedTuple):
     """One identity.  region(v) tests the mpf point; each side is called as
-    side(k, v, tol, precision) with the point and tol as kernel values."""
+    side(k, v, tol) with the point and tol as kernel values.  The symbols in
+    integers must have integer values."""
 
     symbols: Tuple[str, ...]
     region: Callable
     lhs: Callable
     rhs: Callable
+    integers: Tuple[str, ...] = ()
 
 
+# in battery order, which numeric_check_names() keeps
 NUMERIC_CHECKS: Dict[str, _IdentityNumeric] = {
-    "rogers_fine": _IdentityNumeric(
-        ("q", "a", "b", "z"), _region_q_z, _rogers_fine_lhs, _rogers_fine_rhs
-    ),
     "coogan_ono": _IdentityNumeric(
         ("q", "z"), _region_q_z, _coogan_ono_lhs, _coogan_ono_rhs
     ),
@@ -450,6 +532,10 @@ NUMERIC_CHECKS: Dict[str, _IdentityNumeric] = {
     "ramanujan_1psi1": _IdentityNumeric(
         ("q", "a", "b", "z"), _region_1psi1, _1psi1_lhs, _1psi1_rhs
     ),
+    "rogers_fine": _IdentityNumeric(
+        ("q", "a", "b", "z"), _region_q_z, _rogers_fine_lhs, _rogers_fine_rhs
+    ),
+    "qqq": _IdentityNumeric(("m", "q"), _region_qqq, _qqq_lhs, _qqq_rhs, ("m",)),
 }
 
 # in-region sample points, exact rationals so every precision sees the
@@ -475,17 +561,13 @@ DEFAULT_POINTS: Dict[str, List[Point]] = {
         {"q": Fraction(1, 10), "a": Fraction(3), "b": Fraction(1, 5), "z": Fraction(2, 5)},
         {"q": Fraction(3, 10), "a": Fraction(5, 2), "b": Fraction(1, 8), "z": Fraction(3, 5)},
     ],
+    # the finite theta-sum cases, m outer, q inner
+    "qqq": [{"m": m, "q": qv} for m in (1, 2, 3) for qv in (Fraction(1, 2), Fraction(1, 3))],
 }
 
 
-# the finite theta-sum cases of the default battery, m outer, q inner
-DEFAULT_QQQ_POINTS: List[Point] = [
-    {"m": m, "q": qv} for m in (1, 2, 3) for qv in (Fraction(1, 2), Fraction(1, 3))
-]
-
-
 def numeric_check_names() -> List[str]:
-    return sorted(NUMERIC_CHECKS)
+    return list(NUMERIC_CHECKS)
 
 
 def check_identity_numeric(
@@ -501,70 +583,31 @@ def check_identity_numeric(
         raise StructureError(
             f"unknown numeric check {name!r}; known: {', '.join(numeric_check_names())}"
         ) from None
+    exact = {s: _to_fraction(x, s) for s, x in point.items()}
     missing = [s for s in check.symbols if s not in point]
     if missing:
         raise StructureError(f"point misses symbols {missing} for {name}")
     extra = sorted(set(point) - set(check.symbols))
     if extra:
         raise StructureError(f"point has symbols {extra} that {name} does not take")
+    for s in check.integers:
+        if exact[s].denominator != 1:
+            raise ParseError(f"{s}: not an integer: {exact[s]}")
     with mpmath.workprec(precision + 16):
-        v = {s: _to_mp(point[s]) for s in check.symbols}
+        v = {s: _to_mp(exact[s]) for s in check.symbols}
         tolv = _to_mp(tol)
         check.region(v)
         k = _Kernel(mpmath.mp.prec)
         kv = {s: k.from_mpf(x) for s, x in v.items()}
         ktol = k.from_mpf(tolv)
         try:
-            lhs = check.lhs(k, kv, ktol, precision)
-            rhs = check.rhs(k, kv, ktol, precision)
+            lhs = check.lhs(k, kv, ktol)
+            rhs = check.rhs(k, kv, ktol)
         except ZeroDivisionError:
             raise DomainError(
                 f"{name} has a pole at this point: a denominator factor vanishes"
             ) from None
-    return _report(k, name, _point_str(point), precision, lhs, rhs, tolv)
-
-
-# ---------------------------------------------------------------------------
-# the finite theta-sum specialization (z = q^(-m))
-
-
-def _partial_theta_terms(k, z, q):
-    """(-1)^k q^(k(k-1)/2) z^k for k = 0, 1, ..., incrementally."""
-    mul = k.mul
-    term = _ONE
-    qk = _ONE
-    while True:
-        yield term
-        term = mul(mul(term, k.neg(qk)), z)
-        qk = mul(qk, q)
-
-
-def _qqq_sides(k, m: int, q, tol):
-    """Both sides of check_qqq's identity at z = q^(-m), on the kernel."""
-    add, sub, mul, div, power = k.add, k.sub, k.mul, k.div, k.pow
-    lhs = rhs = _ZERO
-    for n in range(m + 1):
-        pre = _ONE  # (-1;q)_n / (-q^(1-m);q)_n
-        for i in range(n):
-            pre = mul(pre, div(add(_ONE, power(q, i)), add(_ONE, power(q, 1 - m + i))))
-        binom = _ONE  # (q;q)_m / ((q;q)_n (q;q)_(m-n))
-        for i in range(1, m + 1):
-            binom = mul(binom, sub(_ONE, power(q, i)))
-        for i in range(1, n + 1):
-            binom = div(binom, sub(_ONE, power(q, i)))
-        for i in range(1, m - n + 1):
-            binom = div(binom, sub(_ONE, power(q, i)))
-        common = mul(pre, binom)
-        # z-exponents n(3n +/- 1)/2 are integers for every n
-        lhs = add(lhs, mul(common, power(q, n * (3 * n + 1) // 2 - 2 * n * m)))
-        bracket = sub(add(add(_ONE, power(q, n)), power(q, n - m)), power(q, 2 * n - m))
-        theta = _sum_terms(
-            k, _partial_theta_terms(k, power(q, 2 * n - 2 * m + 1), mul(q, q)), tol,
-            force=max(0, 2 * (m - n) + 2),
-        )
-        term = mul(mul(common, power(q, n * (3 * n - 1) // 2 - 2 * n * m)), bracket)
-        rhs = add(rhs, mul(term, theta))
-    return lhs, rhs
+    return _report(k, name, {s: str(exact[s]) for s in sorted(exact)}, precision, lhs, rhs, tolv)
 
 
 def check_qqq(
@@ -583,27 +626,15 @@ def check_qqq(
     theta tails, whose q-exponents k(k + 2n - 2m) force the summation
     past k = 2(m-n) before smallness testing.
     """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    qf = Fraction(q)
-    if not 0 < qf < 1:
-        raise DomainError(f"need 0 < q < 1, got {qf}")
-    with mpmath.workprec(precision + 16):
-        tolv = _to_mp(tol)
-        k = _Kernel(mpmath.mp.prec)
-        lhs, rhs = _qqq_sides(k, m, k.from_mpf(_to_mp(qf)), k.from_mpf(tolv))
-    return _report(k, "qqq", {"m": str(m), "q": str(qf)}, precision, lhs, rhs, tolv)
+    return check_identity_numeric("qqq", {"m": m, "q": q}, tol, precision)
 
 
 def default_numeric_reports(
     tol=DEFAULT_TOLERANCE, precision: int = DEFAULT_PRECISION
 ) -> List[NumericReport]:
-    """Every registered identity at its default point grid, plus the
-    finite theta-sum cases used for acceptance."""
-    reports = []
-    for name in numeric_check_names():
-        for point in DEFAULT_POINTS[name]:
-            reports.append(check_identity_numeric(name, point, tol, precision))
-    for case in DEFAULT_QQQ_POINTS:
-        reports.append(check_qqq(case["m"], case["q"], tol, precision))
-    return reports
+    """Every registered identity at its default point grid."""
+    return [
+        check_identity_numeric(name, point, tol, precision)
+        for name in numeric_check_names()
+        for point in DEFAULT_POINTS[name]
+    ]

@@ -160,11 +160,10 @@ class TruncSeries:
         out = [_dot(((a[i], b[m - i]) for i in range(m + 1)), zero) for m in range(n + 1)]
         return TruncSeries(self.table, n, out)
 
+    __rmul__ = __mul__
+
     def scale(self, c: Scalar) -> "TruncSeries":
-        c = _coerce_scalar(self.table, c)
-        if c.is_zero():
-            return TruncSeries.zero(self.table, self.order)
-        return TruncSeries(self.table, self.order, [x * c for x in self.coeffs])
+        return self * _coerce_scalar(self.table, c)
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term."""

@@ -245,7 +245,7 @@ def test_criterion_09_numeric_battery_and_precision_doubling():
         assert len(DEFAULT_POINTS[name]) >= 3, name
     lo = default_numeric_reports()  # 128 bits, tolerance 1e-25
     hi = default_numeric_reports(precision=256)
-    assert len(lo) == len(hi) == 3 * len(numeric_check_names()) + 6
+    assert len(lo) == len(hi) == 18
     for rl, rh in zip(lo, hi):
         assert rl.passed, (rl.name, rl.point)
         assert rh.status == rl.status, (rl.name, rl.point)

@@ -16,7 +16,7 @@ import pytest
 
 from qexpand.cli import _fold_negative_values, build_parser, main
 from qexpand.identities import check_names
-from qexpand.numeric import numeric_check_names
+from qexpand.numeric import DEFAULT_POINTS, numeric_check_names
 
 
 def run_cli(capsys, *argv):
@@ -308,7 +308,7 @@ def _help_text(capsys, command):
 def test_help_lists_every_check_name(capsys):
     # the lists are filled in when help is printed, not when the parser is built
     assert "one of: " + ", ".join(check_names()) + " " in _help_text(capsys, "verify")
-    numeric = ", ".join(numeric_check_names() + ["qqq"])
+    numeric = ", ".join(numeric_check_names())
     assert (f"one of: {numeric} (default: whole battery)"
             in _help_text(capsys, "numeric-verify"))
 
@@ -416,53 +416,88 @@ def test_tol_must_be_a_positive_rational(capsys, command, tol):
     assert "argument --tol:" in err
 
 
-@pytest.mark.parametrize("m", ["x", 2.5])
-def test_numeric_verify_qqq_non_integer_m_exits_2(tmp_path, capsys, m):
-    # a non-integer m once escaped as a ValueError traceback with exit 1
+def _point(name, **changes):
+    """The first default point of a numeric identity, its coordinates as
+    text, with the given coordinates changed (None drops one)."""
+    point = {s: str(v) for s, v in DEFAULT_POINTS[name][0].items()}
+    point.update(changes)
+    return {s: v for s, v in point.items() if v is not None}
+
+
+def _numeric_verify_one_error(tmp_path, capsys, identity, point):
+    """stderr of numeric-verify on one point; it must exit 2 with one
+    error: line and print nothing to stdout."""
     pf = tmp_path / "points.json"
-    pf.write_text(json.dumps([{"m": m, "q": "1/2"}]))
-    code, out, err = run_cli(capsys, "numeric-verify", "--identity", "qqq",
+    pf.write_text(json.dumps([point]))
+    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
                              "--points", str(pf))
-    assert code == 2 and "m: not an integer" in err
-    assert out == ""
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("m,message", [
+    ("x", "m: Invalid literal for Fraction: 'x'"),
+    (2.5, "m: not an integer: 5/2"),
+], ids=["x", "2.5"])
+def test_numeric_verify_qqq_non_integer_m_exits_2(tmp_path, capsys, m, message):
+    # a non-integer m once escaped as a ValueError traceback with exit 1
+    err = _numeric_verify_one_error(tmp_path, capsys, "qqq", {"m": m, "q": "1/2"})
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("point,message", [
+    # q = 1 - 10^-75 is 1 at the working precision; it once ended in a
+    # ZeroDivisionError traceback with exit 1
+    pytest.param({"m": 2, "q": "0." + "9" * 75}, "0 < q < 1", id="q_rounds_to_1"),
+    # the work grows as m^2; m = 10^8 once ran until it was killed
+    pytest.param({"m": 10**8, "q": "1/2"}, "m up to 1000", id="m_past_1000"),
+])
+def test_numeric_verify_qqq_out_of_range_exits_2_at_once(tmp_path, capsys, point, message):
+    t0 = time.process_time()
+    err = _numeric_verify_one_error(tmp_path, capsys, "qqq", point)
+    assert time.process_time() - t0 < 1
+    assert message in err
 
 
 @pytest.mark.parametrize("identity,point,extra", [
-    ("lemma13", {"q": "1/2", "z": "1/2", "b": 7}, "['b']"),
-    ("lemma13", {"q": "3/10", "z": "2/5", "a": "1/2"}, "['a']"),
-    ("coogan_ono", {"q": "3/10", "z": "2/5", "a": "1", "m": "2"}, "['a', 'm']"),
-    ("qqq", {"m": 2, "q": "1/2", "z": "1/3"}, "['z']"),
-], ids=["lemma13_b", "lemma13_a", "coogan_ono_a_m", "qqq_z"])
+    pytest.param("lemma13", {"q": "1/2", "z": "1/2", "b": 7}, "['b']", id="lemma13_b"),
+    pytest.param("lemma13", {"q": "3/10", "z": "2/5", "a": "1/2"}, "['a']", id="lemma13_a"),
+    pytest.param("coogan_ono", {"q": "3/10", "z": "2/5", "a": "1", "m": "2"}, "['a', 'm']",
+                 id="coogan_ono_a_m"),
+    pytest.param("qqq", {"m": 2, "q": "1/2", "z": "1/3"}, "['z']", id="qqq_z"),
+] + [
+    pytest.param(name, _point(name, w="1/3"), "['w']", id=f"{name}_w")
+    for name in numeric_check_names()
+])
 def test_numeric_verify_extra_symbols_exit_2(tmp_path, capsys, identity, point, extra):
     # a symbol the identity does not have was once dropped, and the point passed
-    pf = tmp_path / "points.json"
-    pf.write_text(json.dumps([point]))
-    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
-                             "--points", str(pf))
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    err = _numeric_verify_one_error(tmp_path, capsys, identity, point)
     assert f"symbols {extra}" in err
 
 
-@pytest.mark.parametrize("identity,point", [
-    ("lemma13", {"q": "1e-5000", "z": "1/2"}),
-    ("qqq", {"m": 1, "q": "1e-5000"}),
-    ("lemma13", {"q": "1/2", "z": "1e5000"}),
-    # refused before 10^100000000 is computed
-    ("lemma13", {"q": "1e-100000000", "z": "1/2"}),
-    ("qqq", {"m": 1, "q": " 1E-1_0000_0000 "}),
-], ids=["lemma13_q", "qqq_q", "lemma13_z_large", "lemma13_q_huge_exponent", "qqq_q_huge_exponent"])
+@pytest.mark.parametrize("identity", numeric_check_names())
+def test_numeric_verify_missing_symbol_exits_2(tmp_path, capsys, identity):
+    err = _numeric_verify_one_error(tmp_path, capsys, identity, _point(identity, q=None))
+    assert "misses symbols ['q']" in err
+
+
+def _coordinate_cases():
+    for name in numeric_check_names():
+        other = [s for s in DEFAULT_POINTS[name][0] if s != "q"][-1]
+        yield pytest.param(name, _point(name, q="1e-5000"), id=f"{name}_q")
+        yield pytest.param(name, _point(name, **{other: "1e5000"}), id=f"{name}_{other}_large")
+        # refused before 10^100000000 is computed
+        yield pytest.param(name, _point(name, q=" 1E-1_0000_0000 "), id=f"{name}_q_huge_exponent")
+
+
+@pytest.mark.parametrize("identity,point", _coordinate_cases())
 def test_numeric_verify_coordinates_past_4300_digits_exit_2(tmp_path, capsys, identity, point):
     # 1e-5000 was once evaluated in full, then printing its 5001-digit
     # denominator ended in a ValueError traceback with exit 1
-    pf = tmp_path / "points.json"
-    pf.write_text(json.dumps([point]))
     t0 = time.process_time()
-    code, out, err = run_cli(capsys, "numeric-verify", "--identity", identity,
-                             "--points", str(pf))
+    err = _numeric_verify_one_error(tmp_path, capsys, identity, point)
     assert time.process_time() - t0 < 1
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
     assert "4300-digit limit" in err
 
 
@@ -501,7 +536,7 @@ def test_numeric_verify_json_integer_past_4300_digits_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: points file")
 
 
-@pytest.mark.parametrize("identity", ["lemma13", "qqq"])
+@pytest.mark.parametrize("identity", numeric_check_names())
 def test_numeric_verify_deeply_nested_points_file_exits_2(tmp_path, capsys, identity):
     # json.load raises RecursionError, which once ended in a traceback with exit 1
     pf = tmp_path / "points.json"
@@ -514,7 +549,7 @@ def test_numeric_verify_deeply_nested_points_file_exits_2(tmp_path, capsys, iden
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
-@pytest.mark.parametrize("identity", ["lemma13", "qqq"])
+@pytest.mark.parametrize("identity", numeric_check_names())
 def test_numeric_verify_empty_points_file_exits_2(tmp_path, capsys, identity, output):
     # [] once printed "0/0 points passed" (or [] as JSON) and exited 0
     pf = tmp_path / "points.json"

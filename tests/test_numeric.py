@@ -8,6 +8,7 @@ of truncated series against closed forms."""
 import hashlib
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -29,17 +30,15 @@ from mpmath.libmp import (
 )
 
 from qexpand import numeric
-from qexpand.errors import DomainError, PoleError, StructureError
+from qexpand.errors import DomainError, ParseError, PoleError, StructureError
 from qexpand.numeric import (
     DEFAULT_POINTS,
-    DEFAULT_QQQ_POINTS,
     DEFAULT_TOLERANCE,
     NUMERIC_CHECKS,
     _MAX_TERMS,
     _Kernel,
     _partial_theta_terms,
     _qpoch_inf_real,
-    _qqq_sides,
     _sum_terms,
     _to_mp,
     check_identity_numeric,
@@ -77,10 +76,10 @@ def test_qpoch_num_finite_matches_exact_fractions():
         cur *= q
 
 
-def _qpoch_inf_kernel(cv, qv, precision):
+def _qpoch_inf_kernel(cv, qv):
     """_qpoch_inf_real on mpf inputs at the working precision, as mpf."""
     k = _Kernel(mpmath.mp.prec)
-    out, bound = _qpoch_inf_real(k, k.from_mpf(cv), k.from_mpf(qv), precision)
+    out, bound = _qpoch_inf_real(k, k.from_mpf(cv), k.from_mpf(qv))
     return k.to_mpf(out), k.to_mpf(bound)
 
 
@@ -95,7 +94,7 @@ def _qpoch_inf_kernel(cv, qv, precision):
 def test_qpoch_num_infinite_matches_mpmath_qp(c, q):
     for precision in (128, 1024):
         with mpmath.workprec(precision + 16):
-            ours = _qpoch_inf_kernel(_mp(c), _mp(q), precision)[0]
+            ours = _qpoch_inf_kernel(_mp(c), _mp(q))[0]
         with mpmath.workprec(precision + 12):
             ref = mpmath.qp(_mp(c), _mp(q))
             assert abs(ours - ref) < mpmath.mpf(2) ** -(precision - 18)
@@ -173,7 +172,7 @@ def test_qpoch_inf_matches_every_factor_bound_loop(case, precision):
         if isinstance(cv, mpmath.mpc) or isinstance(qv, mpmath.mpc):
             got = _qpoch_inf_operator_loop(cv, qv, precision)
         else:
-            got = _qpoch_inf_kernel(cv, qv, precision)
+            got = _qpoch_inf_kernel(cv, qv)
         want = _qpoch_inf_every_factor(cv, qv, precision)
         ref = mpmath.qp(cv, qv)
     assert type(got[0]) is type(want[0])
@@ -198,7 +197,7 @@ def test_qpoch_inf_real_loop_matches_operator_loop(c, q, precision):
     # product exactly 0
     with mpmath.workprec(precision + 16):
         cv, qv = _mp(c), _mp(q)
-        got = _qpoch_inf_kernel(cv, qv, precision)
+        got = _qpoch_inf_kernel(cv, qv)
         want = _qpoch_inf_every_factor(cv, qv, precision)
     assert type(got[0]) is type(want[0]) is mpmath.mpf
     assert got[0]._mpf_ == want[0]._mpf_ and got[1]._mpf_ == want[1]._mpf_
@@ -210,8 +209,8 @@ def test_qpoch_num_quotient_law():
     with mpmath.workprec(176):
         for n in (0, 1, 4, 9):
             lhs = _mp(_qpoch_fraction(c, n, q)) * _qpoch_inf_kernel(
-                _mp(c * q**n), _mp(q), 160)[0]
-            rhs = _qpoch_inf_kernel(_mp(c), _mp(q), 160)[0]
+                _mp(c * q**n), _mp(q))[0]
+            rhs = _qpoch_inf_kernel(_mp(c), _mp(q))[0]
             assert abs(lhs - rhs) < mpmath.mpf(2) ** -140
 
 
@@ -231,7 +230,7 @@ def test_qpoch_num_domain_errors():
         _qpoch_at(Fraction(1, 2), -1, Fraction(1, 2))
     k = _Kernel(96)
     with pytest.raises(DomainError, match=r"\|q\| < 1"):
-        _qpoch_inf_real(k, (1, -1), (1, 0), 96)
+        _qpoch_inf_real(k, (1, -1), (1, 0))
 
 
 # -- the integer kernel against mpmath.libmp ------------------------------------
@@ -336,13 +335,11 @@ def test_kernel_exact_zero_at_the_1psi1_point():
 
 def test_default_grid_all_pass():
     reports = default_numeric_reports()
-    assert len(reports) == 3 * len(numeric_check_names()) + 6
+    assert len(reports) == 18
     for r in reports:
         assert r.status == "passed"
         assert r.passed
-    assert sorted({r.name for r in reports}) == sorted(
-        numeric_check_names() + ["qqq"]
-    )
+    assert sorted({r.name for r in reports}) == sorted(numeric_check_names())
 
 
 # sha256 of the sorted-key JSON of default_numeric_reports(precision=P).
@@ -495,14 +492,6 @@ def _mpf_1psi1_rhs(v, tol, precision):
     return out
 
 
-_MPF_SIDES = {
-    "rogers_fine": (_mpf_rogers_fine_lhs, _mpf_rogers_fine_rhs),
-    "coogan_ono": (_mpf_coogan_ono_lhs, _mpf_coogan_ono_rhs),
-    "lemma13": (_mpf_lemma13_lhs, _mpf_lemma13_rhs),
-    "ramanujan_1psi1": (_mpf_1psi1_lhs, _mpf_1psi1_rhs),
-}
-
-
 def _mpf_partial_theta_terms(z, q):
     term = mpmath.mpf(1)
     qk = mpmath.mpf(1)
@@ -512,29 +501,49 @@ def _mpf_partial_theta_terms(z, q):
         qk *= q
 
 
-def _mpf_qqq_sides(m, qv, tolv):
+def _mpf_qqq_common(m, qv, n):
+    pre = mpmath.mpf(1)
+    for i in range(n):
+        pre *= (1 + qv**i) / (1 + qv ** (1 - m + i))
+    binom = mpmath.mpf(1)
+    for i in range(1, m + 1):
+        binom *= 1 - qv**i
+    for i in range(1, n + 1):
+        binom /= 1 - qv**i
+    for i in range(1, m - n + 1):
+        binom /= 1 - qv**i
+    return pre * binom
+
+
+def _mpf_qqq_lhs(v, tol, precision):
+    m, qv = int(v["m"]), v["q"]
     lhs = mpmath.mpf(0)
+    for n in range(m + 1):
+        lhs += _mpf_qqq_common(m, qv, n) * qv ** (n * (3 * n + 1) // 2 - 2 * n * m)
+    return lhs
+
+
+def _mpf_qqq_rhs(v, tol, precision):
+    m, qv = int(v["m"]), v["q"]
     rhs = mpmath.mpf(0)
     for n in range(m + 1):
-        pre = mpmath.mpf(1)
-        for i in range(n):
-            pre *= (1 + qv**i) / (1 + qv ** (1 - m + i))
-        binom = mpmath.mpf(1)
-        for i in range(1, m + 1):
-            binom *= 1 - qv**i
-        for i in range(1, n + 1):
-            binom /= 1 - qv**i
-        for i in range(1, m - n + 1):
-            binom /= 1 - qv**i
-        common = pre * binom
-        lhs += common * qv ** (n * (3 * n + 1) // 2 - 2 * n * m)
         bracket = 1 + qv**n + qv ** (n - m) - qv ** (2 * n - m)
         theta = _mpf_sum_terms(
-            _mpf_partial_theta_terms(qv ** (2 * n - 2 * m + 1), qv * qv), tolv,
+            _mpf_partial_theta_terms(qv ** (2 * n - 2 * m + 1), qv * qv), tol,
             force=max(0, 2 * (m - n) + 2),
         )
-        rhs += common * qv ** (n * (3 * n - 1) // 2 - 2 * n * m) * bracket * theta
-    return lhs, rhs
+        rhs += (_mpf_qqq_common(m, qv, n) * qv ** (n * (3 * n - 1) // 2 - 2 * n * m)
+                * bracket * theta)
+    return rhs
+
+
+_MPF_SIDES = {
+    "rogers_fine": (_mpf_rogers_fine_lhs, _mpf_rogers_fine_rhs),
+    "coogan_ono": (_mpf_coogan_ono_lhs, _mpf_coogan_ono_rhs),
+    "lemma13": (_mpf_lemma13_lhs, _mpf_lemma13_rhs),
+    "ramanujan_1psi1": (_mpf_1psi1_lhs, _mpf_1psi1_rhs),
+    "qqq": (_mpf_qqq_lhs, _mpf_qqq_rhs),
+}
 
 
 @pytest.fixture
@@ -575,24 +584,9 @@ def test_sides_match_mpf_operators(summed_terms, precision, name):
                 del kernel_terms[:], mpf_terms[:]
                 k = _Kernel(mpmath.mp.prec)
                 kv = {s: k.from_mpf(x) for s, x in v.items()}
-                got = side(k, kv, k.from_mpf(tol), precision)
+                got = side(k, kv, k.from_mpf(tol))
                 assert _raw(got) == ref(v, tol, precision)._mpf_, (point, side.__name__)
                 assert kernel_terms == mpf_terms, (point, side.__name__)
-
-
-@pytest.mark.parametrize("precision", _SIDE_PRECISIONS)
-def test_qqq_sides_match_mpf_operators(summed_terms, precision):
-    kernel_terms, mpf_terms = summed_terms
-    with mpmath.workprec(precision + 16):
-        tol = _to_mp(DEFAULT_TOLERANCE)
-        for case in DEFAULT_QQQ_POINTS:
-            del kernel_terms[:], mpf_terms[:]
-            q = _to_mp(case["q"])
-            k = _Kernel(mpmath.mp.prec)
-            got = _qqq_sides(k, case["m"], k.from_mpf(q), k.from_mpf(tol))
-            want = _mpf_qqq_sides(case["m"], q, tol)
-            assert [_raw(g) for g in got] == [w._mpf_ for w in want], case
-            assert kernel_terms == mpf_terms, case
 
 
 @pytest.mark.parametrize("name", numeric_check_names())
@@ -733,6 +727,34 @@ def test_check_qqq_domain_errors():
         check_qqq(2, 2)
     with pytest.raises(DomainError, match="0 < q < 1"):
         check_qqq(2, 0)
+    # q = 1 - 10^-75 rounds to 1 at the working precision; it once ended in
+    # a ZeroDivisionError
+    with pytest.raises(DomainError, match="0 < q < 1"):
+        check_qqq(2, Fraction(10**75 - 1, 10**75))
+    # the work grows as m^2, so m is bounded
+    with pytest.raises(DomainError, match="m up to 1000"):
+        check_qqq(10**8, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("m,message", [
+    (Fraction(5, 2), "m: not an integer: 5/2"),
+    # judged on the exact value: this m rounds to 1000 at 144 bits
+    (1000 + Fraction(1, 10**60), f"m: not an integer: {1000 * 10**60 + 1}/1{'0' * 60}"),
+    ("two", "m: Invalid literal for Fraction: 'two'"),
+], ids=["five_halves", "just_above_1000", "text"])
+def test_check_qqq_takes_only_integer_m(m, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        check_qqq(m, Fraction(1, 2))
+
+
+def test_coordinates_past_4300_digits_are_refused_before_evaluation(monkeypatch):
+    # an int or a Fraction is checked by numerator and denominator; this point
+    # was once evaluated, then printing it ended in a bare ValueError
+    monkeypatch.setattr(numeric, "_Kernel", None)
+    for point in ({"q": Fraction(1, 10**5000), "z": Fraction(1, 2)},
+                  {"q": Fraction(1, 2), "z": -(10**5000)}):
+        with pytest.raises(ParseError, match="4300-digit limit"):
+            check_identity_numeric("lemma13", point)
 
 
 # -- truncated series at a point ----------------------------------------------

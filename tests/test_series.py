@@ -320,6 +320,19 @@ def test_series_times_ratfun_scales_each_coefficient(t, syms):
     assert (s * RatFun.zero(t)).is_zero()
 
 
+def test_ratfun_times_series_scales_each_coefficient(t, syms):
+    # RatFun * TruncSeries once raised TypeError; scale is the same product
+    q, a, b = syms
+    s = pochhammer_finite(a, 2, 3, t)
+    for c in (q, b / q, RatFun.zero(t)):
+        want = [str(x * c) for x in s.coeffs]
+        assert [str(x) for x in (c * s).coeffs] == [str(x) for x in (s * c).coeffs] == want
+        assert [str(x) for x in s.scale(c).coeffs] == want
+    zero = s.scale(0)
+    assert zero.is_zero() and zero.order == s.order
+    assert s.scale(Fraction(-3, 2)) == s * RatFun.from_fraction(t, Fraction(-3, 2))
+
+
 def test_json_rendering(t, syms):
     q, a, b = syms
     s = pochhammer_finite(a, 1, 2, t)
