@@ -328,9 +328,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.runs
 
-    def is_const(self) -> bool:
-        return self == self.const_value()
-
     def is_term(self) -> bool:
         """Whether the poly is one term: an integer times a monomial."""
         if len(self.runs) != 1:
@@ -357,17 +354,6 @@ class MultiPoly:
             return -1
         w, ds = self.w, self.table._degshift
         return max((g >> ds) + lo + x.bit_length() // w for g, (lo, x) in self.runs.items())
-
-    def degree(self, name: str) -> int:
-        """Degree in one symbol; -1 for the zero polynomial."""
-        if not self.runs:
-            return -1
-        pos = self.table.position(name)
-        if pos == 0:
-            w = self.w
-            return max(lo + x.bit_length() // w for lo, x in self.runs.values())
-        sh = self.table._shifts[pos]
-        return max((g >> sh) & _MASK for g in self.runs)
 
     def content(self, g: int = 0) -> int:
         """Nonnegative gcd of g and the integer coefficients (|g| for the
@@ -573,7 +559,7 @@ class MultiPoly:
                 f"the monomial with exponents {tuple(exps)} does not divide every term")
         return self._term_mul(exps[0] * self.table._step - packed, -exps[0], 1, -sum(exps))
 
-    # -- evaluation and embedding -------------------------------------
+    # -- evaluation ---------------------------------------------------
 
     def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
         vals = []
@@ -589,20 +575,6 @@ class MultiPoly:
                     term *= v**e
             total += term
         return total
-
-    def embed(self, table: SymbolTable) -> "MultiPoly":
-        """Recoded copy over a table containing all of this poly's symbols."""
-        if table.same_as(self.table):
-            return _poly(table, self.runs, self.w, self._bound, self.deg, self._exact)
-        old = self.table
-        out: dict = {}
-        for k, c in self.terms.items():
-            vec = [0] * len(table)
-            for nm, e in zip(old.names, old.unpack(k)):
-                if e:
-                    vec[table.position(nm)] = e
-            out[table.pack(vec)] = c
-        return MultiPoly(table, out)
 
     # -- rendering ------------------------------------------------------
 
@@ -942,30 +914,7 @@ class RatFun:
             num, den = -num, -den
         return _ratfun(num ** -n, den ** -n)
 
-    # -- structural operations ------------------------------------------
-
-    def substitute(self, assignments) -> "RatFun":
-        """Simultaneously replace symbols by RatFun values.
-
-        `assignments` maps symbol names to RatFun / int / Fraction values.
-        Unassigned symbols stay themselves.
-        """
-        table = self.table
-        vals = {}
-        for nm, v in assignments.items():
-            if nm not in table:
-                raise StructureError(f"unknown symbol {nm!r}")
-            r = RatFun.one(table)._coerce(v)
-            if r is NotImplemented:
-                raise StructureError(f"bad substitution value for {nm!r}")
-            _check_tables(self, r)
-            vals[nm] = r
-        one, zero = RatFun.one(table), RatFun.zero(table)
-        num = _poly_substitute(self.num, vals, one, zero)
-        den = _poly_substitute(self.den, vals, one, zero)
-        if den.is_zero():
-            raise PoleError("substitution sends the denominator to zero")
-        return num / den
+    # -- evaluation and rendering ------------------------------------------
 
     def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
         """Exact rational value at a full assignment of the symbols."""
@@ -973,9 +922,6 @@ class RatFun:
         if d == 0:
             raise PoleError(f"denominator vanishes at {dict(point)!r}")
         return self.num.evaluate(point) / d
-
-    def embed(self, table: SymbolTable) -> "RatFun":
-        return RatFun(self.num.embed(table), self.den.embed(table))
 
     def __str__(self) -> str:
         if self.den == 1:
@@ -1005,36 +951,6 @@ def _dot(pairs: Iterable[Tuple[RatFun, RatFun]], acc: RatFun) -> RatFun:
             continue
         acc = acc + x * y
     return acc
-
-
-def _poly_substitute(p: MultiPoly, vals: Mapping[str, object], one, zero):
-    """p with the symbols in vals replaced by their values, RatFuns or series
-    (which a RatFun scales), whose unit and zero are `one` and `zero`."""
-    table = p.table
-    touched = {table.position(nm): nm for nm in vals}
-    powers = {nm: [one] for nm in vals}
-
-    def power_of(nm: str, e: int):
-        cache = powers[nm]
-        while len(cache) <= e:
-            cache.append(cache[-1] * vals[nm])
-        return cache[e]
-
-    const_one = MultiPoly.const(table, 1)
-    total = zero
-    for k, c in p.terms.items():
-        rest = [0] * len(table)
-        factor = None  # not one: a unit series would cost a series multiply per term
-        for i, e in enumerate(table.unpack(k)):
-            if i in touched:
-                if e:
-                    pw = power_of(touched[i], e)
-                    factor = pw if factor is None else factor * pw
-            else:
-                rest[i] = e
-        scalar = RatFun(MultiPoly(table, {table.pack(rest): c}), const_one)
-        total = total + (one if factor is None else factor) * scalar
-    return total
 
 
 def symbols(names: Union[str, Sequence[str]]):

@@ -7,12 +7,11 @@ variable z is *not* a table symbol -- it exists only through the
 coefficient list -- so substituting q-shifts (z -> z q^k) and extracting
 coefficients stay O(N) scalar operations.
 
-Constructors cover the q-Pochhammer toolkit: finite products (cz;q)_n for
-any integer n (negative n via the reciprocal convention
-(cz;q)_{-m} = 1 / prod_{j=1..m} (1 - c z q^{-j})), infinite products via
-Euler's expansions (never by truncating the product), the expansion
-elements z^n (az;q)_n / (bz;q)_n, basic hypergeometric sums with z-free
-parameters, and partial theta sums.
+Constructors cover infinite q-Pochhammer products via Euler's expansions
+(never by truncating the product), the expansion elements
+z^n (az;q)_n / (bz;q)_n, basic hypergeometric sums with z-free
+parameters, and partial theta sums; a finite product is a chain of
+mul_linear or div_linear steps.
 
 Every q-dependent constructor requires the ambient table to declare a
 symbol named "q".
@@ -21,10 +20,10 @@ symbol named "q".
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import MultiPoly, RatFun, SymbolTable, _dot, _poly_substitute
+from .ring import MultiPoly, RatFun, SymbolTable, _dot
 
 Scalar = Union[RatFun, int, Fraction]
 
@@ -103,11 +102,6 @@ class TruncSeries:
         return TruncSeries(table, order, padded)
 
     # -- basics ---------------------------------------------------------
-
-    def coefficient(self, n: int) -> RatFun:
-        if not 0 <= n <= self.order:
-            raise OrderError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -227,9 +221,6 @@ class TruncSeries:
             out.append(a[m] + u * out[m - 1])
         return TruncSeries(self.table, self.order, out)
 
-    def embed(self, table: SymbolTable) -> "TruncSeries":
-        return TruncSeries(table, self.order, [c.embed(table) for c in self.coeffs])
-
     # -- output -----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -255,47 +246,7 @@ class TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# z-free q-Pochhammer scalars
-
-
-def qpoch_param(c: Scalar, n: int, table: SymbolTable) -> RatFun:
-    """(c;q)_n as a RatFun, for any integer n (z-free parameter Pochhammer)."""
-    if n >= 0:
-        return qpoch_param_range(c, 0, n, table)
-    return 1 / qpoch_param_range(c, n, 0, table)
-
-
-def qpoch_param_range(c: Scalar, lo: int, hi: int, table: SymbolTable) -> RatFun:
-    """prod_{i=lo}^{hi-1} (1 - c q^i) as a RatFun (empty product for hi<=lo)."""
-    c = _coerce_scalar(table, c)
-    q = _q(table)
-    prod = RatFun.one(table)
-    f = c * q**lo
-    for _ in range(hi - lo):
-        prod = prod * (1 - f)
-        f = f * q
-    return prod
-
-
-# ---------------------------------------------------------------------------
 # series constructors
-
-
-def pochhammer_finite(c: Scalar, n: int, order: int, table: SymbolTable) -> TruncSeries:
-    """(cz;q)_n for any integer n, including the reciprocal convention n<0."""
-    c = _coerce_scalar(table, c)
-    q = _q(table)
-    out = TruncSeries.one(table, order)
-    f = c
-    if n >= 0:
-        for _ in range(n):
-            out = out.mul_linear(f)
-            f = f * q
-    else:
-        for _ in range(-n):
-            f = f / q
-            out = out.div_linear(f)
-    return out
 
 
 def pochhammer_infinite(c: Scalar, order: int, table: SymbolTable) -> TruncSeries:
@@ -427,31 +378,3 @@ def sum_series(terms: Iterable[TruncSeries], table=None, order=None) -> TruncSer
         n = (n + 1) // 2
     return items[0]
 
-
-# ---------------------------------------------------------------------------
-# substitution of series values for ring symbols (used by specialization
-# checks, e.g. replacing a parameter by z or z/q inside an identity)
-
-
-def substitute_in_series(s: TruncSeries, vals: Mapping[str, TruncSeries]) -> TruncSeries:
-    """Replace table symbols by series values inside a series.
-
-    Each coefficient c_n is mapped to a series in z and re-attached at z^n;
-    denominators must stay invertible after substitution.
-    """
-    table = s.table
-    order = s.order
-    for nm, v in vals.items():
-        if nm not in table:
-            raise StructureError(f"unknown symbol {nm!r}")
-        if not v.table.same_as(table):
-            raise StructureError("substitution values must share the table")
-    one, zero = TruncSeries.one(table, order), TruncSeries.zero(table, order)
-    result = zero
-    for n, cn in enumerate(s.coeffs):
-        if cn.is_zero():
-            continue
-        ns = _poly_substitute(cn.num, vals, one, zero)
-        ds = _poly_substitute(cn.den, vals, one, zero)
-        result = result + (ns * ds.invert()).mul_z(n)
-    return result

@@ -47,7 +47,8 @@ from qexpand.numeric import (
     numeric_check_names,
 )
 from qexpand.ring import RatFun, symbols
-from qexpand.series import TruncSeries, qpoch_param
+from qexpand.series import TruncSeries
+from reference import qpoch
 
 # -- q-Pochhammer products ----------------------------------------------------
 
@@ -60,9 +61,9 @@ def _qpoch_fraction(c, n, q):
 
 
 def _qpoch_at(c, n, q):
-    """The exact engine's (c;q)_n with symbolic q, evaluated at q."""
+    """(c;q)_n as a RatFun in symbolic q (the test-local reference), evaluated at q."""
     table, _ = symbols("q")
-    return qpoch_param(RatFun.from_fraction(table, c), n, table).evaluate({"q": q})
+    return qpoch(RatFun.from_fraction(table, c), n, table).evaluate({"q": q})
 
 
 def test_qpoch_num_finite_matches_exact_fractions():
@@ -770,7 +771,7 @@ def _spot_check(s, point, closedform, tol=Fraction(1, 10**20), precision=128):
     """
     fpoint = {k: Fraction(v) for k, v in point.items()}
     zf = fpoint.pop("z")
-    exact = [s.coefficient(n).evaluate(fpoint) * zf**n for n in range(s.order + 1)]
+    exact = [s.coeffs[n].evaluate(fpoint) * zf**n for n in range(s.order + 1)]
     with mpmath.workprec(precision + 16):
         terms = [_mp(t) for t in exact]
         total = mpmath.fsum(terms)

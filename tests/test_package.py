@@ -1,10 +1,12 @@
 """The package's lazy exports: every public name resolves to the object its
 submodule defines, dir() lists them, unknown names raise AttributeError,
 submodules still import through the package, no module imports a name it
-never uses, and no private helper goes unused."""
+never uses, no private helper goes unused, only listed public functions go
+unread, and README's Python examples run."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -20,10 +22,12 @@ def test_every_export_is_the_submodule_object():
 
 
 def test_exports_cover_the_public_api():
-    # the 58 names the package has exported, less qpoch_num and
-    # spot_check_series, deleted because only tests called them
-    assert len(qexpand.__all__) == len(set(qexpand.__all__)) == 56
-    assert not {"qpoch_num", "spot_check_series"} & set(qexpand.__all__)
+    # the 58 names the package has exported, less qpoch_num,
+    # spot_check_series, pochhammer_finite, qpoch_param, qpoch_param_range
+    # and substitute_in_series, deleted because only tests called them
+    assert len(qexpand.__all__) == len(set(qexpand.__all__)) == 52
+    assert not {"qpoch_num", "spot_check_series", "pochhammer_finite", "qpoch_param",
+                "qpoch_param_range", "substitute_in_series"} & set(qexpand.__all__)
     for name in ("build_sides", "base_matrix", "check_qqq", "MultiPoly",
                  "TruncSeries", "QExpandError", "DEFAULT_PRECISION"):
         assert name in qexpand.__all__
@@ -86,36 +90,38 @@ def _read_name(node):
     return None
 
 
-def _dead_helpers(modules):
-    """(module, name) of each private module-level function and private
-    method that no code in `modules` reads outside its own definition.
+def _unread_functions(modules):
+    """(module, qualified name) of each module-level function and method
+    that no code in `modules` reads outside its own definition.
 
     `modules` maps a module name to its (source, namespace).  Dunders are
     exempt, and so are methods that override a base-class method, which
-    the base class's code calls.
+    the base class's code calls.  A read is matched by the bare name, so a
+    function read only by a same-named function or method elsewhere (as
+    each `embed` once read the next) is not seen.
     """
     reads = Counter()
-    helpers = []
+    functions = []
     for module, (source, namespace) in modules.items():
         tree = ast.parse(source)
         reads.update(filter(None, map(_read_name, ast.walk(tree))))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                helpers.append((module, node.name, node))
+                functions.append((module, node.name, node))
             elif isinstance(node, ast.ClassDef):
                 bases = namespace[node.name].__mro__[1:]
-                helpers += [(module, f"{node.name}.{item.name}", item) for item in node.body
+                functions += [(module, f"{node.name}.{item.name}", item) for item in node.body
                             if isinstance(item, ast.FunctionDef)
                             and not any(hasattr(base, item.name) for base in bases)]
-    dead = []
-    for module, qualname, node in helpers:
+    unread = []
+    for module, qualname, node in functions:
         name = node.name
-        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+        if name.startswith("__") and name.endswith("__"):
             continue
         own = sum(_read_name(n) == name for n in ast.walk(node))
         if reads[name] == own:
-            dead.append((module, qualname))
-    return sorted(dead)
+            unread.append((module, qualname))
+    return sorted(unread)
 
 
 def test_dead_helper_finder_flags_only_unread_helpers():
@@ -133,16 +139,62 @@ def test_dead_helper_finder_flags_only_unread_helpers():
     )
     namespace = {}
     exec(source, namespace)
-    assert _dead_helpers({"m": (source, namespace)}) == [("m", "Sub._recurse"), ("m", "_dead")]
+    assert _unread_functions({"m": (source, namespace)}) == [
+        ("m", "Base.run"), ("m", "Sub._recurse"), ("m", "_dead"), ("m", "public")]
 
 
-def test_no_private_helper_is_unused():
+def _unread_in_src():
     src = Path(qexpand.__file__).parent
     modules = {}
     for path in sorted(src.glob("*.py")):
         name = "qexpand" if path.stem == "__init__" else f"qexpand.{path.stem}"
         modules[name] = (path.read_text(encoding="utf-8"), vars(importlib.import_module(name)))
-    assert _dead_helpers(modules) == []
+    return _unread_functions(modules)
+
+
+def _is_private(qualname):
+    return qualname.rpartition(".")[2].startswith("_")
+
+
+def test_no_private_helper_is_unused():
+    assert [hit for hit in _unread_in_src() if _is_private(hit[1])] == []
+
+
+# the public functions and methods that no code in src/ reads, each with
+# the reason it stays; a name that gains a src/ caller leaves the list
+_UNREAD_PUBLIC = [
+    # each side's coefficients with the clearing scale divided out, the
+    # values a specialization of a check is stated on
+    ("qexpand.identities", "IdentitySides.unscaled_lhs"),
+    ("qexpand.identities", "IdentitySides.unscaled_rhs"),
+    # Theorem 16 over any coefficient list, beside the registered instances
+    ("qexpand.identities", "check_theorem16"),
+    # Carlitz's formula, a paper formula the repository reproduces
+    ("qexpand.inversion", "carlitz_coeffs"),
+    # Corollary 3.10's coefficients, a paper formula
+    ("qexpand.inversion", "coro310_coeffs"),
+    # Theorem 25's matrix entry and matrix, paper formulas
+    ("qexpand.inversion", "matrix_entry_thm25"),
+    ("qexpand.inversion", "matrix_thm25"),
+    # sum_n c_n z^n (az;q)_n/(bz;q)_n, the expansion summed back
+    ("qexpand.inversion", "reconstruct"),
+    # the cleared row sum S_n(y) of the paper
+    ("qexpand.inversion", "sn_polynomial"),
+    # perfbench/tracer.py wraps it; it goes with that metric
+    ("qexpand.numeric", "check_qqq"),
+    # exact evaluation at a point, kept for the analytic oracles (ROADMAP item 5)
+    ("qexpand.ring", "RatFun.evaluate"),
+    # the series inverse; perfbench/tracer.py wraps it as series.invert
+    ("qexpand.series", "TruncSeries.invert"),
+    # multiplication by z^j, the shift the displayed forms are rebuilt with
+    ("qexpand.series", "TruncSeries.mul_z"),
+    # the substitution z -> zq^k of the paper's functional equations
+    ("qexpand.series", "TruncSeries.shift_q"),
+]
+
+
+def test_only_listed_public_functions_are_unread():
+    assert [hit for hit in _unread_in_src() if not _is_private(hit[1])] == _UNREAD_PUBLIC
 
 
 _TERM_FORMAT = {"terms", "runs", "pack", "unpack"}
@@ -170,3 +222,12 @@ def test_term_format_stays_in_ring():
         for path in sorted(src.glob("*.py")) if path.name != "ring.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_readme_python_examples_run():
+    # each ```python block of README.md runs in a fresh namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
