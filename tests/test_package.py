@@ -182,7 +182,7 @@ _UNREAD_PUBLIC = [
     ("qexpand.inversion", "sn_polynomial"),
     # perfbench/tracer.py wraps it; it goes with that metric
     ("qexpand.numeric", "check_qqq"),
-    # exact evaluation at a point, kept for the analytic oracles (ROADMAP item 5)
+    # exact evaluation at a point, kept to check built sides against analytic values
     ("qexpand.ring", "RatFun.evaluate"),
     # the series inverse; perfbench/tracer.py wraps it as series.invert
     ("qexpand.series", "TruncSeries.invert"),
