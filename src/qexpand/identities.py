@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import RatFun, SymbolTable, symbols
+from .ring import RatFun, SymbolTable, _times_binomials, symbols
 from .series import (
     TruncSeries,
     _element,
@@ -268,7 +268,6 @@ def _telescoped_sides(
     a: RatFun,
     b: RatFun,
     order: int,
-    cof: List[RatFun],
     scale: RatFun,
     divide: bool = False,
 ) -> IdentitySides:
@@ -285,16 +284,23 @@ def _telescoped_sides(
     inner sum is cancelled against its k-th Pochhammer quotient, leaving
     one linear factor per k.  inner[k] carries everything z-free of the
     k-th inner coefficient except the explicit q^(nk), cleared by the same
-    factors in every term; cof = _cof_chain(q, order) clears 1/(q;q)_n.
-    `divide` divides each term by (1 - az), the one factor coro_tlnew's
-    bracket leaves over.  lhs and scale are passed through unchanged.
+    factors in every term; cof[n] = (q;q)_order/(q;q)_n
+    = prod_(k=n+1)^order (1 - q^k) clears 1/(q;q)_n.  `divide` divides
+    each term by (1 - az), the one factor coro_tlnew's bracket leaves
+    over.  lhs and scale are passed through unchanged.
 
     Term n is assembled in three steps: the pieces inner[k] q^(nk)
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
     list, divided by (1 - az) when `divide` is set, and each nonzero
-    coefficient is multiplied by the one-run q-polynomial cof[n].  That
-    gives X_n, term n without its prefactor P_n = (aq/b;q)_n b^n
-    q^(n(n-1)), so the dense products of the pieces never carry it.
+    coefficient is multiplied by cof[n] as a chain of its binomials
+    1 - q^k, each one shift and one subtract per run (ring's
+    _times_binomials).  cof[n] has content 1, constant term 1 and
+    denominator 1, so the chain gives the product with cof[n] in the same
+    normal form, and the same bytes, with multi-term denominators too.  A
+    table whose first symbol is not q keeps its runs in another symbol,
+    and there each coefficient is multiplied by cof[n] whole.  That gives
+    X_n, term n without its prefactor P_n = (aq/b;q)_n b^n q^(n(n-1)), so
+    the dense products of the pieces never carry it.
 
     P_(n+1) = P_n r_n with the binomial r_n = (b - aq^(n+1)) q^(2n), so the
     right side sum_n P_n X_n is H_0 of the Horner recursion
@@ -317,6 +323,7 @@ def _telescoped_sides(
     q = RatFun.sym(table, "q")
     zero = RatFun.zero(table)
     ratios = _ratio_chain(a, b, order, table)
+    cof = None if table.names[0] == "q" else _cof_chain(q, order)
     xs = []
     for n in range(order + 1):
         coeffs = [zero] * (order + 1)
@@ -330,8 +337,10 @@ def _telescoped_sides(
         term = TruncSeries(table, order, coeffs)
         if divide:
             term = term.div_linear(a)
+        ks = range(n + 1, order + 1)
         xs.append(TruncSeries(table, order, [
-            c if c.is_zero() else c * cof[n] for c in term.coeffs
+            c if c.is_zero() else _times_binomials(c, ks) if cof is None else c * cof[n]
+            for c in term.coeffs
         ]))
     rs = [(b - a * q ** (n + 1)) * q ** (2 * n) for n in range(order)]
     h = []
@@ -408,7 +417,7 @@ def _theorem16_sides(
     table = a.table
     cof = _cof_chain(RatFun.sym(table, "q"), order)  # (q;q)_N / (q;q)_n
     lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
-    return _telescoped_sides(name, lhs, t, a, b, order, cof, cof[0])
+    return _telescoped_sides(name, lhs, t, a, b, order, cof[0])
 
 
 def build_theorem16_const(order: int) -> IdentitySides:
@@ -428,7 +437,7 @@ def build_theorem16_3phi2(order: int) -> IdentitySides:
     t, t_scale = _cleared_hyper([A], [], B, order, cof, table)
     lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
     return _telescoped_sides(
-        "theorem16_3phi2", lhs, t, a, b, order, cof, cof[0] * t_scale
+        "theorem16_3phi2", lhs, t, a, b, order, cof[0] * t_scale
     )
 
 
@@ -504,7 +513,7 @@ def build_coro_tlnew(
         table, order, inner
     )
     return _telescoped_sides(
-        "coro_tlnew", lhs, inner, a, b, order, cof, cof[0] * inner_scale, divide=True
+        "coro_tlnew", lhs, inner, a, b, order, cof[0] * inner_scale, divide=True
     )
 
 
@@ -522,12 +531,14 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     cof = _cof_chain(q, order)
     cofC = _cof_chain(C, order)
     one = RatFun.one(table)
-    # the 2phi1 cleared like the inner series, then by one more (q;q)_N
+    # the 2phi1 cleared like the inner series, then by one more (q;q)_N,
+    # as the chain of its binomials 1 - q^k
     lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], one, order, cof, table)
-    lhs = TruncSeries(table, order, lhs_coeffs).scale(cof[0])
+    qq = range(1, order + 1)
+    lhs = TruncSeries(table, order, [_times_binomials(c, qq) for c in lhs_coeffs])
     inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], a, order, cof, table)
     return _telescoped_sides(
-        "2phi1_to_4phi3", lhs, inner, a, one, order, cof, cof[0] * inner_scale
+        "2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner_scale
     )
 
 

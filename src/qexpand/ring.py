@@ -38,7 +38,8 @@ no conversion: each pair of runs multiplies as two ints, so that CPython's
 big-int multiply does the convolution.  A pair product is added to its
 output run at that run's own lowest power, so no int is wider than the
 run it builds; a one-run factor gives each output run one product, with
-nothing to add (see _mul_runs).
+nothing to add (see _mul_runs).  A product with binomials 1 - x^k takes
+one shift and one subtract per run and binomial (see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -673,6 +674,56 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
             s = ((x & -x).bit_length() - 1) // w
             out[g] = (lo + s, x >> w * s)
     return _poly(p.table, out, w, bound, p.deg + r.deg)
+
+
+_BINOMIAL_NORMS: dict = {}
+
+
+def _binomials_norm(ks: tuple) -> int:
+    """The sum of the absolute coefficients of prod_(k in ks) (1 - x^k),
+    computed once per exponent tuple."""
+    norm = _BINOMIAL_NORMS.get(ks)
+    if norm is None:
+        f = [1]
+        for k in ks:
+            f = [c - d for c, d in zip(f + [0] * k, [0] * k + f)]
+        norm = _BINOMIAL_NORMS[ks] = sum(map(abs, f))
+    return norm
+
+
+def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
+    """c * prod_(k in ks) (1 - x^k), x the table's first symbol, each k >= 1.
+
+    A run X is its polynomial's value at 2**w, so X times 1 - x^k is the
+    int X - (X << w*k): one shift and one subtract per run and binomial,
+    and no multiply.  The slots may overflow on the way, as the ints are
+    exact; only the final coefficients must fit, and they are at most the
+    bound times the factor's l1 norm, which sets the width.  The factor's
+    constant term is 1, so every run keeps its key and its lowest slot.
+    Its content is 1 and no monomial divides it, so the numerator's
+    content and monomial content are unchanged and the denominator passes
+    through: the result is c * factor in RatFun's normal form, as the
+    product with the factor as a RatFun gives it.
+    """
+    p = c.num
+    ks = tuple(ks)
+    if not ks or not p.runs:
+        return c
+    s = sum(ks)
+    if p.deg + s >= _LIMIT and p.total_degree() + s >= _LIMIT:
+        raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
+    norm = _binomials_norm(ks)
+    bound = p._bound * norm
+    w = p.w
+    if bound.bit_length() >= w:
+        w, bound = _make_room(lambda b: b * norm, p)
+    shifts = [w * k for k in ks]
+    out = {}
+    for g, (lo, x) in p._at(w).items():
+        for sh in shifts:
+            x -= x << sh
+        out[g] = (lo, x)
+    return _ratfun(_poly(p.table, out, w, bound, p.deg + s), c.den)
 
 
 def render_poly(p: MultiPoly) -> str:

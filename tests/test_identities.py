@@ -12,6 +12,7 @@ from qexpand import identities, ring
 from qexpand.errors import OrderError, StructureError
 from qexpand.identities import (
     IdentitySides,
+    _cof_chain,
     _theorem16_sides,
     build_2phi1_to_4phi3,
     build_1psi1_coeff,
@@ -269,11 +270,12 @@ def test_theorem16_terms_match_displayed_form():
     assert [sides.unscaled_coeff(c) for c in sides.lhs.coeffs] == naive_lhs.coeffs
 
 
-def _per_piece_sides(name, lhs, inner, a, b, order, cof, scale, divide=False):
+def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False):
     """_telescoped_sides with the whole prefactor of term n folded into
     every piece before the pieces are summed: the reference assembly."""
     table = a.table
     q = RatFun.sym(table, "q")
+    cof = _cof_chain(q, order)
     ratios = _ratio_chain(a, b, order, table)
     rhs_terms = []
     paqb = RatFun.one(table)
@@ -337,6 +339,35 @@ def test_non_monomial_parameters_match_the_per_piece_assembly(monkeypatch):
         assert len(ours.rhs_terms) == len(ref.rhs_terms)
         for term, ref_term in zip(ours.rhs_terms, ref.rhs_terms):
             assert term.coeffs == ref_term.coeffs
+
+
+def test_a_table_not_led_by_q_clears_by_the_whole_product(monkeypatch):
+    # the binomial chain shifts the runs of the table's first symbol, so
+    # over (a, b, q) each coefficient is multiplied by cof[n] whole; with
+    # one-term denominators that renders as the per-piece assembly does
+    table, (a, b, q) = symbols("a b q")
+    t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(5, 3)]
+    half = RatFun.from_fraction(table, Fraction(1, 2))
+    assert check_theorem16(t, 5, a=a, b=b).passed
+
+    def build_both():
+        return [
+            _theorem16_sides("theorem16", t, a, b, 5),
+            build_coro_tlnew(5, uppers=[q * b], carg=half, a=a, b=b),
+        ]
+
+    def no_chain(c, ks):
+        raise AssertionError("the chain ran over a table not led by q")
+
+    monkeypatch.setattr(identities, "_times_binomials", no_chain)
+    new = build_both()
+    monkeypatch.setattr(identities, "_telescoped_sides", _per_piece_sides)
+    old = build_both()
+    for ours, ref in zip(new, old):
+        assert compare(ours).passed
+        assert [[str(c) for c in s.coeffs] for s in ours.rhs_terms] == \
+            [[str(c) for c in s.coeffs] for s in ref.rhs_terms]
+        assert [str(c) for c in ours.rhs().coeffs] == [str(c) for c in ref.rhs().coeffs]
 
 
 # -- parametrized instances ---------------------------------------------------

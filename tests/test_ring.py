@@ -792,6 +792,89 @@ def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
     _assert_product_matches_reference(table, d1, d2, w)
 
 
+# ---------------------------------------------------------------------------
+# a product with binomials 1 - x^k by one shift and subtract per run
+
+
+def _binomials(table, ks):
+    """prod_(k in ks) (1 - x^k) as a RatFun, x the table's first symbol."""
+    x = MultiPoly.symbol(table, table.names[0])
+    one = MultiPoly.const(table, 1)
+    return RatFun(reduce(operator.mul, [1 - x**k for k in ks], one), one)
+
+
+def _assert_chain_matches_product(c, ks):
+    got = ring._times_binomials(c, ks)
+    ref = c * _binomials(c.table, ks)
+    assert got.num == ref.num and got.den == ref.den
+    assert got.num.terms == ref.num.terms and got.den.terms == ref.den.terms
+    assert str(got) == str(ref)
+    # canonical runs in slots that hold the tracked bound
+    p = got.num
+    assert all(ring._low(x, p.w) for _, x in p.runs.values())
+    assert max(map(abs, p.terms.values()), default=0) <= p._bound
+    assert p.w >= ring._width(p._bound.bit_length())
+    assert p.deg == ref.num.deg or not p.runs
+
+
+# times (1 - x) twice, c (1 - x) doubles its middle coefficient: past 2**31
+# and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones
+CHAIN_COEFFS = [2**31 - 1, 2**63 - 1, 2**64 + 1, 2**127 - 1]
+CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9))]
+
+
+def _chain_operands(table, coeff):
+    x = MultiPoly.symbol(table, table.names[0])
+    y = MultiPoly.symbol(table, table.names[-1])
+    one = MultiPoly.const(table, 1)
+    nums = [coeff * (1 - x),
+            # several runs when y is not x
+            coeff * (1 - x) + 3 * y * x**2 - coeff * y**2 * (x - x**4),
+            -coeff * x**3 * y + (coeff - 1) * x**5 * y]
+    dens = [one, 6 * x * y, 1 + coeff * x * y, (1 - x) * (2 + y**3)]
+    return [RatFun(n, d) for n in nums for d in dens]
+
+
+@pytest.mark.parametrize("how", ["as built", "64", "320"])
+@pytest.mark.parametrize("coeff", CHAIN_COEFFS)
+@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+def test_binomial_chain_matches_the_product(table, coeff, how):
+    # the operand's own slots are 32, 64 or 128 bits wide as built, then
+    # re-packed at 64 and at 320 bits
+    for c in _chain_operands(table, coeff):
+        c = ring._ratfun(_widened(c.num, how), c.den)
+        for ks in CHAIN_KS:
+            _assert_chain_matches_product(c, ks)
+    assert ring._times_binomials(c, ()) is c
+    zero = RatFun.zero(table)
+    assert ring._times_binomials(zero, (1, 2)) is zero
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(boundary_operands(), st.lists(st.integers(1, 6), max_size=5),
+       st.sampled_from(["one", "as drawn", "1 + x*y"]))
+def test_binomial_chain_matches_the_product_random(ops, ks, den):
+    table, ((d1, p1), (d2, p2)) = ops
+    if den == "one" or not d2:
+        p2 = MultiPoly.const(table, 1)
+    elif den == "1 + x*y":
+        p2 = 1 + p2 * MultiPoly.symbol(table, table.names[0])
+    _assert_chain_matches_product(RatFun(p1, p2), ks)
+
+
+def test_binomial_chain_keeps_the_degree_guard():
+    # total degree 2**24 - 10 in symbols other than q, whose runs are short
+    one = MultiPoly.const(TABLE, 1)
+    for mono in ({"a": 2**24 - 11, "q": 1}, {"a": 2**24 - 12, "b": 1, "q": 1}):
+        big = RatFun(MultiPoly.monomial(TABLE, mono) + 1, one)
+        _assert_chain_matches_product(big, (4, 5))
+        for ks in ((10,), (4, 6), (1, 2, 3, 4)):
+            with pytest.raises(StructureError):
+                ring._times_binomials(big, ks)
+            with pytest.raises(StructureError):
+                big * _binomials(TABLE, ks)
+
+
 def test_no_scan_where_exact_bounds_cannot_narrow_the_slots(monkeypatch):
     # a scan walks every slot of a run, so a sparse run costs its full length
     sparse = MultiPoly.monomial(TABLE, {"q": 1 << 16}) + 1
