@@ -30,6 +30,7 @@ always carries z-valuation >= n.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import RatFun, SymbolTable, _times_binomials, symbols
+from .ring import MultiPoly, RatFun, SymbolTable, _times_binomials, symbols
 from .series import (
     TruncSeries,
     _element,
@@ -186,6 +187,44 @@ def _cof_chain(c: RatFun, order: int) -> List[RatFun]:
     return cof
 
 
+def _divided(s: TruncSeries, dens: List[MultiPoly]) -> TruncSeries:
+    """s with coefficient m over dens[m], each normalized once."""
+    return TruncSeries(s.table, s.order, [
+        c if c.is_zero() else RatFun(c.num, c.den * v) for c, v in zip(s.coeffs, dens)
+    ])
+
+
+def _divided_sides(sides: IdentitySides, d: int, u: RatFun) -> IdentitySides:
+    """`sides` with coefficient m of every series divided by d u^m, u one term.
+
+    The expansion base is homogeneous in its argument: at uz it is u^n z^n
+    (uaz;q)_n/(ubz;q)_n.  So a check built at argument uz, with its free
+    coefficients times the integer d > 0, has coefficient m equal to d u^m
+    times the one at z, and is chosen where every coefficient is a
+    polynomial, so no operation of the build normalizes a fraction.  Each
+    coefficient is divided once: the left side's and the sum's here, each
+    term's on the first read of `rhs_terms` (in place of the list `sides`
+    builds), so an unperturbed compare divides no term.  Where the values
+    at z have one-term denominators, as in every caller, RatFun's
+    normalization is a full gcd reduction and a value has one
+    representation, so each quotient has the bytes the build at z gave.
+    """
+    table, order = sides.table, sides.order
+    dens = [MultiPoly.const(table, d)]
+    for _ in range(order):
+        dens.append(dens[-1] * u.num)
+    terms, build = sides._terms, sides._build
+
+    def divided_terms() -> List[TruncSeries]:
+        ts = build() if terms is None else terms
+        for j, t in enumerate(ts):
+            ts[j] = _divided(t, dens)
+        return ts
+
+    return IdentitySides(sides.name, sides.parameters, _divided(sides.lhs, dens), divided_terms,
+                         sides.scale, rhs_sum=_divided(sides.rhs(), dens))
+
+
 # ---------------------------------------------------------------------------
 # Coogan-Ono and its companion
 
@@ -218,20 +257,23 @@ def build_rogers_fine(order: int) -> IdentitySides:
     """(1-z) sum_n z^n (aq;q)_n/(bq;q)_n
     = sum_n (1-azq^(2n+1)) (bz)^n q^(n^2) (aq;q)_n (azq/b;q)_n / ((bq;q)_n (zq;q)_n).
 
-    Both sides scaled by (bq;q)_N.
+    Both sides scaled by (bq;q)_N, and built at argument bz, where term n
+    is (1-abzq^(2n+1)) b^(2n) z^n q^(n^2) (aq;q)_n (azq;q)_n / ((bq;q)_n
+    (bzq;q)_n) and every coefficient is a polynomial.  The terms are
+    summed once here; _divided_sides divides coefficient m by b^m.
     """
     table, (q, a, b) = symbols("q a b")
     cof = _cof_chain(b * q, order)  # (bq;q)_N / (bq;q)_n
     lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)  # (aq;q)_n
-    for n, ratio in enumerate(_ratio_chain(a * q / b, q, order, table)):  # (azq/b;q)_n/(zq;q)_n
-        lhs_coeffs.append(pa * cof[n])
+    for n, ratio in enumerate(_ratio_chain(a * q, b * q, order, table)):  # (azq;q)_n/(bzq;q)_n
+        lhs_coeffs.append(pa * cof[n] * b**n)
         scalar = lhs_coeffs[n] * b**n * q ** (n * n)
-        piece = ratio.mul_linear(a * q ** (2 * n + 1))
+        piece = ratio.mul_linear(a * b * q ** (2 * n + 1))
         rhs_terms.append(_element(piece, n, order).scale(scalar))
         pa = pa * (1 - a * q ** (n + 1))
-    lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(1)
-    return IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0])
+    lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(b)
+    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0]), 1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +492,18 @@ def theorem16_random_t(order: int, seed: int) -> List[Fraction]:
 
 
 def build_theorem16_random(order: int, seed: int = 0) -> IdentitySides:
-    """G with seed-derived rational coefficients."""
+    """G with seed-derived rational coefficients.
+
+    Both sides are linear in t, so they are built from the integers D t, D
+    the lcm of t's denominators, where every coefficient is a polynomial;
+    _divided_sides divides each coefficient by D (u = 1).
+    """
     table, (q, a, b) = symbols("q a b")
-    t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(order, seed)]
-    return _theorem16_sides("theorem16_random", t, a, b, order)
+    t = theorem16_random_t(order, seed)
+    d = math.lcm(*(f.denominator for f in t))
+    cleared = [RatFun.from_int(table, int(f * d)) for f in t]
+    return _divided_sides(_theorem16_sides("theorem16_random", cleared, a, b, order),
+                          d, RatFun.one(table))
 
 
 def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None) -> IdentityReport:
@@ -525,21 +575,25 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     The corollary at a = AB/C, b = 1 with uppers C/A, C/B, lower C and
     argument az; the same telescoped per-term assembly applies with no
     trailing geometric division.  Scale: (q;q)_N^2 (C;q)_N.
+
+    Both sides are built at argument Cz, where every coefficient is a
+    polynomial: the 2phi1 at argument C, the inner coefficients at AB, and
+    the telescoped sum at a = AB, b = C, the base at a = AB/C, b = 1 taken
+    at Cz.  _divided_sides divides coefficient m by C^m.
     """
     table, (q, A, B, C) = symbols("q A B C")
-    a = A * B / C
     cof = _cof_chain(q, order)
     cofC = _cof_chain(C, order)
-    one = RatFun.one(table)
     # the 2phi1 cleared like the inner series, then by one more (q;q)_N,
     # as the chain of its binomials 1 - q^k
-    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], one, order, cof, table)
+    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], C, order, cof, table)
     qq = range(1, order + 1)
     lhs = TruncSeries(table, order, [_times_binomials(c, qq) for c in lhs_coeffs])
-    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], a, order, cof, table)
-    return _telescoped_sides(
-        "2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner_scale
+    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], A * B, order, cof, table)
+    sides = _telescoped_sides(
+        "2phi1_to_4phi3", lhs, inner, A * B, C, order, cof[0] * inner_scale
     )
+    return _divided_sides(sides, 1, C)
 
 
 def build_partial_theta(order: int) -> IdentitySides:

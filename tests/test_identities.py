@@ -4,6 +4,7 @@ harness that must pinpoint an injected failure."""
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from qexpand import identities, ring
 from qexpand.errors import OrderError, StructureError
 from qexpand.identities import (
     IdentitySides,
+    _cleared_hyper,
     _cof_chain,
+    _telescoped_sides,
     _theorem16_sides,
     build_2phi1_to_4phi3,
     build_1psi1_coeff,
@@ -30,7 +33,7 @@ from qexpand.identities import (
     run_check,
     theorem16_random_t,
 )
-from qexpand.ring import RatFun, parse_ratfun, symbols
+from qexpand.ring import RatFun, _times_binomials, parse_ratfun, symbols
 from qexpand.series import (
     TruncSeries,
     _element,
@@ -301,10 +304,12 @@ def test_telescoped_coefficients_have_one_term_denominators():
     # summed right side instead of re-summing; that leaves every output
     # byte alone only because these denominators are one term each, where
     # normalization is a full gcd reduction and a value has one
-    # representation
-    for name in TELESCOPED:
+    # representation.  The same holds for rogers_fine's sides and
+    # summed right side, which _divided_sides divides out as it does two
+    # of the telescoped checks'
+    for name in [*TELESCOPED, "rogers_fine"]:
         sides = build_sides(name, 6, 5)
-        for series in [sides.lhs, *sides.rhs_terms]:
+        for series in [sides.lhs, sides.rhs(), *sides.rhs_terms]:
             for m, c in enumerate(series.coeffs):
                 assert len(c.den.terms) == 1, (name, m, str(c))
     for name in check_names():
@@ -312,6 +317,110 @@ def test_telescoped_coefficients_have_one_term_denominators():
         for series in [*sides.rhs_terms, sides.rhs()]:
             for m, c in enumerate(series.coeffs):
                 assert len(c.den.terms) == 1, (name, m, str(c))
+
+
+# the checks built at a point where every coefficient is a polynomial and
+# divided back by _divided_sides
+DIVIDED = ["2phi1_to_4phi3", "rogers_fine", "theorem16_random"]
+
+
+@pytest.mark.parametrize("order", [6, 8])
+@pytest.mark.parametrize("name", DIVIDED)
+def test_divided_sides_receive_polynomial_coefficients(monkeypatch, name, order):
+    # the byte argument of _divided_sides: every coefficient it divides,
+    # of the left side, the right side's sum and every term, has
+    # denominator 1, so no operation of the build normalized a fraction
+    seen = []
+    divide = identities._divided_sides
+
+    def checking(sides, d, u):
+        # rhs() before rhs_terms, so the sum checked is the builder's own
+        for series in [sides.lhs, sides.rhs(), *sides.rhs_terms]:
+            for m, c in enumerate(series.coeffs):
+                assert c.den == 1, (name, m, str(c))
+        seen.append((sides.name, d, str(u)))
+        return divide(sides, d, u)
+
+    monkeypatch.setattr(identities, "_divided_sides", checking)
+    for seed in (0, 5, 11):
+        assert compare(build_sides(name, order, seed)).passed
+    assert len(seen) == 3 and all(s[0] == name for s in seen)
+    if name == "2phi1_to_4phi3":
+        assert {s[1:] for s in seen} == {(1, "C")}
+    elif name == "rogers_fine":
+        assert {s[1:] for s in seen} == {(1, "b")}
+    else:
+        assert [s[1:] for s in seen] == [
+            (math.lcm(*(f.denominator for f in theorem16_random_t(order, seed))), "1")
+            for seed in (0, 5, 11)
+        ]
+
+
+def _ref_2phi1_to_4phi3(order):
+    """build_2phi1_to_4phi3 on the route at argument z: a = AB/C, b = 1,
+    the 2phi1 at argument 1 and the inner coefficients at argument a."""
+    table, (q, A, B, C) = symbols("q A B C")
+    a = A * B / C
+    cof = _cof_chain(q, order)
+    cofC = _cof_chain(C, order)
+    one = RatFun.one(table)
+    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], one, order, cof, table)
+    qq = range(1, order + 1)
+    lhs = TruncSeries(table, order, [_times_binomials(c, qq) for c in lhs_coeffs])
+    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], a, order, cof, table)
+    return _telescoped_sides("2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner_scale)
+
+
+def _ref_rogers_fine(order):
+    """build_rogers_fine on the route at argument z: the ratios
+    (azq/b;q)_n/(zq;q)_n and eager terms, summed by rhs()."""
+    table, (q, a, b) = symbols("q a b")
+    cof = _cof_chain(b * q, order)
+    lhs_coeffs, rhs_terms = [], []
+    pa = RatFun.one(table)
+    for n, ratio in enumerate(_ratio_chain(a * q / b, q, order, table)):
+        lhs_coeffs.append(pa * cof[n])
+        scalar = lhs_coeffs[n] * b**n * q ** (n * n)
+        piece = ratio.mul_linear(a * q ** (2 * n + 1))
+        rhs_terms.append(_element(piece, n, order).scale(scalar))
+        pa = pa * (1 - a * q ** (n + 1))
+    lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(1)
+    return IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0])
+
+
+def _ref_theorem16_random(order, seed):
+    """build_theorem16_random on the route with the Fraction t itself."""
+    table, (q, a, b) = symbols("q a b")
+    t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(order, seed)]
+    return _theorem16_sides("theorem16_random", t, a, b, order)
+
+
+def _sides_text(sides):
+    # rhs() first, so the sum compared is the builder's and not a re-sum
+    return {
+        "lhs": [str(c) for c in sides.lhs.coeffs],
+        "rhs": [str(c) for c in sides.rhs().coeffs],
+        "scale": str(sides.scale),
+        "terms": [[str(c) for c in t.coeffs] for t in sides.rhs_terms],
+        "reports": [compare(sides, perturb=j).to_json_dict()
+                    for j in [None, *range(len(sides.rhs_terms))]],
+    }
+
+
+@pytest.mark.parametrize("order", [7, 8])
+@pytest.mark.parametrize("name", DIVIDED)
+def test_divided_checks_render_as_the_route_at_z(name, order):
+    # past the goldens' orders: building at uz and dividing coefficient m
+    # by d u^m changes no byte of either side, any term or any report
+    reference, seeds = {
+        "2phi1_to_4phi3": (lambda order, seed: _ref_2phi1_to_4phi3(order), [0]),
+        "rogers_fine": (lambda order, seed: _ref_rogers_fine(order), [0]),
+        "theorem16_random": (_ref_theorem16_random, [0, 5, 11]),
+    }[name]
+    for seed in seeds:
+        want = _sides_text(reference(order, seed))
+        got = _sides_text(build_sides(name, order, seed))
+        assert got == want, (name, order, seed)
 
 
 def test_non_monomial_parameters_match_the_per_piece_assembly(monkeypatch):
@@ -591,27 +700,28 @@ def test_in_place_edits_of_lazy_rhs_terms_rebuild_the_sum():
     _in_place_edits_of_rhs_terms_rebuild_the_sum("theorem16_const")
 
 
-def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
+def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, builds):
+    # `builder` is the module function the term build calls `builds` times
     def boom(*args):
         raise AssertionError("a term was built")
 
-    monkeypatch.setattr(identities, "_prefactored_terms", boom)
-    sides = build_sides("theorem16_const", 5)
+    sides = build_sides(name, 5)
+    monkeypatch.setattr(identities, builder, boom)
     assert compare(sides).passed  # the builder's sum, and no term
     monkeypatch.undo()
 
     calls = []
-    build = identities._prefactored_terms
+    build = getattr(identities, builder)
 
     def counting(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(identities, "_prefactored_terms", counting)
+    monkeypatch.setattr(identities, builder, counting)
     first = sides.rhs_terms
-    assert len(calls) == 1 and len(first) == 6
+    assert len(calls) == builds and len(first) == 6
     again = sides.rhs_terms
-    assert len(calls) == 1 and again is first
+    assert len(calls) == builds and again is first
     assert all(x is y for x, y in zip(first, again))
 
     def no_sum(*args, **kwargs):
@@ -622,7 +732,19 @@ def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
     j = _last_visible_term(sides)
     report = compare(sides, perturb=j)
     assert report.first_failure.index == _first_nonzero_index(sides.rhs_terms[j])
-    assert len(calls) == 1
+    assert len(calls) == builds
+
+
+def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
+    _lazy_terms_are_built_once_and_only_when_read(
+        monkeypatch, "theorem16_const", "_prefactored_terms", 1)
+
+
+@pytest.mark.parametrize("name", ["rogers_fine", "2phi1_to_4phi3"])
+def test_divided_terms_are_built_once_and_only_when_read(monkeypatch, name):
+    # the build divides the left side and the sum; each of the six terms
+    # is divided once, on the first read of rhs_terms
+    _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, "_divided", 6)
 
 
 @pytest.mark.parametrize("order", [5, 6, 7, 8])
