@@ -22,7 +22,9 @@ product of z-free Pochhammer factors such as (q;q)_N -- chosen so that
 every coefficient that enters an addition is a polynomial (denominator
 blow-up is the one thing the unreduced RatFun representation cannot
 absorb).  The verdict is unaffected and reported failure values are
-divided back out.
+divided back out.  Checks whose coefficients carry one-term denominators
+go further: they are built where every coefficient is a polynomial and
+divided back once per coefficient (_divided_sides).
 
 Every sum over expansion-like terms truncates soundly at N because term n
 always carries z-valuation >= n.

@@ -344,16 +344,13 @@ def test_divided_sides_receive_polynomial_coefficients(monkeypatch, name, order)
     monkeypatch.setattr(identities, "_divided_sides", checking)
     for seed in (0, 5, 11):
         assert compare(build_sides(name, order, seed)).passed
-    assert len(seen) == 3 and all(s[0] == name for s in seen)
-    if name == "2phi1_to_4phi3":
-        assert {s[1:] for s in seen} == {(1, "C")}
-    elif name == "rogers_fine":
-        assert {s[1:] for s in seen} == {(1, "b")}
-    else:
-        assert [s[1:] for s in seen] == [
-            (math.lcm(*(f.denominator for f in theorem16_random_t(order, seed))), "1")
-            for seed in (0, 5, 11)
-        ]
+    divisor = {
+        "2phi1_to_4phi3": lambda seed: (1, "C"),
+        "rogers_fine": lambda seed: (1, "b"),
+        "theorem16_random": lambda seed: (
+            math.lcm(*(f.denominator for f in theorem16_random_t(order, seed))), "1"),
+    }[name]
+    assert seen == [(name, *divisor(seed)) for seed in (0, 5, 11)]
 
 
 def _ref_2phi1_to_4phi3(order):
@@ -700,16 +697,9 @@ def test_in_place_edits_of_lazy_rhs_terms_rebuild_the_sum():
     _in_place_edits_of_rhs_terms_rebuild_the_sum("theorem16_const")
 
 
-def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, builds):
-    # `builder` is the module function the term build calls `builds` times
-    def boom(*args):
-        raise AssertionError("a term was built")
-
-    sides = build_sides(name, 5)
-    monkeypatch.setattr(identities, builder, boom)
-    assert compare(sides).passed  # the builder's sum, and no term
-    monkeypatch.undo()
-
+def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, at_build, builds):
+    # `builder` is the module function that the build calls `at_build`
+    # times and the first read of rhs_terms `builds` times more
     calls = []
     build = getattr(identities, builder)
 
@@ -718,10 +708,14 @@ def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, bu
         return build(*args)
 
     monkeypatch.setattr(identities, builder, counting)
+    sides = build_sides(name, 5)
+    assert len(calls) == at_build
+    assert compare(sides).passed  # the builder's sum, and no term
+    assert len(calls) == at_build
     first = sides.rhs_terms
-    assert len(calls) == builds and len(first) == 6
+    assert len(calls) == at_build + builds and len(first) == 6
     again = sides.rhs_terms
-    assert len(calls) == builds and again is first
+    assert len(calls) == at_build + builds and again is first
     assert all(x is y for x, y in zip(first, again))
 
     def no_sum(*args, **kwargs):
@@ -732,19 +726,19 @@ def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, bu
     j = _last_visible_term(sides)
     report = compare(sides, perturb=j)
     assert report.first_failure.index == _first_nonzero_index(sides.rhs_terms[j])
-    assert len(calls) == builds
+    assert len(calls) == at_build + builds
 
 
 def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
     _lazy_terms_are_built_once_and_only_when_read(
-        monkeypatch, "theorem16_const", "_prefactored_terms", 1)
+        monkeypatch, "theorem16_const", "_prefactored_terms", 0, 1)
 
 
 @pytest.mark.parametrize("name", ["rogers_fine", "2phi1_to_4phi3"])
 def test_divided_terms_are_built_once_and_only_when_read(monkeypatch, name):
     # the build divides the left side and the sum; each of the six terms
     # is divided once, on the first read of rhs_terms
-    _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, "_divided", 6)
+    _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, "_divided", 2, 6)
 
 
 @pytest.mark.parametrize("order", [5, 6, 7, 8])
