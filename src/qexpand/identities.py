@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import MultiPoly, RatFun, SymbolTable, _times_binomials, symbols
+from .ring import MultiPoly, RatFun, _times_binomials, symbols
 from .series import (
     TruncSeries,
     _element,
@@ -180,7 +180,8 @@ def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityRepo
 
 
 def _cof_chain(c: RatFun, order: int) -> List[RatFun]:
-    """cof[n] = prod_(i=n)^(order-1) (1 - c q^i); cof[0] is the full product."""
+    """cof[n] = prod_(i=n)^(order-1) (1 - c q^i), c with a symbol besides q (the
+    (q;q) quotients are _times_binomials chains); cof[0] is the full product."""
     table = c.table
     q = RatFun.sym(table, "q")
     cof = [RatFun.one(table)] * (order + 1)
@@ -284,22 +285,22 @@ def build_rogers_fine(order: int) -> IdentitySides:
 # is hypergeometric
 
 
-def _euler_ratio_cleared(
-    a: RatFun, b: RatFun, order: int, cof: List[RatFun], table: SymbolTable
-) -> TruncSeries:
+def _euler_ratio_cleared(a: RatFun, b: RatFun, order: int) -> TruncSeries:
     """(az;q)_inf/(bz;q)_inf (q;q)_N with polynomial coefficients.
 
     The quotient F satisfies (1-bz) F(z) = (1-az) F(qz), so its m-th
-    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m; clearing with cof[m]
-    keeps every coefficient a polynomial (the two Euler sums multiplied
-    term by term would drag unreduced (q;q)_j (q;q)_(m-j) denominators
-    through every addition instead).
+    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m; clearing with
+    (q;q)_N/(q;q)_m keeps every coefficient a polynomial (the two Euler
+    sums multiplied term by term would drag unreduced (q;q)_j (q;q)_(m-j)
+    denominators through every addition instead).  Coefficient 0 is
+    (q;q)_N.
     """
+    table = a.table
     q = RatFun.sym(table, "q")
     coeffs = []
     p = RatFun.one(table)
     for m in range(order + 1):
-        coeffs.append(p * cof[m])
+        coeffs.append(_times_binomials(p, range(m + 1, order + 1), "q"))
         if m < order:
             p = p * (b - a * q**m)
     return TruncSeries(table, order, coeffs)
@@ -335,16 +336,14 @@ def _telescoped_sides(
 
     Term n is assembled in three steps: the pieces inner[k] q^(nk)
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
-    list, divided by (1 - az) when `divide` is set, and each nonzero
-    coefficient is multiplied by cof[n] as a chain of its binomials
-    1 - q^k, each one shift and one subtract per run (ring's
+    list, divided by (1 - az) when `divide` is set, and each coefficient
+    is multiplied by cof[n] as the chain of its binomials 1 - q^k (ring's
     _times_binomials).  cof[n] has content 1, constant term 1 and
     denominator 1, so the chain gives the product with cof[n] in the same
-    normal form, and the same bytes, with multi-term denominators too.  A
-    table whose first symbol is not q keeps its runs in another symbol,
-    and there each coefficient is multiplied by cof[n] whole.  That gives
-    X_n, term n without its prefactor P_n = (aq/b;q)_n b^n q^(n(n-1)), so
-    the dense products of the pieces never carry it.
+    normal form, and the same bytes, with multi-term denominators too.
+    That gives X_n, term n without its prefactor
+    P_n = (aq/b;q)_n b^n q^(n(n-1)), so the dense products of the pieces
+    never carry it.
 
     P_(n+1) = P_n r_n with the binomial r_n = (b - aq^(n+1)) q^(2n), so the
     right side sum_n P_n X_n is H_0 of the Horner recursion
@@ -367,7 +366,6 @@ def _telescoped_sides(
     q = RatFun.sym(table, "q")
     zero = RatFun.zero(table)
     ratios = _ratio_chain(a, b, order, table)
-    cof = None if table.names[0] == "q" else _cof_chain(q, order)
     xs = []
     for n in range(order + 1):
         coeffs = [zero] * (order + 1)
@@ -382,10 +380,7 @@ def _telescoped_sides(
         if divide:
             term = term.div_linear(a)
         ks = range(n + 1, order + 1)
-        xs.append(TruncSeries(table, order, [
-            c if c.is_zero() else _times_binomials(c, ks) if cof is None else c * cof[n]
-            for c in term.coeffs
-        ]))
+        xs.append(TruncSeries(table, order, [_times_binomials(c, ks, "q") for c in term.coeffs]))
     rs = [(b - a * q ** (n + 1)) * q ** (2 * n) for n in range(order)]
     h = []
     for m in range(order + 1):
@@ -395,45 +390,39 @@ def _telescoped_sides(
             x = xs[n].coeffs[m]
             acc = x if acc.is_zero() else x + acc * rs[n]
         h.append(acc)
-    return IdentitySides(name, [], lhs, lambda: _prefactored_terms(xs, a, b, order), scale,
+    return IdentitySides(name, [], lhs, lambda: _prefactored_terms(xs, rs), scale,
                          rhs_sum=TruncSeries(table, order, h))
 
 
-def _prefactored_terms(xs: List[TruncSeries], a: RatFun, b: RatFun, order: int) -> List[TruncSeries]:
-    """The telescoped terms X_n (aq/b;q)_n b^n q^(n(n-1)), each built in
-    place of its X_n in `xs`, so no X_n outlives its term."""
-    table = a.table
-    q = RatFun.sym(table, "q")
-    paqb = RatFun.one(table)  # (aq/b;q)_n b^n
-    for n, x in enumerate(xs):
-        rest = paqb * q ** (n * (n - 1))
-        xs[n] = TruncSeries(table, order, [c if c.is_zero() else c * rest for c in x.coeffs])
-        if n < order:
-            paqb = paqb * (b - a * q ** (n + 1))
+def _prefactored_terms(xs: List[TruncSeries], rs: List[RatFun]) -> List[TruncSeries]:
+    """The telescoped terms P_n X_n, P_n = r_0 ... r_(n-1) from the Horner
+    ratios `rs`, each built in place of its X_n in `xs`, so no X_n
+    outlives its term."""
+    p = None
+    for n, r in enumerate(rs, 1):
+        p = r if p is None else p * r  # P_n; P_0 = 1 leaves X_0 as it is
+        x = xs[n]
+        xs[n] = TruncSeries(x.table, x.order, [c if c.is_zero() else c * p for c in x.coeffs])
     return xs
 
 
 def _cleared_hyper(
-    uppers: Sequence[RatFun],
-    coflow: List[List[RatFun]],
-    carg: RatFun,
-    order: int,
-    cofq: List[RatFun],
-    table: SymbolTable,
-) -> Tuple[List[RatFun], RatFun]:
+    uppers: Sequence[RatFun], coflow: List[List[RatFun]], carg: RatFun, order: int
+) -> List[RatFun]:
     """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
 
-    Returns (coeffs, scale) with coeffs[k] = prod(U;q)_k c^k cofq[k]
-    prod coflow[i][k], the k-th coefficient times scale, where cofq and
-    coflow[i] are the _cof_chain of q and of the i-th lower parameter.  In
-    the telescoped assembly these are also the z-free parts of the inner
-    series' summands, whose only remaining n-dependence is q^(nk).
+    coeffs[k] = prod(U;q)_k c^k (q;q)_N/(q;q)_k prod coflow[i][k], the
+    k-th coefficient times the scale, coflow[i] the _cof_chain of the i-th
+    lower parameter; coefficient 0 is the scale.  In the telescoped
+    assembly these are also the z-free parts of the inner series'
+    summands, whose only remaining n-dependence is q^(nk).
     """
+    table = carg.table
     q = RatFun.sym(table, "q")
     coeffs = []
     p = RatFun.one(table)  # prod(U;q)_k c^k
     for k in range(order + 1):
-        sc = p * cofq[k]
+        sc = _times_binomials(p, range(k + 1, order + 1), "q")
         for cl in coflow:
             sc = sc * cl[k]
         coeffs.append(sc)
@@ -441,14 +430,11 @@ def _cleared_hyper(
             for u in uppers:
                 p = p * (1 - u * q**k)
             p = p * carg
-    scale = cofq[0]
-    for cl in coflow:
-        scale = scale * cl[0]
-    return coeffs, scale
+    return coeffs
 
 
 def _theorem16_sides(
-    name: str, t: List[RatFun], a: RatFun, b: RatFun, order: int
+    name: str, t: List[RatFun], a: RatFun, b: RatFun, order: int, t_scale: Union[RatFun, int] = 1
 ) -> IdentitySides:
     """(az;q)_inf/(bz;q)_inf G(z) = sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n)
     (bz)^n q^(n(n-1)) (Gt(zq^n;a,b) - azq^(2n) Gt(zq^(n+1);a/q,b/q))
@@ -456,12 +442,12 @@ def _theorem16_sides(
     with G = sum t_n z^n plain and Gt = sum t_n z^n (az;q)_n/(bz;q)_n.  The
     two Gt evaluations pair up k-by-k into the telescoped shape with
     inner = t (the a/q, b/q arguments at zq^(n+1) reproduce the same
-    Pochhammers as the first evaluation).  Scale: (q;q)_N.
+    Pochhammers as the first evaluation).  Scale: (q;q)_N times t_scale,
+    the factor t is cleared by.
     """
-    table = a.table
-    cof = _cof_chain(RatFun.sym(table, "q"), order)  # (q;q)_N / (q;q)_n
-    lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
-    return _telescoped_sides(name, lhs, t, a, b, order, cof[0])
+    euler = _euler_ratio_cleared(a, b, order)
+    lhs = euler * TruncSeries(a.table, order, t)
+    return _telescoped_sides(name, lhs, t, a, b, order, euler.coeffs[0] * t_scale)
 
 
 def build_theorem16_const(order: int) -> IdentitySides:
@@ -477,12 +463,8 @@ def build_theorem16_3phi2(order: int) -> IdentitySides:
     Scale: (q;q)_N^2.
     """
     table, (q, a, b, A, B) = symbols("q a b A B")
-    cof = _cof_chain(q, order)
-    t, t_scale = _cleared_hyper([A], [], B, order, cof, table)
-    lhs = _euler_ratio_cleared(a, b, order, cof, table) * TruncSeries(table, order, t)
-    return _telescoped_sides(
-        "theorem16_3phi2", lhs, t, a, b, order, cof[0] * t_scale
-    )
+    t = _cleared_hyper([A], [], B, order)
+    return _theorem16_sides("theorem16_3phi2", t, a, b, order, t[0])
 
 
 def theorem16_random_t(order: int, seed: int) -> List[Fraction]:
@@ -558,14 +540,11 @@ def build_coro_tlnew(
     if len(uppers) != r + 1 or len(lowers) != r:
         raise StructureError(f"need r+1 uppers and r lowers for r={r}")
 
-    cof = _cof_chain(q, order)
-    coflow = [_cof_chain(l, order) for l in lowers]
-    inner, inner_scale = _cleared_hyper(uppers, coflow, carg, order, cof, table)
-    lhs = _euler_ratio_cleared(a * q, b, order, cof, table) * TruncSeries(
-        table, order, inner
-    )
+    inner = _cleared_hyper(uppers, [_cof_chain(l, order) for l in lowers], carg, order)
+    euler = _euler_ratio_cleared(a * q, b, order)
+    lhs = euler * TruncSeries(table, order, inner)
     return _telescoped_sides(
-        "coro_tlnew", lhs, inner, a, b, order, cof[0] * inner_scale, divide=True
+        "coro_tlnew", lhs, inner, a, b, order, euler.coeffs[0] * inner[0], divide=True
     )
 
 
@@ -584,17 +563,14 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     at Cz.  _divided_sides divides coefficient m by C^m.
     """
     table, (q, A, B, C) = symbols("q A B C")
-    cof = _cof_chain(q, order)
     cofC = _cof_chain(C, order)
-    # the 2phi1 cleared like the inner series, then by one more (q;q)_N,
-    # as the chain of its binomials 1 - q^k
-    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], C, order, cof, table)
+    # the 2phi1 cleared like the inner series, then by one more (q;q)_N;
+    # its coefficient 0 is the scale
     qq = range(1, order + 1)
-    lhs = TruncSeries(table, order, [_times_binomials(c, qq) for c in lhs_coeffs])
-    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], A * B, order, cof, table)
-    sides = _telescoped_sides(
-        "2phi1_to_4phi3", lhs, inner, A * B, C, order, cof[0] * inner_scale
-    )
+    lhs = TruncSeries(table, order, [
+        _times_binomials(c, qq, "q") for c in _cleared_hyper([A, B], [cofC], C, order)])
+    inner = _cleared_hyper([C / A, C / B], [cofC], A * B, order)
+    sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, A * B, C, order, lhs.coeffs[0])
     return _divided_sides(sides, 1, C)
 
 
@@ -605,17 +581,16 @@ def build_partial_theta(order: int) -> IdentitySides:
     with w_n = (-1;q)_n (z;q)_n / ((q;q)_n (-zq;q)_n).  Scale: (q;q)_N.
     """
     table, (q,) = symbols("q")
-    cof = _cof_chain(q, order)
-    piece1 = (
-        pochhammer_infinite(q, order, table)
-        * inv_pochhammer_infinite(-q, order, table)
-    ).scale(cof[0])
+    qq = range(1, order + 1)
+    piece1 = pochhammer_infinite(q, order, table) * inv_pochhammer_infinite(-q, order, table)
+    # cleared by (q;q)_N; its coefficient 0 is 1, so the cleared one is the scale
+    piece1 = TruncSeries(table, order, [_times_binomials(c, qq, "q") for c in piece1.coeffs])
 
     lhs_parts = [piece1]
     pm1 = RatFun.one(table)  # (-1;q)_n
     rhs_terms = []
     for n, ratio in enumerate(_ratio_chain(1, -q, order, table)):  # (z;q)_n/(-zq;q)_n
-        common = pm1 * cof[n] * (-1) ** n
+        common = _times_binomials(pm1, range(n + 1, order + 1), "q") * (-1) ** n
         lhs_parts.append(_element(ratio, n, order).scale(common * q ** (n * n + n)))
         fact = TruncSeries.from_coeffs(
             table, [1 + q**n, q**n - q ** (2 * n)], order
@@ -626,7 +601,7 @@ def build_partial_theta(order: int) -> IdentitySides:
         )
         pm1 = pm1 * (1 + q**n)
     lhs = sum_series(lhs_parts)
-    return IdentitySides("partial_theta", [], lhs, rhs_terms, cof[0])
+    return IdentitySides("partial_theta", [], lhs, rhs_terms, piece1.coeffs[0])
 
 
 # ---------------------------------------------------------------------------

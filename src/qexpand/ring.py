@@ -38,8 +38,10 @@ no conversion: each pair of runs multiplies as two ints, so that CPython's
 big-int multiply does the convolution.  A pair product is added to its
 output run at that run's own lowest power, so no int is wider than the
 run it builds; a one-run factor gives each output run one product, with
-nothing to add (see _mul_runs).  A product with binomials 1 - x^k takes
-one shift and one subtract per run and binomial (see _times_binomials).
+nothing to add (see _mul_runs).  A product with binomials 1 - y^k, y any
+symbol, takes one shift and one subtract per run and binomial: a slot
+shift inside each run when y is x, else a key shift and an add of runs
+(see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -680,7 +682,7 @@ _BINOMIAL_NORMS: dict = {}
 
 
 def _binomials_norm(ks: tuple) -> int:
-    """The sum of the absolute coefficients of prod_(k in ks) (1 - x^k),
+    """The sum of the absolute coefficients of prod_(k in ks) (1 - y^k),
     computed once per exponent tuple."""
     norm = _BINOMIAL_NORMS.get(ks)
     if norm is None:
@@ -691,24 +693,29 @@ def _binomials_norm(ks: tuple) -> int:
     return norm
 
 
-def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
-    """c * prod_(k in ks) (1 - x^k), x the table's first symbol, each k >= 1.
+def _times_binomials(c: "RatFun", ks: Sequence[int], name: str) -> "RatFun":
+    """c * prod_(k in ks) (1 - y^k), y the named symbol, each k >= 1.
 
-    A run X is its polynomial's value at 2**w, so X times 1 - x^k is the
-    int X - (X << w*k): one shift and one subtract per run and binomial,
-    and no multiply.  The slots may overflow on the way, as the ints are
-    exact; only the final coefficients must fit, and they are at most the
-    bound times the factor's l1 norm, which sets the width.  The factor's
-    constant term is 1, so every run keeps its key and its lowest slot.
-    Its content is 1 and no monomial divides it, so the numerator's
-    content and monomial content are unchanged and the denominator passes
-    through: the result is c * factor in RatFun's normal form, as the
-    product with the factor as a RatFun gives it.
+    A run X is its polynomial's value at 2**w.  When y is the first
+    symbol x, X times 1 - x^k is the int X - (X << w*k): one shift and one
+    subtract per run and binomial, and no multiply; the factor's constant
+    term is 1, so every run keeps its key and its lowest slot.  For any
+    other y, c times 1 - y^k is c less c with its keys shifted by y^k: one
+    key shift (_term_mul) and one add of runs per binomial.  The slots may
+    overflow on the way, as the ints are exact; only the final
+    coefficients must fit, and they are at most the bound times the
+    factor's l1 norm, which sets the width once.  The factor's content is
+    1 and no monomial divides it, so the numerator's content and monomial
+    content are unchanged and the denominator passes through: the result
+    is c * factor in RatFun's normal form, as the product with the factor
+    as a RatFun gives it.
     """
     p = c.num
     ks = tuple(ks)
     if not ks or not p.runs:
         return c
+    table = p.table
+    i = table.position(name)
     s = sum(ks)
     if p.deg + s >= _LIMIT and p.total_degree() + s >= _LIMIT:
         raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
@@ -717,13 +724,21 @@ def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
     w = p.w
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b: b * norm, p)
-    shifts = [w * k for k in ks]
-    out = {}
-    for g, (lo, x) in p._at(w).items():
-        for sh in shifts:
-            x -= x << sh
-        out[g] = (lo, x)
-    return _ratfun(_poly(p.table, out, w, bound, p.deg + s), c.den)
+    if i:
+        # bound 0 in between, so no add widens the slots set for the result
+        unit = (1 << table._degshift) + (1 << table._shifts[i])
+        num = _poly(table, p._at(w), w, 0, p.deg)
+        for k in ks:
+            num = num + num._term_mul(k * unit, 0, -1, k)
+        out = num.runs
+    else:
+        shifts = [w * k for k in ks]
+        out = {}
+        for g, (lo, x) in p._at(w).items():
+            for sh in shifts:
+                x -= x << sh
+            out[g] = (lo, x)
+    return _ratfun(_poly(table, out, w, bound, p.deg + s), c.den)
 
 
 def render_poly(p: MultiPoly) -> str:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import MultiPoly, RatFun, SymbolTable, _dot
+from .ring import MultiPoly, RatFun, SymbolTable, _dot, _ratfun
 
 Scalar = Union[RatFun, int, Fraction]
 
@@ -33,12 +33,16 @@ def _q(table: SymbolTable) -> RatFun:
 
 
 def qpow(table: SymbolTable, e: int) -> RatFun:
-    """The monomial q^e as a RatFun: q^e over 1, or 1 over q^-e when e < 0."""
+    """The monomial q^e as a RatFun: q^e over 1, or 1 over q^-e when e < 0.
+
+    Either is normal as built: content 1, no common monomial, and a
+    positive leading coefficient in the denominator.
+    """
     if "q" not in table:
         raise StructureError('the symbol table must declare "q"')
     one = MultiPoly.const(table, 1)
     mono = MultiPoly.monomial(table, {"q": abs(e)})
-    return RatFun(mono, one) if e >= 0 else RatFun(one, mono)
+    return _ratfun(mono, one) if e >= 0 else _ratfun(one, mono)
 
 
 def _coerce_scalar(table: SymbolTable, c: Scalar) -> RatFun:

@@ -361,11 +361,10 @@ def _ref_2phi1_to_4phi3(order):
     cof = _cof_chain(q, order)
     cofC = _cof_chain(C, order)
     one = RatFun.one(table)
-    lhs_coeffs, _ = _cleared_hyper([A, B], [cofC], one, order, cof, table)
-    qq = range(1, order + 1)
-    lhs = TruncSeries(table, order, [_times_binomials(c, qq) for c in lhs_coeffs])
-    inner, inner_scale = _cleared_hyper([C / A, C / B], [cofC], a, order, cof, table)
-    return _telescoped_sides("2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner_scale)
+    lhs_coeffs = _cleared_hyper([A, B], [cofC], one, order)
+    lhs = TruncSeries(table, order, [c * cof[0] for c in lhs_coeffs])
+    inner = _cleared_hyper([C / A, C / B], [cofC], a, order)
+    return _telescoped_sides("2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner[0])
 
 
 def _ref_rogers_fine(order):
@@ -447,10 +446,10 @@ def test_non_monomial_parameters_match_the_per_piece_assembly(monkeypatch):
             assert term.coeffs == ref_term.coeffs
 
 
-def test_a_table_not_led_by_q_clears_by_the_whole_product(monkeypatch):
-    # the binomial chain shifts the runs of the table's first symbol, so
-    # over (a, b, q) each coefficient is multiplied by cof[n] whole; with
-    # one-term denominators that renders as the per-piece assembly does
+def test_a_table_not_led_by_q_renders_as_the_per_piece_assembly(monkeypatch):
+    # over (a, b, q) the runs are in a, so the chain clears by key shifts
+    # in q; with one-term denominators that renders as the per-piece
+    # assembly's whole products do
     table, (a, b, q) = symbols("a b q")
     t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(5, 3)]
     half = RatFun.from_fraction(table, Fraction(1, 2))
@@ -462,11 +461,15 @@ def test_a_table_not_led_by_q_clears_by_the_whole_product(monkeypatch):
             build_coro_tlnew(5, uppers=[q * b], carg=half, a=a, b=b),
         ]
 
-    def no_chain(c, ks):
-        raise AssertionError("the chain ran over a table not led by q")
+    names = []
 
-    monkeypatch.setattr(identities, "_times_binomials", no_chain)
+    def chain(c, ks, name):
+        names.append(name)
+        return _times_binomials(c, ks, name)
+
+    monkeypatch.setattr(identities, "_times_binomials", chain)
     new = build_both()
+    assert names and set(names) == {"q"}
     monkeypatch.setattr(identities, "_telescoped_sides", _per_piece_sides)
     old = build_both()
     for ours, ref in zip(new, old):

@@ -197,25 +197,35 @@ def test_only_listed_public_functions_are_unread():
     assert [hit for hit in _unread_in_src() if not _is_private(hit[1])] == _UNREAD_PUBLIC
 
 
-_TERM_FORMAT = {"terms", "runs", "pack", "unpack"}
+_TERM_FORMAT = {"terms", "runs", "pack", "unpack", "_step", "_shifts", "_degshift"}
 
 
 def _term_format_reads(source: str):
-    """(line, attribute) of each read of the packed-term attributes."""
-    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr in _TERM_FORMAT
-                  and isinstance(node.ctx, ast.Load))
+    """(line, attribute) of each read of the packed-term attributes, and
+    of each subscript of a `names` attribute, as in asking which symbol
+    leads a table and so holds its runs."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _TERM_FORMAT \
+                and isinstance(node.ctx, ast.Load):
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "names":
+            hits.append((node.lineno, "names[]"))
+    return sorted(hits)
 
 
 def test_term_format_finder_flags_only_reads():
     source = ("n = len(p.terms)\nx.runs = {}\nk = table.pack(v)\n"
-              "table.unpack(k)\np.term_count\nruns = terms\n")
-    assert _term_format_reads(source) == [(1, "terms"), (3, "pack"), (4, "unpack")]
+              "table.unpack(k)\np.term_count\nruns = terms\n"
+              "x = table.names[0]\nw = p.table._step\nfor n in args.names: pass\n")
+    assert _term_format_reads(source) == [
+        (1, "terms"), (3, "pack"), (4, "unpack"), (7, "names[]"), (8, "_step")]
 
 
 def test_term_format_stays_in_ring():
-    # only ring.py decodes the packed keys and runs, so the format can
-    # change there alone
+    # only ring.py decodes the packed keys and runs, or knows which symbol
+    # holds the runs, so the layout can change there alone
     src = Path(qexpand.__file__).parent
     found = {
         path.name: _term_format_reads(path.read_text(encoding="utf-8"))

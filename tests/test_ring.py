@@ -793,19 +793,21 @@ def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
 
 
 # ---------------------------------------------------------------------------
-# a product with binomials 1 - x^k by one shift and subtract per run
+# a product with binomials 1 - y^k: a slot shift per run when y is the
+# table's first symbol, else a key shift and an add of runs
 
 
-def _binomials(table, ks):
-    """prod_(k in ks) (1 - x^k) as a RatFun, x the table's first symbol."""
-    x = MultiPoly.symbol(table, table.names[0])
+def _binomials(table, ks, name):
+    """prod_(k in ks) (1 - y^k) as a RatFun, y the named symbol."""
+    y = MultiPoly.symbol(table, name)
     one = MultiPoly.const(table, 1)
-    return RatFun(reduce(operator.mul, [1 - x**k for k in ks], one), one)
+    return RatFun(reduce(operator.mul, [1 - y**k for k in ks], one), one)
 
 
-def _assert_chain_matches_product(c, ks):
-    got = ring._times_binomials(c, ks)
-    ref = c * _binomials(c.table, ks)
+def _assert_chain_matches_product(c, ks, name):
+    got = ring._times_binomials(c, ks, name)
+    ref = c * _binomials(c.table, ks, name)
+    # MultiPoly equality compares the runs at one width
     assert got.num == ref.num and got.den == ref.den
     assert got.num.terms == ref.num.terms and got.den.terms == ref.den.terms
     assert str(got) == str(ref)
@@ -821,6 +823,8 @@ def _assert_chain_matches_product(c, ks):
 # and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones
 CHAIN_COEFFS = [2**31 - 1, 2**63 - 1, 2**64 + 1, 2**127 - 1]
 CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9))]
+# (a, b, q) keeps its runs in a, and its q binomials shift keys
+CHAIN_TABLES = RUN_TABLES + [SymbolTable(("a", "b", "q"))]
 
 
 def _chain_operands(table, coeff):
@@ -837,42 +841,45 @@ def _chain_operands(table, coeff):
 
 @pytest.mark.parametrize("how", ["as built", "64", "320"])
 @pytest.mark.parametrize("coeff", CHAIN_COEFFS)
-@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+@pytest.mark.parametrize("table", CHAIN_TABLES, ids=lambda t: "_".join(t.names))
 def test_binomial_chain_matches_the_product(table, coeff, how):
     # the operand's own slots are 32, 64 or 128 bits wide as built, then
-    # re-packed at 64 and at 320 bits
+    # re-packed at 64 and at 320 bits; binomials in every symbol
     for c in _chain_operands(table, coeff):
         c = ring._ratfun(_widened(c.num, how), c.den)
-        for ks in CHAIN_KS:
-            _assert_chain_matches_product(c, ks)
-    assert ring._times_binomials(c, ()) is c
+        for name in table.names:
+            for ks in CHAIN_KS:
+                _assert_chain_matches_product(c, ks, name)
+    assert ring._times_binomials(c, (), table.names[-1]) is c
     zero = RatFun.zero(table)
-    assert ring._times_binomials(zero, (1, 2)) is zero
+    assert ring._times_binomials(zero, (1, 2), table.names[-1]) is zero
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(boundary_operands(), st.lists(st.integers(1, 6), max_size=5),
-       st.sampled_from(["one", "as drawn", "1 + x*y"]))
-def test_binomial_chain_matches_the_product_random(ops, ks, den):
+       st.sampled_from(["one", "as drawn", "1 + x*y"]), st.integers(0, 2))
+def test_binomial_chain_matches_the_product_random(ops, ks, den, i):
     table, ((d1, p1), (d2, p2)) = ops
     if den == "one" or not d2:
         p2 = MultiPoly.const(table, 1)
     elif den == "1 + x*y":
         p2 = 1 + p2 * MultiPoly.symbol(table, table.names[0])
-    _assert_chain_matches_product(RatFun(p1, p2), ks)
+    _assert_chain_matches_product(RatFun(p1, p2), ks, table.names[i % len(table)])
 
 
 def test_binomial_chain_keeps_the_degree_guard():
-    # total degree 2**24 - 10 in symbols other than q, whose runs are short
+    # total degree 2**24 - 10 in symbols other than q, whose runs are
+    # short; binomials in the first symbol q, and in b, which is not first
     one = MultiPoly.const(TABLE, 1)
     for mono in ({"a": 2**24 - 11, "q": 1}, {"a": 2**24 - 12, "b": 1, "q": 1}):
         big = RatFun(MultiPoly.monomial(TABLE, mono) + 1, one)
-        _assert_chain_matches_product(big, (4, 5))
-        for ks in ((10,), (4, 6), (1, 2, 3, 4)):
-            with pytest.raises(StructureError):
-                ring._times_binomials(big, ks)
-            with pytest.raises(StructureError):
-                big * _binomials(TABLE, ks)
+        for name in ("q", "b"):
+            _assert_chain_matches_product(big, (4, 5), name)
+            for ks in ((10,), (4, 6), (1, 2, 3, 4)):
+                with pytest.raises(StructureError):
+                    ring._times_binomials(big, ks, name)
+                with pytest.raises(StructureError):
+                    big * _binomials(TABLE, ks, name)
 
 
 def test_no_scan_where_exact_bounds_cannot_narrow_the_slots(monkeypatch):

@@ -100,6 +100,26 @@ def test_shift_q_examples(t, syms):
 # Pochhammer products (finite ones from the test-local reference)
 
 
+def test_qpow_is_built_normal(t, monkeypatch):
+    # q^e over 1, or 1 over q^-e, is normal as built: the same runs and
+    # text as the constructor's normalization gives, without calling it
+    one = MultiPoly.const(t, 1)
+    want = {}
+    for e in range(-3, 4):
+        mono = MultiPoly.monomial(t, {"q": abs(e)})
+        want[e] = RatFun(mono, one) if e >= 0 else RatFun(one, mono)
+
+    def no_init(self, num, den):
+        raise AssertionError("qpow normalized")
+
+    monkeypatch.setattr(RatFun, "__init__", no_init)
+    for e, ref in want.items():
+        got = qpow(t, e)
+        assert got.num.runs == ref.num.runs and got.den.runs == ref.den.runs
+        assert got.num.w == ref.num.w and got.den.w == ref.den.w
+        assert str(got) == str(ref)
+
+
 def test_pochhammer_finite_examples(t, syms):
     q, a, b = syms
     assert poch(a, 1, N, t) == TruncSeries.from_coeffs(t, [1, -a], N)
