@@ -26,7 +26,7 @@ _EXPORTS = {
         numeric_check_names""",
     "ring": "MultiPoly RatFun SymbolTable parse_ratfun symbols",
     "series": """TruncSeries base_element inv_pochhammer_infinite partial_theta
-        pochhammer_infinite qhyper qpow sum_series""",
+        pochhammer_infinite qhyper sum_series""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -76,7 +76,8 @@ def _parameter_table(*exprs: str) -> SymbolTable:
 
 def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
                     order: int, k: int) -> TruncSeries:
-    from .series import TruncSeries, base_element, partial_theta, qpow
+    from .ring import RatFun
+    from .series import TruncSeries, base_element, partial_theta
 
     if name == "one":
         return TruncSeries.one(table, order)
@@ -85,7 +86,7 @@ def _builtin_series(name: str, table: SymbolTable, a: RatFun, b: RatFun,
             raise OrderError(f"--k must lie in 0..{order}, got {k}")
         return base_element(k, a, b, order, table)
     # (1 + z) sum_n (-1)^n z^(2n) q^(n^2)
-    return partial_theta(2, qpow(table, 1), 2, order, table).mul_linear(-1)
+    return partial_theta(2, RatFun.sym(table, "q"), 2, order, table).mul_linear(-1)
 
 
 # ---------------------------------------------------------------------------

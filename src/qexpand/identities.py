@@ -49,7 +49,6 @@ from .series import (
     inv_pochhammer_infinite,
     partial_theta,
     pochhammer_infinite,
-    qpow,
     sum_series,
 )
 
@@ -212,10 +211,7 @@ def _divided_sides(sides: IdentitySides, d: int, u: RatFun) -> IdentitySides:
     normalization is a full gcd reduction and a value has one
     representation, so each quotient has the bytes the build at z gave.
     """
-    table, order = sides.table, sides.order
-    dens = [MultiPoly.const(table, d)]
-    for _ in range(order):
-        dens.append(dens[-1] * u.num)
+    dens = [u.num ** m * d for m in range(sides.order + 1)]
     terms, build = sides._terms, sides._build
 
     def divided_terms() -> List[TruncSeries]:
@@ -372,7 +368,7 @@ def _telescoped_sides(
         for k in range(order - n + 1):
             if inner[k].is_zero():
                 continue
-            sc = inner[k] * qpow(table, n * k)
+            sc = inner[k] * q ** (n * k)
             piece = ratios[n + k].mul_linear(a * q ** (2 * n + k))
             for m, c in enumerate(piece.coeffs, n + k):
                 coeffs[m] = coeffs[m] + c * sc
@@ -631,7 +627,7 @@ def build_1psi1_coeff(order: int) -> IdentitySides:
         wk = chain[k + 1].coeffs[k]
         coeffs = [zero] * (order + 1)
         for n in range(k + 1, order + 1):
-            coeffs[n] = -aq * col[n - k] * qpow(table, (n - k) * k) * wk
+            coeffs[n] = -aq * col[n - k] * q ** ((n - k) * k) * wk
         rhs_terms.append(TruncSeries(table, order, coeffs))
     return IdentitySides("1psi1_coeff", [], lhs, rhs_terms, RatFun.one(table))
 

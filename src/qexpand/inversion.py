@@ -27,7 +27,7 @@ from typing import List
 
 from .errors import OrderError, SingularMatrixError, StructureError
 from .ring import RatFun, SymbolTable, _dot
-from .series import TruncSeries, _element, _ratio_chain, qpow, sum_series
+from .series import TruncSeries, _element, _ratio_chain, sum_series
 
 
 @dataclass
@@ -178,7 +178,8 @@ def _thm25_entry(chain: List[TruncSeries], col: List[RatFun], a: RatFun,
     expansion coefficient of f.  col = b_column1(a, b, n).
     """
     table = a.table
-    pairs = ((col[m - i] * qpow(table, (m - i) * i), chain[i + 1].coeffs[i - k])
+    q = RatFun.sym(table, "q")
+    pairs = ((col[m - i] * q ** ((m - i) * i), chain[i + 1].coeffs[i - k])
              for i in range(k, m) if not col[m - i].is_zero())
     return chain[m].coeffs[m - k] - a * _dot(pairs, RatFun.zero(table))
 
@@ -237,8 +238,9 @@ def gn_polynomials(n: int, table: SymbolTable) -> List[RatFun]:
     if n < 1:
         return g[: n + 1]
     zero = RatFun.zero(table)
+    q = RatFun.sym(table, "q")
     for m in range(2, n + 1):
-        g.append(one - _dot(((g[m - k], qpow(table, (m - k) * k)) for k in range(1, m)), zero))
+        g.append(one - _dot(((g[m - k], q ** ((m - k) * k)) for k in range(1, m)), zero))
     return g
 
 
@@ -258,6 +260,7 @@ def coro310_coeffs(f: TruncSeries, a: RatFun) -> ExpansionResult:
     table = f.table
     n = f.order
     g = gn_polynomials(n, table)
+    q = RatFun.sym(table, "q")
     zero = RatFun.zero(table)
     # tails[k] = (f - f_k)/(1 - az), needed at [z^m] for m > k
     tails = []
@@ -266,7 +269,7 @@ def coro310_coeffs(f: TruncSeries, a: RatFun) -> ExpansionResult:
         tails.append(TruncSeries(table, n, cut).div_linear(a))
     coeffs = [f.coeffs[0]]
     for m in range(1, n + 1):
-        pairs = ((g[m - k] * qpow(table, (m - k) * k), tails[k].coeffs[m])
+        pairs = ((g[m - k] * q ** ((m - k) * k), tails[k].coeffs[m])
                  for k in range(m) if not g[m - k].is_zero())
         coeffs.append(_dot(pairs, zero))
     return ExpansionResult(coeffs, "b_eq_aq")
@@ -299,7 +302,7 @@ def sn_polynomial(n: int, a: RatFun, b: RatFun, y: RatFun) -> RatFun:
 
     lead = y ** (n + 1) * prod(y - b * q**i for i in range(n - 1))
     pairs = (
-        (col[n - k] * qpow(table, (n - k) * k) * y ** (k + 1)
+        (col[n - k] * q ** ((n - k) * k) * y ** (k + 1)
          * prod(y - b * q**i for i in range(k)),
          prod(y - a * q**j for j in range(k + 1, n)))
         for k in range(n) if not col[n - k].is_zero()

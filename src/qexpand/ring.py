@@ -13,8 +13,8 @@ with field width W = 24 bits.  Putting the total degree in the topmost
 field makes plain integer comparison of keys agree with graded
 lexicographic order on the declared symbols, and key addition is
 exponent-vector addition.  Both need every field below 2**24, which is
-enforced, not assumed: `SymbolTable.pack` and `MultiPoly.__mul__` raise
-StructureError when an exponent could reach it.
+enforced, not assumed: `SymbolTable.pack`, `MultiPoly.__mul__` and
+`MultiPoly.__pow__` raise StructureError when an exponent could reach it.
 
 A polynomial groups its terms by the part of the key free of the first
 symbol x (q in every table the package builds), whose coefficients come in
@@ -33,15 +33,16 @@ leading coefficient read run keys and bit positions.
 The term dict `MultiPoly.terms` is decoded only when read.
 
 Multiplication.  A one-term factor shifts the other's run keys and scales
-its runs.  Any other product is a Kronecker substitution in x that needs
-no conversion: each pair of runs multiplies as two ints, so that CPython's
-big-int multiply does the convolution.  A pair product is added to its
-output run at that run's own lowest power, so no int is wider than the
-run it builds; a one-run factor gives each output run one product, with
-nothing to add (see _mul_runs).  A product with binomials 1 - y^k, y any
-symbol, takes one shift and one subtract per run and binomial: a slot
-shift inside each run when y is x, else a key shift and an add of runs
-(see _times_binomials).
+its runs, and a power of one term is one term, built in one step; only a
+power of a sum multiplies, by binary powering.  Any other product is a
+Kronecker substitution in x that needs no conversion: each pair of runs
+multiplies as two ints, so that CPython's big-int multiply does the
+convolution.  A pair product is added to its output run at that run's
+own lowest power, so no int is wider than the run it builds; a one-run
+factor gives each output run one product, with nothing to add (see
+_mul_runs).  A product with binomials 1 - y^k, y any symbol, takes one
+shift and one subtract per run and binomial: a slot shift inside each run
+when y is x, else a key shift and an add of runs (see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -331,12 +332,17 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.runs
 
+    def _one_term(self) -> Optional[Tuple[int, int, int]]:
+        """(g, lo, c) when the poly is the one term c*g*x^lo, else None."""
+        if len(self.runs) == 1:
+            ((g, (lo, c)),) = self.runs.items()
+            if c.bit_length() < self.w:  # a run of one slot
+                return g, lo, c
+        return None
+
     def is_term(self) -> bool:
         """Whether the poly is one term: an integer times a monomial."""
-        if len(self.runs) != 1:
-            return False
-        ((_, x),) = self.runs.values()
-        return x.bit_length() < self.w
+        return self._one_term() is not None
 
     def const_value(self) -> int:
         lo, x = self.runs.get(0, (1, 0))
@@ -496,12 +502,11 @@ class MultiPoly:
         if (self.deg + other.deg >= _LIMIT
                 and self.total_degree() + other.total_degree() >= _LIMIT):
             raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
-        ds = self.table._degshift
         for p, r in ((self, other), (other, self)):
-            if len(r.runs) == 1:
-                ((g, (lo, c)),) = r.runs.items()
-                if c.bit_length() < r.w:  # r is one term
-                    return p._term_mul(g, lo, c, (g >> ds) + lo)
+            term = r._one_term()
+            if term is not None:
+                g, lo, c = term
+                return p._term_mul(g, lo, c, (g >> self.table._degshift) + lo)
         return _mul_runs(self, other)
 
     __rmul__ = __mul__
@@ -514,8 +519,22 @@ class MultiPoly:
         return self._term_mul(0, 0, c, 0)
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """The n-th power, n >= 0.  A power of one term c*g*x^lo is the one
+        term c^n*g^n*x^(lo*n), built in one step with its exact bound |c|^n
+        and behind the total-degree guard a product has; a power of a sum
+        is taken by binary powering.  The zero poly's 0th power is 1."""
         if n < 0:
             raise StructureError("negative power of a polynomial; use RatFun")
+        term = self._one_term()
+        if term is not None:
+            g, lo, c = term
+            deg = ((g >> self.table._degshift) + lo) * n
+            if deg >= _LIMIT:
+                raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
+            c **= n
+            bound = abs(c)
+            return _poly(self.table, {g * n: (lo * n, c)}, _width(bound.bit_length()),
+                         bound, deg, True)
         result = MultiPoly.const(self.table, 1)
         base = self
         while n:

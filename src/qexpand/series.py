@@ -23,26 +23,9 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import MultiPoly, RatFun, SymbolTable, _dot, _ratfun
+from .ring import RatFun, SymbolTable, _dot
 
 Scalar = Union[RatFun, int, Fraction]
-
-
-def _q(table: SymbolTable) -> RatFun:
-    return qpow(table, 1)
-
-
-def qpow(table: SymbolTable, e: int) -> RatFun:
-    """The monomial q^e as a RatFun: q^e over 1, or 1 over q^-e when e < 0.
-
-    Either is normal as built: content 1, no common monomial, and a
-    positive leading coefficient in the denominator.
-    """
-    if "q" not in table:
-        raise StructureError('the symbol table must declare "q"')
-    one = MultiPoly.const(table, 1)
-    mono = MultiPoly.monomial(table, {"q": abs(e)})
-    return _ratfun(mono, one) if e >= 0 else _ratfun(one, mono)
 
 
 def _coerce_scalar(table: SymbolTable, c: Scalar) -> RatFun:
@@ -182,15 +165,9 @@ class TruncSeries:
         """Substitute z -> z q^k: multiplies c_n by q^(k n)."""
         if k == 0:
             return self
-        q = _q(self.table)
-        out = []
-        step = q**k
-        fac = RatFun.one(self.table)
-        for n, c in enumerate(self.coeffs):
-            if n:
-                fac = fac * step
-            out.append(c if c.is_zero() else c * fac)
-        return TruncSeries(self.table, self.order, out)
+        q = RatFun.sym(self.table, "q")
+        return TruncSeries(self.table, self.order, [
+            c if c.is_zero() else c * q ** (k * n) for n, c in enumerate(self.coeffs)])
 
     def mul_z(self, j: int) -> "TruncSeries":
         """Multiply by z^j at fixed order (top coefficients fall off)."""
@@ -256,13 +233,11 @@ class TruncSeries:
 def pochhammer_infinite(c: Scalar, order: int, table: SymbolTable) -> TruncSeries:
     """(cz;q)_inf via Euler: sum_m (-c)^m q^(m(m-1)/2) z^m / (q;q)_m."""
     c = _coerce_scalar(table, c)
-    q = _q(table)
+    q = RatFun.sym(table, "q")
     coeffs = [RatFun.one(table)]
     t = coeffs[0]
-    qm = RatFun.one(table)  # q^(m-1) at step m
     for m in range(1, order + 1):
-        t = t * (-c) * qm / (1 - q**m)
-        qm = qm * q
+        t = t * (-c) * q ** (m - 1) / (1 - q**m)
         coeffs.append(t)
     return TruncSeries(table, order, coeffs)
 
@@ -281,7 +256,7 @@ def _ratio_chain(a: Scalar, b: Scalar, order: int, table: SymbolTable) -> List[T
     quotient by a linear factor reads only coefficients 0..i, so the cut
     drops no work a later ratio uses.
     """
-    q = _q(table)
+    q = RatFun.sym(table, "q")
     out = []
     r = TruncSeries.one(table, order)
     for m in range(order + 1):
@@ -325,7 +300,7 @@ def qhyper(
     us = [_coerce_scalar(table, u) for u in uppers]
     ls = [_coerce_scalar(table, l) for l in lowers]
     c = _coerce_scalar(table, c)
-    q = _q(table)
+    q = RatFun.sym(table, "q")
     coeffs = [RatFun.one(table)]
     t = coeffs[0]
     for n in range(1, order + 1):
@@ -351,7 +326,7 @@ def partial_theta(baseexp: int, c: Scalar, p: int, order: int, table: SymbolTabl
     if baseexp < 1 or p < 1:
         raise OrderError("baseexp and p must be positive")
     c = _coerce_scalar(table, c)
-    q = _q(table)
+    q = RatFun.sym(table, "q")
     out = TruncSeries.zero(table, order)
     term = RatFun.one(table)
     for k in range(order // p + 1):

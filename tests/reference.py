@@ -1,7 +1,7 @@
 """Test-local references: substitution, and the z-free and series q-Pochhammers."""
 
 from qexpand.ring import MultiPoly, RatFun
-from qexpand.series import TruncSeries, qpow, sum_series
+from qexpand.series import TruncSeries, sum_series
 
 
 def substitute(r, vals, one):
@@ -34,15 +34,17 @@ def substitute_series(s, vals):
 
 def qpoch(c, n, table):
     """(c;q)_n for a z-free c and any integer n; (c;q)_(-m) = 1/(cq^(-m);q)_m."""
+    q = RatFun.sym(table, "q")
     prod = RatFun.one(table)
     for i in range(min(n, 0), max(n, 0)):
-        prod = prod * (1 - c * qpow(table, i))
+        prod = prod * (1 - c * q**i)
     return prod if n >= 0 else 1 / prod
 
 
 def poch(c, n, order, table):
     """The series (cz;q)_n for any integer n: a chain of linear factors."""
+    q = RatFun.sym(table, "q")
     s = TruncSeries.one(table, order)
     for i in range(min(n, 0), max(n, 0)):
-        s = s.mul_linear(c * qpow(table, i)) if n > 0 else s.div_linear(c * qpow(table, i))
+        s = s.mul_linear(c * q**i) if n > 0 else s.div_linear(c * q**i)
     return s

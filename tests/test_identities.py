@@ -41,7 +41,6 @@ from qexpand.series import (
     base_element,
     inv_pochhammer_infinite,
     pochhammer_infinite,
-    qpow,
     sum_series,
 )
 from reference import poch, substitute, substitute_series
@@ -288,7 +287,7 @@ def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False):
         for k in range(order - n + 1):
             if inner[k].is_zero():
                 continue
-            sc = inner[k] * qpow(table, n * k) * outer
+            sc = inner[k] * q ** (n * k) * outer
             m = n + k
             piece = ratios[m].mul_linear(a * q ** (2 * n + k))
             term = term + _element(piece.scale(sc), m, order)

@@ -30,7 +30,7 @@ from qexpand.inversion import (
     sn_polynomial,
 )
 from qexpand.ring import RatFun, SymbolTable
-from qexpand.series import TruncSeries, qpow
+from qexpand.series import TruncSeries
 from reference import poch, qpoch, substitute
 
 N = 8
@@ -251,7 +251,7 @@ def test_k0_peeling_identity(t, syms):
         lhs = kernel_coeff(n - 1, n, n)
         rhs = RatFun.zero(t)
         for i in range(n):
-            rhs = rhs + col[n - i] * qpow(t, (n - i) * i) * kernel_coeff(i, i + 1, i)
+            rhs = rhs + col[n - i] * q ** ((n - i) * i) * kernel_coeff(i, i + 1, i)
         assert lhs == a * rhs, n
 
 
@@ -278,7 +278,7 @@ def test_row_generating_function_in_y():
             lhs = lhs + inv.entry(n, k) * y**k
         rhs = qpoch(b / y, n - 1, ty) / qpoch(a / y, n, ty) * y**n
         for k in range(n):
-            rhs = rhs - a * col[n - k] * qpow(ty, (n - k) * k) \
+            rhs = rhs - a * col[n - k] * q ** ((n - k) * k) \
                 * qpoch(b / y, k, ty) / qpoch(a / y, k + 1, ty) * y**k
         assert lhs == rhs, n
 
@@ -322,7 +322,7 @@ def test_gn_values(t):
     for n in range(2, 13):
         acc = RatFun.one(t)
         for i in range(1, n):
-            acc = acc - g[n - i] * qpow(t, (n - i) * i)
+            acc = acc - g[n - i] * q ** ((n - i) * i)
         assert g[n] == acc
 
 
@@ -382,5 +382,5 @@ def test_polynomial_input_truncated_sum_bound(t, syms):
             for k in range(min(m, n - 1) + 1):
                 fk = TruncSeries(t, N, f.coeffs[: k + 1] + [zero] * (N - k))
                 bracket = p - fk.div_linear(a)
-                acc = acc + g[n - k] * qpow(t, (n - k) * k) * bracket.coeffs[n]
+                acc = acc + g[n - k] * q ** ((n - k) * k) * bracket.coeffs[n]
             assert acc == want[n], (m, n)

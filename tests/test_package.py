@@ -2,7 +2,8 @@
 submodule defines, dir() lists them, unknown names raise AttributeError,
 submodules still import through the package, no module imports a name it
 never uses, no private helper goes unused, only listed public functions go
-unread, and README's Python examples run."""
+unread, only ring.py builds normal forms, and README's Python examples
+run."""
 
 import ast
 import importlib
@@ -24,10 +25,11 @@ def test_every_export_is_the_submodule_object():
 def test_exports_cover_the_public_api():
     # the 58 names the package has exported, less qpoch_num,
     # spot_check_series, pochhammer_finite, qpoch_param, qpoch_param_range
-    # and substitute_in_series, deleted because only tests called them
-    assert len(qexpand.__all__) == len(set(qexpand.__all__)) == 52
+    # and substitute_in_series, deleted because only tests called them, and
+    # qpow, deleted because q ** e builds the same value
+    assert len(qexpand.__all__) == len(set(qexpand.__all__)) == 51
     assert not {"qpoch_num", "spot_check_series", "pochhammer_finite", "qpoch_param",
-                "qpoch_param_range", "substitute_in_series"} & set(qexpand.__all__)
+                "qpoch_param_range", "substitute_in_series", "qpow"} & set(qexpand.__all__)
     for name in ("build_sides", "base_matrix", "check_qqq", "MultiPoly",
                  "TruncSeries", "QExpandError", "DEFAULT_PRECISION"):
         assert name in qexpand.__all__
@@ -229,6 +231,33 @@ def test_term_format_stays_in_ring():
     src = Path(qexpand.__file__).parent
     found = {
         path.name: _term_format_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py")) if path.name != "ring.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+_NORMAL_FORM = {"_ratfun", "_poly", "_cancel"}
+
+
+def _normal_form_imports(source: str):
+    """(line, name) of each import of ring's builders of normal forms and
+    run values."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in _NORMAL_FORM)
+
+
+def test_normal_form_import_finder_flags_only_builders():
+    source = "from .ring import RatFun, SymbolTable, _dot\nfrom .ring import _ratfun as r\n"
+    assert _normal_form_imports(source) == [(2, "_ratfun")]
+
+
+def test_normal_forms_are_built_only_in_ring():
+    # only ring builds normal forms and run values, so no other module can
+    # make a value that skips RatFun's normalization or MultiPoly's bounds
+    src = Path(qexpand.__file__).parent
+    found = {
+        path.name: _normal_form_imports(path.read_text(encoding="utf-8"))
         for path in sorted(src.glob("*.py")) if path.name != "ring.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

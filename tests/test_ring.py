@@ -390,6 +390,83 @@ def test_mul_rejects_products_at_the_field_bound():
         q ** (2**24)
 
 
+# ---------------------------------------------------------------------------
+# a power of one term c*g*x^lo is one term, built in one step
+
+
+POWER_COEFFS = [1, -1, -3, 2**31 - 1, -(2**63 - 1), 2**64 + 1]
+POWER_EXPS = [0, 1, 2, 5, 31]
+# (a, b, q) keeps its runs in a, so q's powers are key powers there
+POWER_TABLES = [SymbolTable(names) for names in (("q",), ("q", "a", "b"), ("a", "b", "q"))]
+
+
+def _power_bases(table, coeff):
+    """coeff times a monomial in each symbol alone, and in all of them."""
+    exps = [{nm: 3} for nm in table.names] + [{nm: i + 1 for i, nm in enumerate(table.names)}]
+    return [MultiPoly.monomial(table, e, coeff) for e in exps]
+
+
+@pytest.mark.parametrize("coeff", POWER_COEFFS)
+@pytest.mark.parametrize("table", POWER_TABLES, ids=lambda t: "_".join(t.names))
+def test_power_of_one_term_is_the_repeated_product(table, coeff):
+    one = MultiPoly.const(table, 1)
+    for p in _power_bases(table, coeff):
+        for n in POWER_EXPS:
+            got = p**n
+            ref = reduce(operator.mul, [p] * n, one)
+            w = max(got.w, ref.w)
+            assert got._at(w) == ref._at(w)
+            assert got.terms == ref.terms and str(got) == str(ref)
+            assert got.is_term()
+            assert got._bound >= abs(coeff) ** n
+            assert got.w >= ring._width(got._bound.bit_length())
+            assert got.deg == got.total_degree() == ref.total_degree()
+
+
+@pytest.mark.parametrize("table", POWER_TABLES[1:], ids=lambda t: "_".join(t.names))
+def test_power_of_one_term_keeps_the_degree_guard(table):
+    # the message binary powering raises from its products, for a sum too
+    guard = r"a product reaches total degree 2\*\*24"
+    for base, n in (({"q": 2**23}, 2), ({"a": 1, "b": 2**22}, 4)):
+        p = MultiPoly.monomial(table, base)
+        for power in (p, p + 1):
+            with pytest.raises(StructureError, match=guard):
+                power**n
+    for base, n, deg in (({"q": 2**23 - 1}, 2, 2**24 - 2), ({"a": 1, "b": 2**22 - 2}, 4, 2**24 - 4)):
+        got = MultiPoly.monomial(table, base) ** n
+        assert got.total_degree() == got.deg == deg
+        assert got.terms == {table.pack([base.get(nm, 0) * n for nm in table.names]): 1}
+
+
+def test_powers_of_zero_and_constants():
+    zero = MultiPoly.zero(TABLE)
+    assert zero**0 == 1 and (zero**0).terms == {0: 1} and (zero**0).deg == 0
+    assert (zero**1).is_zero() and (zero**3).is_zero()
+    for c in (1, -1, 7, -(2**40), 2**64 + 1):
+        for n in (0, 1, 3):
+            got = MultiPoly.const(TABLE, c) ** n
+            assert got == c**n and got.const_value() == c**n and got.deg == 0
+    assert RatFun.zero(TABLE) ** 0 == 1
+    with pytest.raises(PoleError):
+        RatFun.zero(TABLE) ** -1
+
+
+def test_power_of_one_term_multiplies_nothing(monkeypatch):
+    table = SymbolTable(("a", "b", "q"))
+    q = RatFun.sym(table, "q")
+    powers = [(MultiPoly.monomial(table, {"q": 2, "b": 1}, -3), 5),
+              (MultiPoly.const(table, 5), 5), (q, 7), (q, -7), (-2 * q, -3)]
+    want = [str(x**n) for x, n in powers]
+
+    def refuse(*args):
+        raise AssertionError("a one-term power multiplied or normalized")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(RatFun, "__init__", refuse)
+    got = [str(x**n) for x, n in powers]
+    assert got == want == ["-243*b^5*q^10", "3125", "q^7", "(1)/(q^7)", "(-1)/(8*q^3)"]
+
+
 def test_min_exponents_with_caps():
     p = MultiPoly(TABLE, {TABLE.pack((2, 1, 3)): 1, TABLE.pack((5, 1, 0)): -2})
     assert p.min_exponents() == [2, 1, 0]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qexpand.errors import NonInvertibleError, OrderError, PoleError
+from qexpand.errors import NonInvertibleError, OrderError, PoleError, StructureError
 from qexpand.ring import MultiPoly, RatFun, SymbolTable, parse_ratfun
 from qexpand.series import (
     TruncSeries,
@@ -23,7 +23,6 @@ from qexpand.series import (
     partial_theta,
     pochhammer_infinite,
     qhyper,
-    qpow,
     sum_series,
 )
 from reference import poch, qpoch, substitute, substitute_series
@@ -100,9 +99,11 @@ def test_shift_q_examples(t, syms):
 # Pochhammer products (finite ones from the test-local reference)
 
 
-def test_qpow_is_built_normal(t, monkeypatch):
-    # q^e over 1, or 1 over q^-e, is normal as built: the same runs and
-    # text as the constructor's normalization gives, without calling it
+def test_monomial_powers_of_q_are_built_normal(t, syms, monkeypatch):
+    # q^e over 1, or 1 over q^-e, is normal as the power builds it: the
+    # same runs, widths and text as the constructor's normalization gives,
+    # without calling it
+    q = syms[0]
     one = MultiPoly.const(t, 1)
     want = {}
     for e in range(-3, 4):
@@ -110,14 +111,24 @@ def test_qpow_is_built_normal(t, monkeypatch):
         want[e] = RatFun(mono, one) if e >= 0 else RatFun(one, mono)
 
     def no_init(self, num, den):
-        raise AssertionError("qpow normalized")
+        raise AssertionError("q ** e normalized")
 
     monkeypatch.setattr(RatFun, "__init__", no_init)
     for e, ref in want.items():
-        got = qpow(t, e)
+        got = q**e
         assert got.num.runs == ref.num.runs and got.den.runs == ref.den.runs
         assert got.num.w == ref.num.w and got.den.w == ref.den.w
         assert str(got) == str(ref)
+
+
+def test_constructors_need_q():
+    table = SymbolTable(("a", "b"))
+    for build in (lambda: pochhammer_infinite(1, 3, table),
+                  lambda: qhyper([], [], 1, 3, table),
+                  lambda: partial_theta(1, 1, 1, 3, table),
+                  lambda: TruncSeries.one(table, 3).shift_q(1)):
+        with pytest.raises(StructureError, match="unknown symbol 'q'"):
+            build()
 
 
 def test_pochhammer_finite_examples(t, syms):
@@ -249,7 +260,7 @@ def test_partial_theta_examples(t, syms):
     r = partial_theta(2, q, 2, N, t)
     for k in range(N // 2 + 1):
         sign = -1 if k % 2 else 1
-        assert r.coeffs[2 * k] == sign * qpow(t, k * k)
+        assert r.coeffs[2 * k] == sign * q ** (k * k)
         if 2 * k + 1 <= N:
             assert r.coeffs[2 * k + 1].is_zero()
     assert partial_theta(2, RatFun.zero(t), 2, N, t) == TruncSeries.one(t, N)
