@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import OrderError, StructureError
+from .errors import OrderError, PoleError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
 from .ring import MultiPoly, RatFun, _times_binomials, symbols
 from .series import (
@@ -178,17 +178,6 @@ def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityRepo
     return IdentityReport(sides.name, sides.parameters, sides.order, True, None)
 
 
-def _cof_chain(c: RatFun, order: int) -> List[RatFun]:
-    """cof[n] = prod_(i=n)^(order-1) (1 - c q^i), c with a symbol besides q (the
-    (q;q) quotients are _times_binomials chains); cof[0] is the full product."""
-    table = c.table
-    q = RatFun.sym(table, "q")
-    cof = [RatFun.one(table)] * (order + 1)
-    for n in range(order - 1, -1, -1):
-        cof[n] = cof[n + 1] * (1 - c * q**n)
-    return cof
-
-
 def _divided(s: TruncSeries, dens: List[MultiPoly]) -> TruncSeries:
     """s with coefficient m over dens[m], each normalized once."""
     return TruncSeries(s.table, s.order, [
@@ -262,17 +251,17 @@ def build_rogers_fine(order: int) -> IdentitySides:
     summed once here; _divided_sides divides coefficient m by b^m.
     """
     table, (q, a, b) = symbols("q a b")
-    cof = _cof_chain(b * q, order)  # (bq;q)_N / (bq;q)_n
     lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)  # (aq;q)_n
     for n, ratio in enumerate(_ratio_chain(a * q, b * q, order, table)):  # (azq;q)_n/(bzq;q)_n
-        lhs_coeffs.append(pa * cof[n] * b**n)
+        # times (bq;q)_N/(bq;q)_n
+        lhs_coeffs.append(_times_binomials(pa, range(n + 1, order + 1), "q", u=b) * b**n)
         scalar = lhs_coeffs[n] * b**n * q ** (n * n)
         piece = ratio.mul_linear(a * b * q ** (2 * n + 1))
         rhs_terms.append(_element(piece, n, order).scale(scalar))
-        pa = pa * (1 - a * q ** (n + 1))
+        pa = _times_binomials(pa, (n + 1,), "q", u=a)
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(b)
-    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0]), 1, b)
+    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, lhs_coeffs[0]), 1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +274,14 @@ def _euler_ratio_cleared(a: RatFun, b: RatFun, order: int) -> TruncSeries:
     """(az;q)_inf/(bz;q)_inf (q;q)_N with polynomial coefficients.
 
     The quotient F satisfies (1-bz) F(z) = (1-az) F(qz), so its m-th
-    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m; clearing with
-    (q;q)_N/(q;q)_m keeps every coefficient a polynomial (the two Euler
-    sums multiplied term by term would drag unreduced (q;q)_j (q;q)_(m-j)
-    denominators through every addition instead).  Coefficient 0 is
-    (q;q)_N.
+    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m: the 1phi0 with upper
+    a/b at argument bz, whose upper _cleared_hyper takes as the binomials
+    b - aq^j.  Clearing with (q;q)_N/(q;q)_m keeps every coefficient a
+    polynomial (the two Euler sums multiplied term by term would drag
+    unreduced (q;q)_j (q;q)_(m-j) denominators through every addition
+    instead).  Coefficient 0 is (q;q)_N.
     """
-    table = a.table
-    q = RatFun.sym(table, "q")
-    coeffs = []
-    p = RatFun.one(table)
-    for m in range(order + 1):
-        coeffs.append(_times_binomials(p, range(m + 1, order + 1), "q"))
-        if m < order:
-            p = p * (b - a * q**m)
-    return TruncSeries(table, order, coeffs)
+    return TruncSeries(a.table, order, _cleared_hyper([(b, a)], [], RatFun.one(a.table), order))
 
 
 def _telescoped_sides(
@@ -334,12 +316,10 @@ def _telescoped_sides(
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
     list, divided by (1 - az) when `divide` is set, and each coefficient
     is multiplied by cof[n] as the chain of its binomials 1 - q^k (ring's
-    _times_binomials).  cof[n] has content 1, constant term 1 and
-    denominator 1, so the chain gives the product with cof[n] in the same
-    normal form, and the same bytes, with multi-term denominators too.
-    That gives X_n, term n without its prefactor
-    P_n = (aq/b;q)_n b^n q^(n(n-1)), so the dense products of the pieces
-    never carry it.
+    _times_binomials), in the normal form and the bytes of the product
+    with cof[n], with multi-term denominators too.  That gives X_n, term n
+    without its prefactor P_n = (aq/b;q)_n b^n q^(n(n-1)), so the dense
+    products of the pieces never carry it.
 
     P_(n+1) = P_n r_n with the binomial r_n = (b - aq^(n+1)) q^(2n), so the
     right side sum_n P_n X_n is H_0 of the Horner recursion
@@ -403,28 +383,34 @@ def _prefactored_terms(xs: List[TruncSeries], rs: List[RatFun]) -> List[TruncSer
 
 
 def _cleared_hyper(
-    uppers: Sequence[RatFun], coflow: List[List[RatFun]], carg: RatFun, order: int
+    uppers: Sequence[Tuple[RatFun, RatFun]], lowers: Sequence[RatFun], carg: RatFun, order: int
 ) -> List[RatFun]:
     """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
 
-    coeffs[k] = prod(U;q)_k c^k (q;q)_N/(q;q)_k prod coflow[i][k], the
-    k-th coefficient times the scale, coflow[i] the _cof_chain of the i-th
-    lower parameter; coefficient 0 is the scale.  In the telescoped
-    assembly these are also the z-free parts of the inner series'
-    summands, whose only remaining n-dependence is q^(nk).
+    Each upper is a pair (v, u), the parameter u/v given with v^k: its
+    (u/v;q)_k v^k is prod_(j<k) (v - uq^j), so an upper C/A at argument
+    AB is (A, C) at argument B.  coeffs[k] = prod_U (u/v;q)_k v^k c^k
+    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), the k-th coefficient times the
+    scale, coefficient 0 the scale: every factor a binomial of ring's
+    _times_binomials, the uppers' in one running product.  In the
+    telescoped assembly these are also the z-free parts of the inner
+    series' summands, whose only remaining n-dependence is q^(nk).  A
+    lower L with 1 - Lq^j = 0, j < N, raises PoleError as qhyper does.
     """
     table = carg.table
     q = RatFun.sym(table, "q")
     coeffs = []
-    p = RatFun.one(table)  # prod(U;q)_k c^k
+    p = RatFun.one(table)  # prod_U (u/v;q)_k v^k c^k
     for k in range(order + 1):
         sc = _times_binomials(p, range(k + 1, order + 1), "q")
-        for cl in coflow:
-            sc = sc * cl[k]
+        for i, l in enumerate(lowers):
+            if k < order and (1 - l * q**k).is_zero():
+                raise PoleError(f"lower parameter {i} makes term {k + 1} undefined")
+            sc = _times_binomials(sc, range(k, order), "q", u=l)
         coeffs.append(sc)
         if k < order:
-            for u in uppers:
-                p = p * (1 - u * q**k)
+            for v, u in uppers:
+                p = _times_binomials(p, (k,), "q", u=u, v=v)
             p = p * carg
     return coeffs
 
@@ -459,7 +445,7 @@ def build_theorem16_3phi2(order: int) -> IdentitySides:
     Scale: (q;q)_N^2.
     """
     table, (q, a, b, A, B) = symbols("q a b A B")
-    t = _cleared_hyper([A], [], B, order)
+    t = _cleared_hyper([(RatFun.one(table), A)], [], B, order)
     return _theorem16_sides("theorem16_3phi2", t, a, b, order, t[0])
 
 
@@ -536,7 +522,7 @@ def build_coro_tlnew(
     if len(uppers) != r + 1 or len(lowers) != r:
         raise StructureError(f"need r+1 uppers and r lowers for r={r}")
 
-    inner = _cleared_hyper(uppers, [_cof_chain(l, order) for l in lowers], carg, order)
+    inner = _cleared_hyper([(RatFun.one(table), u) for u in uppers], lowers, carg, order)
     euler = _euler_ratio_cleared(a * q, b, order)
     lhs = euler * TruncSeries(table, order, inner)
     return _telescoped_sides(
@@ -554,18 +540,19 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     trailing geometric division.  Scale: (q;q)_N^2 (C;q)_N.
 
     Both sides are built at argument Cz, where every coefficient is a
-    polynomial: the 2phi1 at argument C, the inner coefficients at AB, and
+    polynomial: the 2phi1 at argument C, the inner coefficients at AB (its
+    uppers (A, C) and (B, C) at argument 1: no fraction C/A or C/B), and
     the telescoped sum at a = AB, b = C, the base at a = AB/C, b = 1 taken
     at Cz.  _divided_sides divides coefficient m by C^m.
     """
     table, (q, A, B, C) = symbols("q A B C")
-    cofC = _cof_chain(C, order)
+    one = RatFun.one(table)
     # the 2phi1 cleared like the inner series, then by one more (q;q)_N;
     # its coefficient 0 is the scale
     qq = range(1, order + 1)
     lhs = TruncSeries(table, order, [
-        _times_binomials(c, qq, "q") for c in _cleared_hyper([A, B], [cofC], C, order)])
-    inner = _cleared_hyper([C / A, C / B], [cofC], A * B, order)
+        _times_binomials(c, qq, "q") for c in _cleared_hyper([(one, A), (one, B)], [C], C, order)])
+    inner = _cleared_hyper([(A, C), (B, C)], [C], one, order)
     sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, A * B, C, order, lhs.coeffs[0])
     return _divided_sides(sides, 1, C)
 
@@ -595,7 +582,7 @@ def build_partial_theta(order: int) -> IdentitySides:
         rhs_terms.append(
             _element(ratio * fact * theta, n, order).scale(common * q ** (n * n))
         )
-        pm1 = pm1 * (1 + q**n)
+        pm1 = _times_binomials(pm1, (n,), "q", u=-RatFun.one(table))
     lhs = sum_series(lhs_parts)
     return IdentitySides("partial_theta", [], lhs, rhs_terms, piece1.coeffs[0])
 

@@ -167,7 +167,8 @@ def test_expand_coeffs_split_on_commas_only(capsys):
 
 
 # sha256 of the stdout of each command: the closed-formula (theorem15) and
-# triangular-solve strings, and the inverse matrix, byte for byte
+# triangular-solve strings, the inverse matrix, and the verdict of every
+# registered check, byte for byte
 GOLDEN_STDOUT_SHA256 = {
     ("expand", "--coeffs", "1/(1-q),a*q,b^2-q", "--n", "4", "--a", "q/b",
      "--b", "a*q", "--output", "json"):
@@ -183,6 +184,8 @@ GOLDEN_STDOUT_SHA256 = {
         "aecd7d069ee684eac73304f560f7538302867d51999360d5ff4cc5dc4f318a94",
     ("matrix", "--which", "B", "--n", "9", "--a", "2/3", "--b", "q/5", "--output", "json"):
         "b2f5325eaae707396653c127439b302ba06f757df5e778cff71ca45820c00b72",
+    ("verify-all", "--n", "10", "--seed", "7", "--output", "json"):
+        "0c88e592c5b7e910a3468c9a747ff2f1b23d0661253e46732459bd2fd88fce0b",
 }
 
 

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 from qexpand import identities, ring
-from qexpand.errors import OrderError, StructureError
+from qexpand.errors import OrderError, PoleError, StructureError
 from qexpand.identities import (
     IdentitySides,
     _cleared_hyper,
-    _cof_chain,
     _telescoped_sides,
     _theorem16_sides,
     build_2phi1_to_4phi3,
@@ -41,9 +40,10 @@ from qexpand.series import (
     base_element,
     inv_pochhammer_infinite,
     pochhammer_infinite,
+    qhyper,
     sum_series,
 )
-from reference import poch, substitute, substitute_series
+from reference import poch, qpoch, substitute, substitute_series
 
 N = 6
 
@@ -277,7 +277,7 @@ def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False):
     every piece before the pieces are summed: the reference assembly."""
     table = a.table
     q = RatFun.sym(table, "q")
-    cof = _cof_chain(q, order)
+    cof = [qpoch(q * q**n, order - n, table) for n in range(order + 1)]  # (q;q)_N/(q;q)_n
     ratios = _ratio_chain(a, b, order, table)
     rhs_terms = []
     paqb = RatFun.one(table)
@@ -352,25 +352,41 @@ def test_divided_sides_receive_polynomial_coefficients(monkeypatch, name, order)
     assert seen == [(name, *divisor(seed)) for seed in (0, 5, 11)]
 
 
+def _ref_cleared_hyper(uppers, lowers, carg, order):
+    """_cleared_hyper's coefficients from whole products: prod_U (u;q)_k
+    c^k (q;q)_N/(q;q)_k prod_L (L;q)_N/(L;q)_k, each upper a parameter."""
+    table = carg.table
+    q = RatFun.sym(table, "q")
+    coeffs = []
+    for k in range(order + 1):
+        c = carg**k * qpoch(q * q**k, order - k, table)
+        for u in uppers:
+            c = c * qpoch(u, k, table)
+        for l in lowers:
+            c = c * qpoch(l * q**k, order - k, table)
+        coeffs.append(c)
+    return coeffs
+
+
 def _ref_2phi1_to_4phi3(order):
     """build_2phi1_to_4phi3 on the route at argument z: a = AB/C, b = 1,
-    the 2phi1 at argument 1 and the inner coefficients at argument a."""
+    the 2phi1 at argument 1 and the inner coefficients, with uppers C/A
+    and C/B, at argument a."""
     table, (q, A, B, C) = symbols("q A B C")
     a = A * B / C
-    cof = _cof_chain(q, order)
-    cofC = _cof_chain(C, order)
+    qq = qpoch(q, order, table)
     one = RatFun.one(table)
-    lhs_coeffs = _cleared_hyper([A, B], [cofC], one, order)
-    lhs = TruncSeries(table, order, [c * cof[0] for c in lhs_coeffs])
-    inner = _cleared_hyper([C / A, C / B], [cofC], a, order)
-    return _telescoped_sides("2phi1_to_4phi3", lhs, inner, a, one, order, cof[0] * inner[0])
+    lhs_coeffs = _ref_cleared_hyper([A, B], [C], one, order)
+    lhs = TruncSeries(table, order, [c * qq for c in lhs_coeffs])
+    inner = _ref_cleared_hyper([C / A, C / B], [C], a, order)
+    return _telescoped_sides("2phi1_to_4phi3", lhs, inner, a, one, order, qq * inner[0])
 
 
 def _ref_rogers_fine(order):
     """build_rogers_fine on the route at argument z: the ratios
     (azq/b;q)_n/(zq;q)_n and eager terms, summed by rhs()."""
     table, (q, a, b) = symbols("q a b")
-    cof = _cof_chain(b * q, order)
+    cof = [qpoch(b * q * q**n, order - n, table) for n in range(order + 1)]  # (bq;q)_N/(bq;q)_n
     lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)
     for n, ratio in enumerate(_ratio_chain(a * q / b, q, order, table)):
@@ -381,6 +397,26 @@ def _ref_rogers_fine(order):
         pa = pa * (1 - a * q ** (n + 1))
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(1)
     return IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0])
+
+
+def test_binomial_uppers_normalize_no_fraction(monkeypatch):
+    # the uppers C/A and C/B go in as the binomials A - Cq^j and B - Cq^j,
+    # which made 16 normalizations as fractions; the order-8 build and
+    # compare of every check, terms unread, made 120 with them
+    calls = []
+    init = RatFun.__init__
+
+    def counting(self, num, den):
+        calls.append(self)
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFun, "__init__", counting)
+    table, (q, A, B, C) = symbols("q A B C")
+    inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), 8)
+    assert calls == [] and all(c.den == 1 for c in inner)
+    for name in check_names():
+        assert compare(build_sides(name, 8, 0)).passed
+    assert len(calls) <= 104
 
 
 def _ref_theorem16_random(order, seed):
@@ -462,9 +498,9 @@ def test_a_table_not_led_by_q_renders_as_the_per_piece_assembly(monkeypatch):
 
     names = []
 
-    def chain(c, ks, name):
+    def chain(c, ks, name, **kw):
         names.append(name)
-        return _times_binomials(c, ks, name)
+        return _times_binomials(c, ks, name, **kw)
 
     monkeypatch.setattr(identities, "_times_binomials", chain)
     new = build_both()
@@ -515,6 +551,19 @@ def test_coro_tlnew_general_shape():
     assert report.passed
     with pytest.raises(StructureError, match="uppers and r lowers"):
         build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
+
+
+@pytest.mark.parametrize("lower, term", [("1", 1), ("1/q^2", 3)])
+def test_coro_tlnew_lower_that_zeroes_its_pochhammer_raises(lower, term):
+    # 1 - Lq^j = 0 for j < N leaves term j+1 undefined, as qhyper says; the
+    # check once reported "passed" with scale 0
+    table, (q, a, b, A, B, c) = symbols("q a b A B c")
+    low = parse_ratfun(lower, table)
+    message = f"lower parameter 0 makes term {term} undefined"
+    with pytest.raises(PoleError, match=message):
+        build_coro_tlnew(4, r=1, uppers=[A, B], lowers=[low], carg=c, a=a, b=b)
+    with pytest.raises(PoleError, match=message):
+        qhyper([A, B], [low], c, 4, table)
 
 
 def test_coro_tlnew_rejects_missing_or_unused_arguments():
@@ -818,6 +867,23 @@ def test_reports_are_byte_stable():
 GOLDEN_TELESCOPED_SHA256 = (
     "9ad20500369b3ba55fb606c0612cf24ec236e96cac4a54c1eb51c92481771db0"
 )
+
+
+# sha256 of the sorted-key JSON of every perturbed report of every check at
+# order 8 (seed 0), where the regroupings and the chains are longest
+GOLDEN_PERTURBED_8_SHA256 = (
+    "07dd35e6a3b4e6b5e7e432828af915aba372c0c72b50420a7e13bf78830f4324"
+)
+
+
+def test_order_8_perturbed_reports_are_byte_stable():
+    reports = []
+    for name in check_names():
+        sides = build_sides(name, 8, 0)
+        reports += [compare(sides, perturb=j).to_json_dict() for j in range(len(sides.rhs_terms))]
+    assert len(reports) == 91
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_PERTURBED_8_SHA256
 
 
 def test_telescoped_terms_and_reports_are_byte_stable():
