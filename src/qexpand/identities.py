@@ -43,6 +43,7 @@ from .errors import OrderError, PoleError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
 from .ring import MultiPoly, RatFun, _times_binomials, symbols
 from .series import (
+    Scalar,
     TruncSeries,
     _element,
     _ratio_chain,
@@ -251,17 +252,19 @@ def build_rogers_fine(order: int) -> IdentitySides:
     summed once here; _divided_sides divides coefficient m by b^m.
     """
     table, (q, a, b) = symbols("q a b")
+    cof = [RatFun.one(table)]  # (bq;q)_N/(bq;q)_n, built from n = N down
+    for n in range(order, 0, -1):
+        cof.insert(0, _times_binomials(cof[0], (n,), "q", u=b))
     lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)  # (aq;q)_n
     for n, ratio in enumerate(_ratio_chain(a * q, b * q, order, table)):  # (azq;q)_n/(bzq;q)_n
-        # times (bq;q)_N/(bq;q)_n
-        lhs_coeffs.append(_times_binomials(pa, range(n + 1, order + 1), "q", u=b) * b**n)
+        lhs_coeffs.append(pa * cof[n] * b**n)
         scalar = lhs_coeffs[n] * b**n * q ** (n * n)
         piece = ratio.mul_linear(a * b * q ** (2 * n + 1))
         rhs_terms.append(_element(piece, n, order).scale(scalar))
         pa = _times_binomials(pa, (n + 1,), "q", u=a)
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(b)
-    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, lhs_coeffs[0]), 1, b)
+    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0]), 1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +277,11 @@ def _euler_ratio_cleared(a: RatFun, b: RatFun, order: int) -> TruncSeries:
     """(az;q)_inf/(bz;q)_inf (q;q)_N with polynomial coefficients.
 
     The quotient F satisfies (1-bz) F(z) = (1-az) F(qz), so its m-th
-    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m: the 1phi0 with upper
-    a/b at argument bz, whose upper _cleared_hyper takes as the binomials
-    b - aq^j.  Clearing with (q;q)_N/(q;q)_m keeps every coefficient a
-    polynomial (the two Euler sums multiplied term by term would drag
-    unreduced (q;q)_j (q;q)_(m-j) denominators through every addition
-    instead).  Coefficient 0 is (q;q)_N.
+    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m, the 1phi0 with upper
+    (b, a) of _cleared_hyper; clearing with (q;q)_N/(q;q)_m keeps every
+    coefficient a polynomial (the two Euler sums multiplied term by term
+    would drag unreduced (q;q)_j (q;q)_(m-j) denominators through every
+    addition instead).  Coefficient 0 is (q;q)_N.
     """
     return TruncSeries(a.table, order, _cleared_hyper([(b, a)], [], RatFun.one(a.table), order))
 
@@ -383,35 +385,38 @@ def _prefactored_terms(xs: List[TruncSeries], rs: List[RatFun]) -> List[TruncSer
 
 
 def _cleared_hyper(
-    uppers: Sequence[Tuple[RatFun, RatFun]], lowers: Sequence[RatFun], carg: RatFun, order: int
+    uppers: Sequence[Tuple[Scalar, Scalar]], lowers: Sequence[RatFun], carg: RatFun, order: int
 ) -> List[RatFun]:
     """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
 
-    Each upper is a pair (v, u), the parameter u/v given with v^k: its
-    (u/v;q)_k v^k is prod_(j<k) (v - uq^j), so an upper C/A at argument
-    AB is (A, C) at argument B.  coeffs[k] = prod_U (u/v;q)_k v^k c^k
-    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), the k-th coefficient times the
-    scale, coefficient 0 the scale: every factor a binomial of ring's
-    _times_binomials, the uppers' in one running product.  In the
+    Each upper is a pair (v, u) standing for u/v with v^k, as
+    (u/v;q)_k v^k = prod_(j<k) (v - uq^j): an upper C/A at argument AB is
+    (A, C) at argument B.  coeffs[k] = prod_U (u/v;q)_k v^k c^k
+    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), every factor a binomial of
+    ring's _times_binomials; coefficient 0 is the scale.  In the
     telescoped assembly these are also the z-free parts of the inner
     series' summands, whose only remaining n-dependence is q^(nk).  A
-    lower L with 1 - Lq^j = 0, j < N, raises PoleError as qhyper does.
+    lower with 1 - Lq^j = 0, j < N, raises PoleError as qhyper does.
     """
     table = carg.table
-    q = RatFun.sym(table, "q")
+    tails = [RatFun.one(table)]  # prod_L (Lq^k;q)_(N-k), built from k = N down
+    for k in range(order - 1, -1, -1):
+        tails.insert(0, tails[0])
+        for l in lowers:
+            tails[0] = _times_binomials(tails[0], (k,), "q", u=l)
+    if tails[0].is_zero():
+        k, i = next((k, i) for k in range(order) for i, l in enumerate(lowers)
+                    if _times_binomials(RatFun.one(table), (k,), "q", u=l).is_zero())
+        raise PoleError(f"lower parameter {i} makes term {k + 1} undefined")
     coeffs = []
     p = RatFun.one(table)  # prod_U (u/v;q)_k v^k c^k
     for k in range(order + 1):
         sc = _times_binomials(p, range(k + 1, order + 1), "q")
-        for i, l in enumerate(lowers):
-            if k < order and (1 - l * q**k).is_zero():
-                raise PoleError(f"lower parameter {i} makes term {k + 1} undefined")
-            sc = _times_binomials(sc, range(k, order), "q", u=l)
-        coeffs.append(sc)
+        coeffs.append(sc * tails[k] if lowers else sc)
         if k < order:
             for v, u in uppers:
                 p = _times_binomials(p, (k,), "q", u=u, v=v)
-            p = p * carg
+            p = p if carg.is_one() else p * carg
     return coeffs
 
 
@@ -445,7 +450,7 @@ def build_theorem16_3phi2(order: int) -> IdentitySides:
     Scale: (q;q)_N^2.
     """
     table, (q, a, b, A, B) = symbols("q a b A B")
-    t = _cleared_hyper([(RatFun.one(table), A)], [], B, order)
+    t = _cleared_hyper([(1, A)], [], B, order)
     return _theorem16_sides("theorem16_3phi2", t, a, b, order, t[0])
 
 
@@ -522,7 +527,7 @@ def build_coro_tlnew(
     if len(uppers) != r + 1 or len(lowers) != r:
         raise StructureError(f"need r+1 uppers and r lowers for r={r}")
 
-    inner = _cleared_hyper([(RatFun.one(table), u) for u in uppers], lowers, carg, order)
+    inner = _cleared_hyper([(1, u) for u in uppers], lowers, carg, order)
     euler = _euler_ratio_cleared(a * q, b, order)
     lhs = euler * TruncSeries(table, order, inner)
     return _telescoped_sides(
@@ -540,19 +545,17 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     trailing geometric division.  Scale: (q;q)_N^2 (C;q)_N.
 
     Both sides are built at argument Cz, where every coefficient is a
-    polynomial: the 2phi1 at argument C, the inner coefficients at AB (its
-    uppers (A, C) and (B, C) at argument 1: no fraction C/A or C/B), and
-    the telescoped sum at a = AB, b = C, the base at a = AB/C, b = 1 taken
-    at Cz.  _divided_sides divides coefficient m by C^m.
+    polynomial: the 2phi1 at argument C, the inner one at AB (uppers (A, C)
+    and (B, C) at 1), the telescoped sum at a = AB, b = C, and the base at
+    a = AB/C, b = 1 taken at Cz.  _divided_sides divides coefficient m by C^m.
     """
     table, (q, A, B, C) = symbols("q A B C")
-    one = RatFun.one(table)
     # the 2phi1 cleared like the inner series, then by one more (q;q)_N;
     # its coefficient 0 is the scale
     qq = range(1, order + 1)
     lhs = TruncSeries(table, order, [
-        _times_binomials(c, qq, "q") for c in _cleared_hyper([(one, A), (one, B)], [C], C, order)])
-    inner = _cleared_hyper([(A, C), (B, C)], [C], one, order)
+        _times_binomials(c, qq, "q") for c in _cleared_hyper([(1, A), (1, B)], [C], C, order)])
+    inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), order)
     sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, A * B, C, order, lhs.coeffs[0])
     return _divided_sides(sides, 1, C)
 
@@ -582,7 +585,7 @@ def build_partial_theta(order: int) -> IdentitySides:
         rhs_terms.append(
             _element(ratio * fact * theta, n, order).scale(common * q ** (n * n))
         )
-        pm1 = _times_binomials(pm1, (n,), "q", u=-RatFun.one(table))
+        pm1 = _times_binomials(pm1, (n,), "q", u=-1)
     lhs = sum_series(lhs_parts)
     return IdentitySides("partial_theta", [], lhs, rhs_terms, piece1.coeffs[0])
 

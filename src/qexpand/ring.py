@@ -40,9 +40,10 @@ multiplies as two ints, so that CPython's big-int multiply does the
 convolution.  A pair product is added to its output run at that run's
 own lowest power, so no int is wider than the run it builds; a one-run
 factor gives each output run one product, with nothing to add (see
-_mul_runs).  A product with binomials v - u*y^k, u and v one term each,
-takes no multiply: a slot shift and a subtract per run for 1 - x^k, else
-two key shifts and an add of runs (see _times_binomials).
+_mul_runs).  A product with binomials 1 - y^k takes a shift and a
+subtract per run and binomial: a slot shift inside each run when y is x,
+else a key shift and an add of runs; any other binomial v - u*y^k is a
+RatFun product (see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -57,7 +58,6 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -698,77 +698,74 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     return _poly(p.table, out, w, bound, p.deg + r.deg)
 
 
-@lru_cache(maxsize=None)
+_BINOMIAL_NORMS: dict = {}
+
+
 def _binomials_norm(ks: tuple) -> int:
-    """The sum of the absolute coefficients of prod_(k in ks) (1 - y^k)."""
-    f = [1]
-    for k in ks:
-        f = [c - d for c, d in zip(f + [0] * k, [0] * k + f)]
-    return sum(map(abs, f))
+    """The sum of the absolute coefficients of prod_(k in ks) (1 - y^k),
+    computed once per exponent tuple."""
+    norm = _BINOMIAL_NORMS.get(ks)
+    if norm is None:
+        f = [1]
+        for k in ks:
+            f = [c - d for c, d in zip(f + [0] * k, [0] * k + f)]
+        norm = _BINOMIAL_NORMS[ks] = sum(map(abs, f))
+    return norm
 
 
 def _times_binomials(c: "RatFun", ks: Sequence[int], name: str,
-                     u: Optional["RatFun"] = None, v: Optional["RatFun"] = None) -> "RatFun":
-    """c * prod_(k in ks) (v - u*y^k), y the named symbol, each k >= 0, and
-    u and v 1 unless given.
+                     u: Union[None, int, Fraction, "RatFun"] = None,
+                     v: Union[None, int, Fraction, "RatFun"] = None) -> "RatFun":
+    """c * prod_(k in ks) (v - u*y^k), y the named symbol, k >= 0: a RatFun
+    product per binomial where u or v is given or a k is 0.
 
-    Where u and v are one term over 1 each, with coprime coefficients and
-    no symbol in common, v is free of y, and not both are constants at
-    k = 0, the factor has content 1 and no monomial divides it: c's
-    denominator passes through, as in the product with the factor as a
-    RatFun, and the numerator is built on its runs with no multiply.  For
-    1 - x^k, x the first symbol, each run X (its polynomial's value at
-    2**w) becomes X - (X << w*k); else c shifted by v's term less c shifted
-    by u*y^k's, two key shifts (_term_mul) and one add.  The exact ints
-    may overflow their slots on the way; the final coefficients are at
-    most the bound times the factors' l1 norm, which sets the width once:
-    the exact norm of prod (1 - y^k), else prod (|c_u| + |c_v|).  Any
-    other factor, such as a = q/(1+q) or an upper C/A, is a RatFun product.
+    For 1 - y^k, a run X is its polynomial's value at 2**w.  When y is the
+    first symbol x, X times 1 - x^k is the int X - (X << w*k): one shift
+    and one subtract per run and binomial, and no multiply; the factor's
+    constant term is 1, so every run keeps its key and its lowest slot.
+    For any other y, c times 1 - y^k is c less c with its keys shifted by
+    y^k: one key shift (_term_mul) and one add of runs per binomial.  The
+    slots may overflow on the way, as the ints are exact; only the final
+    coefficients must fit, and they are at most the bound times the
+    factor's l1 norm, which sets the width once.  The factor's content is
+    1 and no monomial divides it, so the numerator's content and monomial
+    content are unchanged and the denominator passes through: the result
+    is c * factor in RatFun's normal form, as the product with the factor
+    as a RatFun gives it.
     """
-    p = c.num
     ks = tuple(ks)
+    if u is not None or v is not None or 0 in ks:
+        u, v, y = 1 if u is None else u, 1 if v is None else v, RatFun.sym(c.table, name)
+        for k in ks:
+            c = c * (v - u * y**k)
+        return c
+    p = c.num
     if not ks or not p.runs:
         return c
     table = p.table
     i = table.position(name)
-    # a factor over another table is left to the RatFun product, which rejects it
-    tu, tv = ((0, 0, 1) if r is None else r.num._one_term()
-              if r.den == 1 and r.table.same_as(table) else None for r in (u, v))
-    if tu and tv:
-        eu, ev = (table.unpack(g + lo * table._step) for g, lo, _ in (tu, tv))
-    if (not (tu and tv) or math.gcd(tu[2], tv[2]) != 1 or ev[i] or any(map(min, eu, ev))
-            or (0 in ks and not any(eu + ev))):
-        one, y = RatFun.one(table), RatFun.sym(table, name)
-        u, v = one if u is None else u, one if v is None else v
-        for k in ks:
-            c = c * (v - u * y**k)
-        return c
-    (gu, lou, cu), (gv, lov, cv) = tu, tv
-    du, dv = sum(eu), sum(ev)
-    s = sum(max(dv, du + k) for k in ks)
+    s = sum(ks)
     if p.deg + s >= _LIMIT and p.total_degree() + s >= _LIMIT:
         raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
-    ones = tu == tv == (0, 0, 1)
-    norm = _binomials_norm(ks) if ones else (abs(cu) + abs(cv)) ** len(ks)
+    norm = _binomials_norm(ks)
     bound = p._bound * norm
     w = p.w
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b: b * norm, p)
-    if ones and not i:
+    if i:
+        # bound 0 in between, so no add widens the slots set for the result
+        unit = (1 << table._degshift) + (1 << table._shifts[i])
+        num = _poly(table, p._at(w), w, 0, p.deg)
+        for k in ks:
+            num = num + num._term_mul(k * unit, 0, -1, k)
+        out = num.runs
+    else:
         shifts = [w * k for k in ks]
         out = {}
         for g, (lo, x) in p._at(w).items():
             for sh in shifts:
                 x -= x << sh
             out[g] = (lo, x)
-    else:
-        # bound 0 in between, so no add widens the slots set for the result
-        unit = (1 << table._degshift) + (1 << table._shifts[i])
-        num = _poly(table, p._at(w), w, 0, p.deg)
-        for k in ks:
-            g, lo = (gu + k * unit, lou) if i else (gu, lou + k)
-            num = num._term_mul(gv, lov, cv, dv) + num._term_mul(g, lo, -cu, du + k)
-        out = num.runs
     return _ratfun(_poly(table, out, w, bound, p.deg + s), c.den)
 
 

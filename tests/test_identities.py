@@ -553,10 +553,21 @@ def test_coro_tlnew_general_shape():
         build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
 
 
+@pytest.mark.parametrize("b", [1, 0, Fraction(1, 2)])
+def test_plain_scalar_parameters_build_their_binomials(b):
+    # b enters the Euler quotient's binomials b - aq^m, and the uppers 2
+    # and the lower 3 theirs, as plain ints and Fractions, as they enter
+    # RatFun arithmetic
+    table, (q, a, c) = symbols("q a c")
+    assert check_theorem16([1, a, q], 5, a=a, b=b).passed
+    sides = build_coro_tlnew(4, r=1, uppers=[2, q], lowers=[3], carg=c, a=a, b=b)
+    assert compare(sides).passed
+
+
 @pytest.mark.parametrize("lower, term", [("1", 1), ("1/q^2", 3)])
 def test_coro_tlnew_lower_that_zeroes_its_pochhammer_raises(lower, term):
-    # 1 - Lq^j = 0 for j < N leaves term j+1 undefined, as qhyper says; the
-    # check once reported "passed" with scale 0
+    # 1 - Lq^j = 0 for j < N leaves term j+1 undefined, as qhyper says,
+    # and would make the scale 0
     table, (q, a, b, A, B, c) = symbols("q a b A B c")
     low = parse_ratfun(lower, table)
     message = f"lower parameter 0 makes term {term} undefined"

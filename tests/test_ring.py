@@ -870,30 +870,30 @@ def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
 
 
 # ---------------------------------------------------------------------------
-# a product with binomials v - u*y^k: a slot shift per run for 1 - x^k, x
-# the table's first symbol, else two key shifts and an add of runs, or a
-# RatFun product where the factor is not in normal form
+# a product with binomials v - u*y^k: for 1 - y^k a slot shift per run
+# when y is x, the table's first symbol, else a key shift and an add of
+# runs; any other factor is a RatFun product
 
 
-def _binomials(table, ks, name, u=None, v=None):
+def _binomials(table, ks, name, u=1, v=1):
     """prod_(k in ks) (v - u*y^k) as a RatFun, y the named symbol, by whole
-    products; u and v default to 1."""
+    products."""
     y = RatFun.sym(table, name)
-    one = RatFun.one(table)
-    u, v = one if u is None else u, one if v is None else v
-    return reduce(operator.mul, [v - u * y**k for k in ks], one)
+    return reduce(operator.mul, [v - u * y**k for k in ks], RatFun.one(table))
 
 
 def _factor_values(table):
-    """1, -1, 3, a symbol and -2ab, with q for a and b where the table lacks them."""
+    """1, -1, 3, a symbol and -2ab, with q for a and b where the table lacks
+    them, as RatFuns, and the plain scalars 1, -1 and 1/2."""
     a, b = (RatFun.sym(table, nm if nm in table else "q") for nm in ("a", "b"))
-    return [RatFun.from_int(table, c) for c in (1, -1, 3)] + [a, -2 * a * b]
+    return ([RatFun.from_int(table, c) for c in (1, -1, 3)] + [a, -2 * a * b]
+            + [1, -1, Fraction(1, 2)])
 
 
-def _fallback_factors(table):
-    """(u, v) pairs whose binomials are not in normal form: a multi-term u,
-    a u with a denominator, a shared symbol, common content, and constant
-    u = v (where k = 0 makes the factor zero)."""
+def _other_factors(table):
+    """(u, v) pairs of other forms: a multi-term u, a u with a denominator,
+    a shared symbol, common content, and constant u = v (where k = 0 makes
+    the factor zero)."""
     a = RatFun.sym(table, table.names[-1])
     one, three = RatFun.one(table), RatFun.from_int(table, 3)
     return [(1 + a, one), (a / (1 + a), one), (a, 3 * a), (-6 * a, 3 * one),
@@ -902,7 +902,7 @@ def _fallback_factors(table):
 
 def _assert_chain_matches_product(c, ks, name, u=None, v=None):
     got = ring._times_binomials(c, ks, name, u=u, v=v)
-    ref = c * _binomials(c.table, ks, name, u, v)
+    ref = c * _binomials(c.table, ks, name, 1 if u is None else u, 1 if v is None else v)
     # MultiPoly equality compares the runs at one width
     assert got.num == ref.num and got.den == ref.den
     assert got.num.terms == ref.num.terms and got.den.terms == ref.den.terms
@@ -916,9 +916,10 @@ def _assert_chain_matches_product(c, ks, name, u=None, v=None):
 
 
 # times (1 - x) twice, c (1 - x) doubles its middle coefficient: past 2**31
-# and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones
+# and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones;
+# the binomial 1 - y^0 makes the product 0
 CHAIN_COEFFS = [2**31 - 1, 2**63 - 1, 2**64 + 1, 2**127 - 1]
-CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9))]
+CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9)), (2, 0)]
 # exponents for the factors v - u*y^k, k = 0 among them
 FACTOR_KS = [(0,), (2, 0, 1)]
 # (a, b, q) keeps its runs in a, and its q binomials shift keys
@@ -943,10 +944,11 @@ def _chain_operands(table, coeff):
 def test_binomial_chain_matches_the_product(table, coeff, how):
     # the operand's own slots are 32, 64 or 128 bits wide as built, then
     # re-packed at 64 and at 320 bits; binomials in every symbol, then
-    # factors v - u*y^k with u and v drawn from 1, -1, 3, a and -2ab, and
-    # factors not in normal form, over a denominator of 1 and of 6xy
+    # factors v - u*y^k with u and v drawn from 1, -1, 3, a, -2ab and the
+    # scalars 1, -1 and 1/2, and factors of other forms, over a denominator
+    # of 1 and of 6xy
     values = _factor_values(table)
-    pairs = [(u, v) for u in values for v in values] + _fallback_factors(table)
+    pairs = [(u, v) for u in values for v in values] + _other_factors(table)
     for j, c in enumerate(_chain_operands(table, coeff)):
         c = ring._ratfun(_widened(c.num, how), c.den)
         for name in table.names:
@@ -967,17 +969,17 @@ def test_binomial_chain_matches_the_product(table, coeff, how):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(boundary_operands(), st.lists(st.integers(0, 6), max_size=5),
        st.sampled_from(["one", "as drawn", "1 + x*y"]), st.integers(0, 2),
-       st.integers(0, 10), st.integers(0, 10))
+       st.integers(0, 13), st.integers(0, 13))
 def test_binomial_chain_matches_the_product_random(ops, ks, den, i, iu, iv):
-    # u and v from 1, -1, 3, a and -2ab, or (from 5 up) 1 each, as in the
-    # (q;q) chains
+    # u and v from 1, -1, 3, a, -2ab and the scalars 1, -1 and 1/2, or
+    # (from 8 up) not given, as in the (q;q) chains
     table, ((d1, p1), (d2, p2)) = ops
     if den == "one" or not d2:
         p2 = MultiPoly.const(table, 1)
     elif den == "1 + x*y":
         p2 = 1 + p2 * MultiPoly.symbol(table, table.names[0])
     values = _factor_values(table)
-    u, v = (values[j] if j < 5 else None for j in (iu, iv))
+    u, v = (values[j] if j < 8 else None for j in (iu, iv))
     _assert_chain_matches_product(RatFun(p1, p2), ks, table.names[i % len(table)], u, v)
 
 
