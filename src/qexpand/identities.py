@@ -45,6 +45,7 @@ from .ring import MultiPoly, RatFun, _times_binomials, symbols
 from .series import (
     Scalar,
     TruncSeries,
+    _coerce_scalar,
     _element,
     _ratio_chain,
     inv_pochhammer_infinite,
@@ -254,7 +255,7 @@ def build_rogers_fine(order: int) -> IdentitySides:
     table, (q, a, b) = symbols("q a b")
     cof = [RatFun.one(table)]  # (bq;q)_N/(bq;q)_n, built from n = N down
     for n in range(order, 0, -1):
-        cof.insert(0, _times_binomials(cof[0], (n,), "q", u=b))
+        cof.insert(0, cof[0] * (1 - b * q**n))
     lhs_coeffs, rhs_terms = [], []
     pa = RatFun.one(table)  # (aq;q)_n
     for n, ratio in enumerate(_ratio_chain(a * q, b * q, order, table)):  # (azq;q)_n/(bzq;q)_n
@@ -262,7 +263,7 @@ def build_rogers_fine(order: int) -> IdentitySides:
         scalar = lhs_coeffs[n] * b**n * q ** (n * n)
         piece = ratio.mul_linear(a * b * q ** (2 * n + 1))
         rhs_terms.append(_element(piece, n, order).scale(scalar))
-        pa = _times_binomials(pa, (n + 1,), "q", u=a)
+        pa = pa * (1 - a * q ** (n + 1))
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(b)
     return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0]), 1, b)
 
@@ -358,7 +359,7 @@ def _telescoped_sides(
         if divide:
             term = term.div_linear(a)
         ks = range(n + 1, order + 1)
-        xs.append(TruncSeries(table, order, [_times_binomials(c, ks, "q") for c in term.coeffs]))
+        xs.append(TruncSeries(table, order, [_times_binomials(c, ks) for c in term.coeffs]))
     rs = [(b - a * q ** (n + 1)) * q ** (2 * n) for n in range(order)]
     h = []
     for m in range(order + 1):
@@ -392,30 +393,32 @@ def _cleared_hyper(
     Each upper is a pair (v, u) standing for u/v with v^k, as
     (u/v;q)_k v^k = prod_(j<k) (v - uq^j): an upper C/A at argument AB is
     (A, C) at argument B.  coeffs[k] = prod_U (u/v;q)_k v^k c^k
-    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), every factor a binomial of
-    ring's _times_binomials; coefficient 0 is the scale.  In the
-    telescoped assembly these are also the z-free parts of the inner
-    series' summands, whose only remaining n-dependence is q^(nk).  A
-    lower with 1 - Lq^j = 0, j < N, raises PoleError as qhyper does.
+    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), each Pochhammer a running
+    product of binomials but (q;q)_N/(q;q)_k, ring's _times_binomials;
+    coefficient 0 is the scale.  In the telescoped assembly these are
+    also the z-free parts of the inner series' summands, whose only
+    remaining n-dependence is q^(nk).  A lower with 1 - Lq^j = 0, j < N,
+    raises PoleError as qhyper does.
     """
     table = carg.table
+    q = RatFun.sym(table, "q")
     tails = [RatFun.one(table)]  # prod_L (Lq^k;q)_(N-k), built from k = N down
     for k in range(order - 1, -1, -1):
         tails.insert(0, tails[0])
         for l in lowers:
-            tails[0] = _times_binomials(tails[0], (k,), "q", u=l)
+            tails[0] = tails[0] * (1 - l * q**k)
     if tails[0].is_zero():
         k, i = next((k, i) for k in range(order) for i, l in enumerate(lowers)
-                    if _times_binomials(RatFun.one(table), (k,), "q", u=l).is_zero())
+                    if (1 - l * q**k).is_zero())
         raise PoleError(f"lower parameter {i} makes term {k + 1} undefined")
     coeffs = []
     p = RatFun.one(table)  # prod_U (u/v;q)_k v^k c^k
     for k in range(order + 1):
-        sc = _times_binomials(p, range(k + 1, order + 1), "q")
+        sc = _times_binomials(p, range(k + 1, order + 1))
         coeffs.append(sc * tails[k] if lowers else sc)
         if k < order:
             for v, u in uppers:
-                p = _times_binomials(p, (k,), "q", u=u, v=v)
+                p = p * (v - u * q**k)
             p = p if carg.is_one() else p * carg
     return coeffs
 
@@ -477,17 +480,26 @@ def build_theorem16_random(order: int, seed: int = 0) -> IdentitySides:
                           d, RatFun.one(table))
 
 
-def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None) -> IdentityReport:
+def _over_table_of(a: Scalar, b: Scalar, *rest: Scalar) -> List[RatFun]:
+    """a, b and rest as RatFuns over the table of a or b, whichever is one."""
+    table = next((x.table for x in (a, b) if isinstance(x, RatFun)), None)
+    if table is None:
+        raise StructureError("a or b must be a RatFun, to give the symbol table")
+    return [_coerce_scalar(table, x) for x in (a, b, *rest)]
+
+
+def check_theorem16(t: Sequence, order: int, a: Scalar = None, b: Scalar = None) -> IdentityReport:
     """Verify the transformation for an arbitrary coefficient list t.
 
     Missing entries count as zero; entries past t_order cannot influence
     the truncated comparison and are dropped.  a and b are given together,
-    or neither is and they are fresh symbols.
+    or neither is and they are fresh symbols; one may be an int or Fraction.
     """
     if (a is None) != (b is None):
         raise StructureError("check_theorem16 needs both a and b, or neither")
     if a is None:
         table, (q, a, b) = symbols("q a b")
+    a, b = _over_table_of(a, b)
     t_eff = TruncSeries.from_coeffs(a.table, list(t), order).coeffs
     return compare(_theorem16_sides("theorem16", t_eff, a, b, order))
 
@@ -495,11 +507,11 @@ def check_theorem16(t: Sequence, order: int, a: RatFun = None, b: RatFun = None)
 def build_coro_tlnew(
     order: int,
     r: int = 0,
-    uppers: Optional[Sequence[RatFun]] = None,
-    lowers: Optional[Sequence[RatFun]] = None,
-    carg: Optional[RatFun] = None,
-    a: Optional[RatFun] = None,
-    b: Optional[RatFun] = None,
+    uppers: Optional[Sequence[Scalar]] = None,
+    lowers: Optional[Sequence[Scalar]] = None,
+    carg: Optional[Scalar] = None,
+    a: Optional[Scalar] = None,
+    b: Optional[Scalar] = None,
 ) -> IdentitySides:
     """(azq;q)_inf/(bz;q)_inf r+1_phi_r(U;L;q,cz)
     = sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n) (bz)^n q^(n(n-1))
@@ -510,7 +522,8 @@ def build_coro_tlnew(
     the zq^n-shifted Pochhammers, so only the final 1/(1-az) remains as a
     series division.  Without uppers it builds the registered r = 0
     instance with symbolic upper A and argument coefficient c, and takes
-    none of lowers, carg, a, b; with uppers it needs carg, a and b.
+    none of lowers, carg, a, b; with uppers it needs carg, a and b, where
+    a or b is a RatFun and the rest may be ints or Fractions.
     Scale: (q;q)_N^2 prod_L (L;q)_N.
     """
     if uppers is None:
@@ -521,6 +534,7 @@ def build_coro_tlnew(
     else:
         if carg is None or a is None or b is None:
             raise StructureError("custom uppers need carg, a and b")
+        a, b, carg = _over_table_of(a, b, carg)
         table = a.table
         q = RatFun.sym(table, "q")
         lowers = list(lowers or [])
@@ -554,7 +568,7 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     # its coefficient 0 is the scale
     qq = range(1, order + 1)
     lhs = TruncSeries(table, order, [
-        _times_binomials(c, qq, "q") for c in _cleared_hyper([(1, A), (1, B)], [C], C, order)])
+        _times_binomials(c, qq) for c in _cleared_hyper([(1, A), (1, B)], [C], C, order)])
     inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), order)
     sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, A * B, C, order, lhs.coeffs[0])
     return _divided_sides(sides, 1, C)
@@ -570,13 +584,13 @@ def build_partial_theta(order: int) -> IdentitySides:
     qq = range(1, order + 1)
     piece1 = pochhammer_infinite(q, order, table) * inv_pochhammer_infinite(-q, order, table)
     # cleared by (q;q)_N; its coefficient 0 is 1, so the cleared one is the scale
-    piece1 = TruncSeries(table, order, [_times_binomials(c, qq, "q") for c in piece1.coeffs])
+    piece1 = TruncSeries(table, order, [_times_binomials(c, qq) for c in piece1.coeffs])
 
     lhs_parts = [piece1]
     pm1 = RatFun.one(table)  # (-1;q)_n
     rhs_terms = []
     for n, ratio in enumerate(_ratio_chain(1, -q, order, table)):  # (z;q)_n/(-zq;q)_n
-        common = _times_binomials(pm1, range(n + 1, order + 1), "q") * (-1) ** n
+        common = _times_binomials(pm1, range(n + 1, order + 1)) * (-1) ** n
         lhs_parts.append(_element(ratio, n, order).scale(common * q ** (n * n + n)))
         fact = TruncSeries.from_coeffs(
             table, [1 + q**n, q**n - q ** (2 * n)], order
@@ -585,7 +599,7 @@ def build_partial_theta(order: int) -> IdentitySides:
         rhs_terms.append(
             _element(ratio * fact * theta, n, order).scale(common * q ** (n * n))
         )
-        pm1 = _times_binomials(pm1, (n,), "q", u=-1)
+        pm1 = pm1 * (1 + q**n)
     lhs = sum_series(lhs_parts)
     return IdentitySides("partial_theta", [], lhs, rhs_terms, piece1.coeffs[0])
 

@@ -40,10 +40,9 @@ multiplies as two ints, so that CPython's big-int multiply does the
 convolution.  A pair product is added to its output run at that run's
 own lowest power, so no int is wider than the run it builds; a one-run
 factor gives each output run one product, with nothing to add (see
-_mul_runs).  A product with binomials 1 - y^k takes a shift and a
-subtract per run and binomial: a slot shift inside each run when y is x,
-else a key shift and an add of runs; any other binomial v - u*y^k is a
-RatFun product (see _times_binomials).
+_mul_runs).  The binomials 1 - q^k of a (q;q) quotient take a slot shift
+and a subtract per run each where q is x, else a RatFun product each
+(see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -713,37 +712,30 @@ def _binomials_norm(ks: tuple) -> int:
     return norm
 
 
-def _times_binomials(c: "RatFun", ks: Sequence[int], name: str,
-                     u: Union[None, int, Fraction, "RatFun"] = None,
-                     v: Union[None, int, Fraction, "RatFun"] = None) -> "RatFun":
-    """c * prod_(k in ks) (v - u*y^k), y the named symbol, k >= 0: a RatFun
-    product per binomial where u or v is given or a k is 0.
+def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
+    """c * prod_(k in ks) (1 - q^k), every k >= 1: the (q;q) clearings.
 
-    For 1 - y^k, a run X is its polynomial's value at 2**w.  When y is the
-    first symbol x, X times 1 - x^k is the int X - (X << w*k): one shift
-    and one subtract per run and binomial, and no multiply; the factor's
-    constant term is 1, so every run keeps its key and its lowest slot.
-    For any other y, c times 1 - y^k is c less c with its keys shifted by
-    y^k: one key shift (_term_mul) and one add of runs per binomial.  The
+    Where q is the table's first symbol x, a run X is its polynomial's
+    value at 2**w, and X times 1 - x^k is the int X - (X << w*k): one
+    shift and one subtract per run and binomial, and no multiply.  The
     slots may overflow on the way, as the ints are exact; only the final
     coefficients must fit, and they are at most the bound times the
-    factor's l1 norm, which sets the width once.  The factor's content is
-    1 and no monomial divides it, so the numerator's content and monomial
-    content are unchanged and the denominator passes through: the result
-    is c * factor in RatFun's normal form, as the product with the factor
-    as a RatFun gives it.
+    factor's l1 norm, which sets the width once.  The factor's constant
+    term and content are 1 and no monomial divides it, so every run keeps
+    its key and lowest slot and the denominator passes through: the
+    result is c * factor in RatFun's normal form, as the RatFun product
+    gives it, and that product is taken over any other table.
     """
     ks = tuple(ks)
-    if u is not None or v is not None or 0 in ks:
-        u, v, y = 1 if u is None else u, 1 if v is None else v, RatFun.sym(c.table, name)
-        for k in ks:
-            c = c * (v - u * y**k)
-        return c
     p = c.num
     if not ks or not p.runs:
         return c
     table = p.table
-    i = table.position(name)
+    if table.names[0] != "q":
+        q = RatFun.sym(table, "q")
+        for k in ks:
+            c = c * (1 - q**k)
+        return c
     s = sum(ks)
     if p.deg + s >= _LIMIT and p.total_degree() + s >= _LIMIT:
         raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
@@ -752,20 +744,12 @@ def _times_binomials(c: "RatFun", ks: Sequence[int], name: str,
     w = p.w
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b: b * norm, p)
-    if i:
-        # bound 0 in between, so no add widens the slots set for the result
-        unit = (1 << table._degshift) + (1 << table._shifts[i])
-        num = _poly(table, p._at(w), w, 0, p.deg)
-        for k in ks:
-            num = num + num._term_mul(k * unit, 0, -1, k)
-        out = num.runs
-    else:
-        shifts = [w * k for k in ks]
-        out = {}
-        for g, (lo, x) in p._at(w).items():
-            for sh in shifts:
-                x -= x << sh
-            out[g] = (lo, x)
+    shifts = [w * k for k in ks]
+    out = {}
+    for g, (lo, x) in p._at(w).items():
+        for sh in shifts:
+            x -= x << sh
+        out[g] = (lo, x)
     return _ratfun(_poly(table, out, w, bound, p.deg + s), c.den)
 
 

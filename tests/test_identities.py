@@ -32,7 +32,7 @@ from qexpand.identities import (
     run_check,
     theorem16_random_t,
 )
-from qexpand.ring import RatFun, _times_binomials, parse_ratfun, symbols
+from qexpand.ring import MultiPoly, RatFun, _times_binomials, parse_ratfun, symbols
 from qexpand.series import (
     TruncSeries,
     _element,
@@ -402,21 +402,28 @@ def _ref_rogers_fine(order):
 def test_binomial_uppers_normalize_no_fraction(monkeypatch):
     # the uppers C/A and C/B go in as the binomials A - Cq^j and B - Cq^j,
     # which made 16 normalizations as fractions; the order-8 build and
-    # compare of every check, terms unread, made 120 with them
-    calls = []
-    init = RatFun.__init__
+    # compare of every check, terms unread, made 120 with them.  The same
+    # pass makes 4290 MultiPoly products
+    calls, products = [], []
+    init, mul = RatFun.__init__, MultiPoly.__mul__
 
     def counting(self, num, den):
         calls.append(self)
         init(self, num, den)
 
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
     monkeypatch.setattr(RatFun, "__init__", counting)
     table, (q, A, B, C) = symbols("q A B C")
     inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), 8)
     assert calls == [] and all(c.den == 1 for c in inner)
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
     for name in check_names():
         assert compare(build_sides(name, 8, 0)).passed
     assert len(calls) <= 104
+    assert len(products) <= 4290
 
 
 def _ref_theorem16_random(order, seed):
@@ -482,9 +489,9 @@ def test_non_monomial_parameters_match_the_per_piece_assembly(monkeypatch):
 
 
 def test_a_table_not_led_by_q_renders_as_the_per_piece_assembly(monkeypatch):
-    # over (a, b, q) the runs are in a, so the chain clears by key shifts
-    # in q; with one-term denominators that renders as the per-piece
-    # assembly's whole products do
+    # over (a, b, q) the runs are in a, so the (q;q) clearing multiplies
+    # its RatFun binomials 1 - q^k; with one-term denominators that renders
+    # as the per-piece assembly's whole products do
     table, (a, b, q) = symbols("a b q")
     t = [RatFun.from_fraction(table, f) for f in theorem16_random_t(5, 3)]
     half = RatFun.from_fraction(table, Fraction(1, 2))
@@ -496,15 +503,15 @@ def test_a_table_not_led_by_q_renders_as_the_per_piece_assembly(monkeypatch):
             build_coro_tlnew(5, uppers=[q * b], carg=half, a=a, b=b),
         ]
 
-    names = []
+    calls = []
 
-    def chain(c, ks, name, **kw):
-        names.append(name)
-        return _times_binomials(c, ks, name, **kw)
+    def chain(c, ks):
+        calls.append(ks)
+        return _times_binomials(c, ks)
 
     monkeypatch.setattr(identities, "_times_binomials", chain)
     new = build_both()
-    assert names and set(names) == {"q"}
+    assert any(calls)
     monkeypatch.setattr(identities, "_telescoped_sides", _per_piece_sides)
     old = build_both()
     for ours, ref in zip(new, old):
@@ -530,6 +537,8 @@ def test_theorem16_needs_both_or_neither_of_a_b():
         check_theorem16([1, 2], 3, a=c * q)
     with pytest.raises(StructureError, match="both a and b"):
         check_theorem16([1, 2], 3, b=c * q)
+    with pytest.raises(StructureError, match="a or b must be a RatFun"):
+        check_theorem16([1, 2], 3, a=2, b=Fraction(1, 2))
 
 
 def test_theorem16_random_is_seed_deterministic():
@@ -553,14 +562,21 @@ def test_coro_tlnew_general_shape():
         build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
 
 
-@pytest.mark.parametrize("b", [1, 0, Fraction(1, 2)])
-def test_plain_scalar_parameters_build_their_binomials(b):
-    # b enters the Euler quotient's binomials b - aq^m, and the uppers 2
-    # and the lower 3 theirs, as plain ints and Fractions, as they enter
-    # RatFun arithmetic
-    table, (q, a, c) = symbols("q a c")
-    assert check_theorem16([1, a, q], 5, a=a, b=b).passed
-    sides = build_coro_tlnew(4, r=1, uppers=[2, q], lowers=[3], carg=c, a=a, b=b)
+# (a, b, carg), a string naming a symbol; each id names the plain scalar
+@pytest.mark.parametrize("a, b, carg", [
+    ("a", 1, "c"), ("a", 0, "c"), ("a", Fraction(1, 2), "c"),
+    (2, "b", "c"), (Fraction(1, 3), "b", "c"), ("a", "b", 5), ("a", "b", Fraction(-2, 3)),
+], ids=["1", "0", "b2", "a3", "a4", "carg5", "carg6"])
+def test_plain_scalar_parameters_build_their_binomials(a, b, carg):
+    # a and b enter the Euler quotient's binomials b - aq^m, the uppers 2
+    # and the lower 3 theirs and carg the argument, as plain ints and
+    # Fractions, as they enter RatFun arithmetic; the table comes from
+    # whichever of a and b is a RatFun
+    table, (q, *syms) = symbols("q a b c")
+    named = dict(zip("abc", syms))
+    a, b, carg = (named.get(x, x) for x in (a, b, carg))
+    assert check_theorem16([1, q, q**2], 5, a=a, b=b).passed
+    sides = build_coro_tlnew(4, r=1, uppers=[2, q], lowers=[3], carg=carg, a=a, b=b)
     assert compare(sides).passed
 
 
@@ -587,6 +603,8 @@ def test_coro_tlnew_rejects_missing_or_unused_arguments():
         build_coro_tlnew(3, uppers=[q], carg=q, a=a)
     with pytest.raises(StructureError, match="need custom uppers"):
         build_coro_tlnew(3, a=a, b=b)
+    with pytest.raises(StructureError, match="a or b must be a RatFun"):
+        build_coro_tlnew(3, uppers=[q], carg=q, a=2, b=1)
 
 
 # -- perturbation harness -----------------------------------------------------

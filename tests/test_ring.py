@@ -870,39 +870,19 @@ def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
 
 
 # ---------------------------------------------------------------------------
-# a product with binomials v - u*y^k: for 1 - y^k a slot shift per run
-# when y is x, the table's first symbol, else a key shift and an add of
-# runs; any other factor is a RatFun product
+# a product with the binomials 1 - q^k of a (q;q) quotient: a slot shift
+# per run where q is x, the table's first symbol, else a RatFun product
 
 
-def _binomials(table, ks, name, u=1, v=1):
-    """prod_(k in ks) (v - u*y^k) as a RatFun, y the named symbol, by whole
-    products."""
-    y = RatFun.sym(table, name)
-    return reduce(operator.mul, [v - u * y**k for k in ks], RatFun.one(table))
+def _binomials(table, ks):
+    """prod_(k in ks) (1 - q^k) as a RatFun, by whole products."""
+    q = RatFun.sym(table, "q")
+    return reduce(operator.mul, [1 - q**k for k in ks], RatFun.one(table))
 
 
-def _factor_values(table):
-    """1, -1, 3, a symbol and -2ab, with q for a and b where the table lacks
-    them, as RatFuns, and the plain scalars 1, -1 and 1/2."""
-    a, b = (RatFun.sym(table, nm if nm in table else "q") for nm in ("a", "b"))
-    return ([RatFun.from_int(table, c) for c in (1, -1, 3)] + [a, -2 * a * b]
-            + [1, -1, Fraction(1, 2)])
-
-
-def _other_factors(table):
-    """(u, v) pairs of other forms: a multi-term u, a u with a denominator,
-    a shared symbol, common content, and constant u = v (where k = 0 makes
-    the factor zero)."""
-    a = RatFun.sym(table, table.names[-1])
-    one, three = RatFun.one(table), RatFun.from_int(table, 3)
-    return [(1 + a, one), (a / (1 + a), one), (a, 3 * a), (-6 * a, 3 * one),
-            (three, three), (one, one)]
-
-
-def _assert_chain_matches_product(c, ks, name, u=None, v=None):
-    got = ring._times_binomials(c, ks, name, u=u, v=v)
-    ref = c * _binomials(c.table, ks, name, 1 if u is None else u, 1 if v is None else v)
+def _assert_chain_matches_product(c, ks):
+    got = ring._times_binomials(c, ks)
+    ref = c * _binomials(c.table, ks)
     # MultiPoly equality compares the runs at one width
     assert got.num == ref.num and got.den == ref.den
     assert got.num.terms == ref.num.terms and got.den.terms == ref.den.terms
@@ -916,13 +896,11 @@ def _assert_chain_matches_product(c, ks, name, u=None, v=None):
 
 
 # times (1 - x) twice, c (1 - x) doubles its middle coefficient: past 2**31
-# and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones;
-# the binomial 1 - y^0 makes the product 0
+# and 2**63 that leaves 32- and 64-bit slots, past 2**127 128-bit ones
 CHAIN_COEFFS = [2**31 - 1, 2**63 - 1, 2**64 + 1, 2**127 - 1]
-CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9)), (2, 0)]
-# exponents for the factors v - u*y^k, k = 0 among them
-FACTOR_KS = [(0,), (2, 0, 1)]
-# (a, b, q) keeps its runs in a, and its q binomials shift keys
+CHAIN_KS = [(), (1,), (1, 1), (3, 1, 2), (2, 2, 5), tuple(range(1, 9))]
+# (a, q) and (a, b, q) keep their runs in a, so their binomials in q are
+# RatFun products
 CHAIN_TABLES = RUN_TABLES + [SymbolTable(("a", "b", "q"))]
 
 
@@ -943,69 +921,42 @@ def _chain_operands(table, coeff):
 @pytest.mark.parametrize("table", CHAIN_TABLES, ids=lambda t: "_".join(t.names))
 def test_binomial_chain_matches_the_product(table, coeff, how):
     # the operand's own slots are 32, 64 or 128 bits wide as built, then
-    # re-packed at 64 and at 320 bits; binomials in every symbol, then
-    # factors v - u*y^k with u and v drawn from 1, -1, 3, a, -2ab and the
-    # scalars 1, -1 and 1/2, and factors of other forms, over a denominator
-    # of 1 and of 6xy
-    values = _factor_values(table)
-    pairs = [(u, v) for u in values for v in values] + _other_factors(table)
-    for j, c in enumerate(_chain_operands(table, coeff)):
+    # re-packed at 64 and at 320 bits
+    for c in _chain_operands(table, coeff):
         c = ring._ratfun(_widened(c.num, how), c.den)
-        for name in table.names:
-            for ks in CHAIN_KS:
-                _assert_chain_matches_product(c, ks, name)
-            if j in (1, 4, 5):
-                for u, v in pairs:
-                    for ks in FACTOR_KS:
-                        _assert_chain_matches_product(c, ks, name, u, v)
-    assert ring._times_binomials(c, (), table.names[-1]) is c
-    other = RatFun.sym(SymbolTable(("z", *table.names)), "z")
-    with pytest.raises(StructureError, match="mixed symbol tables"):
-        ring._times_binomials(c, (1,), table.names[-1], u=other)
+        for ks in CHAIN_KS:
+            _assert_chain_matches_product(c, ks)
+    assert ring._times_binomials(c, ()) is c
     zero = RatFun.zero(table)
-    assert ring._times_binomials(zero, (1, 2), table.names[-1]) is zero
+    assert ring._times_binomials(zero, (1, 2)) is zero
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(boundary_operands(), st.lists(st.integers(0, 6), max_size=5),
-       st.sampled_from(["one", "as drawn", "1 + x*y"]), st.integers(0, 2),
-       st.integers(0, 13), st.integers(0, 13))
-def test_binomial_chain_matches_the_product_random(ops, ks, den, i, iu, iv):
-    # u and v from 1, -1, 3, a, -2ab and the scalars 1, -1 and 1/2, or
-    # (from 8 up) not given, as in the (q;q) chains
+@given(boundary_operands(), st.lists(st.integers(1, 6), max_size=5),
+       st.sampled_from(["one", "as drawn", "1 + x*y"]))
+def test_binomial_chain_matches_the_product_random(ops, ks, den):
     table, ((d1, p1), (d2, p2)) = ops
     if den == "one" or not d2:
         p2 = MultiPoly.const(table, 1)
     elif den == "1 + x*y":
         p2 = 1 + p2 * MultiPoly.symbol(table, table.names[0])
-    values = _factor_values(table)
-    u, v = (values[j] if j < 8 else None for j in (iu, iv))
-    _assert_chain_matches_product(RatFun(p1, p2), ks, table.names[i % len(table)], u, v)
+    _assert_chain_matches_product(RatFun(p1, p2), ks)
 
 
 def test_binomial_chain_keeps_the_degree_guard():
     # total degree 2**24 - 10 in symbols other than q, whose runs are
-    # short; binomials in the first symbol q, and in b, which is not first;
-    # then factors 3b^4 + 2aq^k, of degree max(4, k + 1)
-    one = MultiPoly.const(TABLE, 1)
-    for mono in ({"a": 2**24 - 11, "q": 1}, {"a": 2**24 - 12, "b": 1, "q": 1}):
-        big = RatFun(MultiPoly.monomial(TABLE, mono) + 1, one)
-        for name in ("q", "b"):
-            _assert_chain_matches_product(big, (4, 5), name)
+    # short where q leads; the slot path over (q, a, b) and the RatFun
+    # products over (a, b, q) raise alike
+    for table in (TABLE, SymbolTable(("a", "b", "q"))):
+        one = MultiPoly.const(table, 1)
+        for mono in ({"a": 2**24 - 11, "q": 1}, {"a": 2**24 - 12, "b": 1, "q": 1}):
+            big = RatFun(MultiPoly.monomial(table, mono) + 1, one)
+            _assert_chain_matches_product(big, (4, 5))
             for ks in ((10,), (4, 6), (1, 2, 3, 4)):
                 with pytest.raises(StructureError):
-                    ring._times_binomials(big, ks, name)
+                    ring._times_binomials(big, ks)
                 with pytest.raises(StructureError):
-                    big * _binomials(TABLE, ks, name)
-        q, a, b = (RatFun.sym(TABLE, nm) for nm in TABLE.names)
-        u, v = -2 * a, 3 * b**4
-        for ks in ((1,), (0, 3), (8,)):
-            _assert_chain_matches_product(big, ks, "q", u, v)
-        for ks in ((9,), (1, 1, 1), (0, 0, 2)):
-            with pytest.raises(StructureError):
-                ring._times_binomials(big, ks, "q", u, v)
-            with pytest.raises(StructureError):
-                big * _binomials(TABLE, ks, "q", u, v)
+                    big * _binomials(table, ks)
 
 
 def test_no_scan_where_exact_bounds_cannot_narrow_the_slots(monkeypatch):
