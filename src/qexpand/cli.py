@@ -472,10 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except QExpandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QExpandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,11 +41,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, PoleError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import MultiPoly, RatFun, _times_binomials, symbols
+from .ring import MultiPoly, RatFun, _coerce_scalar, _times_binomials, symbols
 from .series import (
     Scalar,
     TruncSeries,
-    _coerce_scalar,
     _element,
     _ratio_chain,
     inv_pochhammer_infinite,

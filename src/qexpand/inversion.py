@@ -37,17 +37,6 @@ class ExpansionResult:
     coeffs: List[RatFun]
     method: str  # "triangular_solve" | "theorem15" | "carlitz" | "b_eq_aq"
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "method": self.method,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
 
 class LTMatrix:
     """Lower triangular matrix of RatFun entries, rows 0..n."""

@@ -62,9 +62,10 @@ Point = Dict[str, PointValue]
 class NumericReport(NamedTuple):
     """Outcome of one numeric comparison.
 
-    status is "passed", "failed", or "inconclusive" (truncation tail too
-    large to decide, which is distinct from a genuine mismatch); passed is
-    True only for conclusive agreement within tolerance.
+    status is "passed" when the rounded gap is within the tolerance, else
+    "failed"; passed is True exactly when it is "passed".  An
+    "inconclusive" status (a truncation tail too large to decide) waits
+    for the proven tail bounds of ROADMAP item 4b.
     """
 
     name: str

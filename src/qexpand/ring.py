@@ -118,9 +118,6 @@ class SymbolTable:
     def unpack(self, key: int):
         return tuple((key >> sh) & _MASK for sh in self._shifts)
 
-    def same_as(self, other: "SymbolTable") -> bool:
-        return self is other or self.names == other.names
-
     def __repr__(self) -> str:
         return f"SymbolTable({', '.join(self.names)})"
 
@@ -385,7 +382,7 @@ class MultiPoly:
             return self.runs == ({0: (0, other)} if other else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if not self.table.same_as(other.table):
+        if self.table is not other.table and self.table.names != other.table.names:
             return False
         if self.w == other.w:
             return self.runs == other.runs
@@ -569,17 +566,6 @@ class MultiPoly:
                             break
             mins.append(mn)
         return mins
-
-    def shift_down(self, packed: int) -> "MultiPoly":
-        """Divide every term by the given packed monomial, which must divide
-        every term (else StructureError)."""
-        if packed == 0:
-            return self
-        exps = list(self.table.unpack(packed))
-        if self.min_exponents(exps) != exps:
-            raise StructureError(
-                f"the monomial with exponents {tuple(exps)} does not divide every term")
-        return self._term_mul(exps[0] * self.table._step - packed, -exps[0], 1, -sum(exps))
 
     # -- evaluation ---------------------------------------------------
 
@@ -808,9 +794,9 @@ def _cancel(num: MultiPoly, den: MultiPoly) -> tuple:
         # few numerator fields to scan
         lo = num.min_exponents(den.min_exponents())
         if any(lo):
-            lo = num.table.pack(lo)
-            num = num.shift_down(lo)
-            den = den.shift_down(lo)
+            shift = (lo[0] * num.table._step - num.table.pack(lo), -lo[0], 1, -sum(lo))
+            num = num._term_mul(*shift)
+            den = den._term_mul(*shift)
     return num, den
 
 
@@ -911,12 +897,8 @@ class RatFun:
     def _coerce(self, other):
         if isinstance(other, RatFun):
             return other
-        if isinstance(other, int):
-            return RatFun.from_int(self.table, other)
-        if isinstance(other, Fraction):
-            return RatFun.from_fraction(self.table, other)
-        if isinstance(other, MultiPoly):
-            return RatFun(other, MultiPoly.const(other.table, 1))
+        if isinstance(other, (int, Fraction)):
+            return _coerce_scalar(self.table, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -1008,6 +990,16 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
+
+
+def _coerce_scalar(table: SymbolTable, c: Union[RatFun, int, Fraction]) -> RatFun:
+    if isinstance(c, RatFun):
+        return c
+    if isinstance(c, int):
+        return RatFun.from_int(table, c)
+    if isinstance(c, Fraction):
+        return RatFun.from_fraction(table, c)
+    raise StructureError(f"bad coefficient {c!r}")
 
 
 def _ratfun(num: MultiPoly, den: MultiPoly) -> RatFun:

@@ -23,19 +23,9 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
 from .errors import NonInvertibleError, OrderError, PoleError, StructureError
-from .ring import RatFun, SymbolTable, _dot
+from .ring import RatFun, SymbolTable, _check_tables, _coerce_scalar, _dot
 
 Scalar = Union[RatFun, int, Fraction]
-
-
-def _coerce_scalar(table: SymbolTable, c: Scalar) -> RatFun:
-    if isinstance(c, RatFun):
-        return c
-    if isinstance(c, int):
-        return RatFun.from_int(table, c)
-    if isinstance(c, Fraction):
-        return RatFun.from_fraction(table, c)
-    raise StructureError(f"bad coefficient {c!r}")
 
 
 class TruncSeries:
@@ -61,13 +51,7 @@ class TruncSeries:
 
     @staticmethod
     def one(table: SymbolTable, order: int) -> "TruncSeries":
-        return TruncSeries.const(table, 1, order)
-
-    @staticmethod
-    def const(table: SymbolTable, c: Scalar, order: int) -> "TruncSeries":
-        out = TruncSeries.zero(table, order)
-        out.coeffs[0] = _coerce_scalar(table, c)
-        return out
+        return TruncSeries.z_power(table, 0, order)
 
     @staticmethod
     def z_power(table: SymbolTable, n: int, order: int, coeff: Scalar = 1) -> "TruncSeries":
@@ -96,16 +80,13 @@ class TruncSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if not self.table.same_as(other.table):
-            raise StructureError("mixed symbol tables")
-        n = min(self.order, other.order)
+        n = self._common_order(other)
         return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
     __hash__ = None
 
     def _common_order(self, other: "TruncSeries") -> int:
-        if not self.table.same_as(other.table):
-            raise StructureError("mixed symbol tables")
+        _check_tables(self, other)
         return min(self.order, other.order)
 
     # -- ring operations (truncate to the smaller order) ----------------
@@ -121,10 +102,7 @@ class TruncSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = self._common_order(other)
-        return TruncSeries(
-            self.table, n, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
+        return self + (-other)
 
     def __neg__(self):
         return TruncSeries(self.table, self.order, [-c for c in self.coeffs])
@@ -203,9 +181,6 @@ class TruncSeries:
         return TruncSeries(self.table, self.order, out)
 
     # -- output -----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     def __str__(self) -> str:
         parts = []

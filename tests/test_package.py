@@ -2,8 +2,8 @@
 submodule defines, dir() lists them, unknown names raise AttributeError,
 submodules still import through the package, no module imports a name it
 never uses, no private helper goes unused, only listed public functions go
-unread, only ring.py builds normal forms, and README's Python examples
-run."""
+unread, only ring.py builds normal forms, coerces scalars and checks
+symbol tables, and README's Python examples run."""
 
 import ast
 import importlib
@@ -258,6 +258,39 @@ def test_normal_forms_are_built_only_in_ring():
     src = Path(qexpand.__file__).parent
     found = {
         path.name: _normal_form_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(src.glob("*.py")) if path.name != "ring.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _ring_job_copies(source: str):
+    """(line, job) of each definition of `_coerce_scalar` and of each
+    "mixed symbol tables" text, the jobs ring.py owns."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_coerce_scalar":
+            hits.append((node.lineno, "_coerce_scalar"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "mixed symbol tables" in node.value:
+            hits.append((node.lineno, "mixed symbol tables"))
+    return sorted(hits)
+
+
+def test_ring_job_finder_flags_only_copies():
+    source = ("from .ring import _coerce_scalar\n"
+              "def _coerce_scalar(t, c): return c\n"
+              "raise StructureError('mixed symbol tables')\n"
+              "raise StructureError(f'mixed symbol tables: {x}')\n")
+    assert _ring_job_copies(source) == [
+        (2, "_coerce_scalar"), (3, "mixed symbol tables"), (4, "mixed symbol tables")]
+
+
+def test_scalar_coercion_and_table_checks_live_only_in_ring():
+    # ring.py alone turns a scalar into a RatFun and rejects operands of
+    # different symbol tables, so every layer coerces and checks alike
+    src = Path(qexpand.__file__).parent
+    found = {
+        path.name: _ring_job_copies(path.read_text(encoding="utf-8"))
         for path in sorted(src.glob("*.py")) if path.name != "ring.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -482,6 +482,20 @@ def test_normalization_cancels_monomial_content(qab):
     assert str(g) == "(3)/(2)"
 
 
+def test_monomial_cancel_scans_each_side_once(monkeypatch):
+    # _cancel finds the common monomial with one scan of each side and
+    # shifts both by the exponents found, with no scan to re-check them
+    q, a, b = (MultiPoly.symbol(TABLE, nm) for nm in ("q", "a", "b"))
+    num, den = q**3 * a * (1 + b), q**2 * a**2
+    calls = []
+    scan = MultiPoly.min_exponents
+    monkeypatch.setattr(MultiPoly, "min_exponents",
+                        lambda self, *caps: calls.append(self) or scan(self, *caps))
+    f = RatFun(num, den)
+    assert len(calls) == 2
+    assert str(f) == "(q*b + q)/(a)"
+
+
 # ---------------------------------------------------------------------------
 # arithmetic that cancels before it multiplies against full normalization
 
@@ -638,13 +652,10 @@ def test_run_queries_match_dict_references(td):
     assert p.min_exponents() == mins
     assert p.min_exponents([1] * len(table)) == [min(m, 1) for m in mins]
     assert p.const_value() == d.get(0, 0)
+    # _cancel against the lowest monomial of p divides every term by it
     m = table.pack(mins)
-    assert p.shift_down(m).terms == {k - m: c for k, c in d.items()}
-    for i in range(len(table)):
-        bumped = list(mins)
-        bumped[i] += 1
-        with pytest.raises(StructureError):
-            p.shift_down(table.pack(bumped))
+    num, den = _cancel(p, MultiPoly(table, {m: 1}))
+    assert (num.terms, den.terms) == ({k - m: c for k, c in d.items()}, {0: 1})
 
 
 @settings(max_examples=300)
@@ -702,7 +713,8 @@ def test_runs_lose_their_lowest_slots(names):
         assert p.terms == expected
         if left:
             assert p.min_exponents() == left[0].min_exponents()
-            assert p.shift_down(table.pack(p.min_exponents())).const_value() == 1
+            num, _ = _cancel(p, MultiPoly(table, {table.pack(p.min_exponents()): 1}))
+            assert num.const_value() == 1
     assert p.is_zero()
 
 
@@ -1005,12 +1017,3 @@ def test_terms_is_read_only():
     with pytest.raises(TypeError):
         p.terms[0] = 2
     assert p.terms == {0: 1, TABLE.pack((2, 1, 0)): -4}
-
-
-def test_shift_down_rejects_a_monomial_that_does_not_divide():
-    p = MultiPoly(TABLE, {TABLE.pack((2, 1, 0)): 1, TABLE.pack((1, 3, 0)): 2})
-    assert p.shift_down(TABLE.pack((1, 1, 0))).terms == {
-        TABLE.pack((1, 0, 0)): 1, TABLE.pack((0, 2, 0)): 2}
-    for exps in ((2, 1, 0), (1, 2, 0), (0, 0, 1)):
-        with pytest.raises(StructureError):
-            p.shift_down(TABLE.pack(exps))
