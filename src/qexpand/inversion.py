@@ -18,6 +18,15 @@ The closed coefficient formula for F = sum c_n e_n reads
 
 with (bz;q)_(-1) = 1/(1 - bz/q) entering at n = 0.  The same kernel with
 F = 1 yields every matrix entry of B directly.
+
+The kernel W_n = F (bz;q)_(n-1)/(az;q)_n is linear in F, which gives
+expand_theorem15 two routes.  Where every denominator of F's coefficients,
+of a and of b is one term, F is cleared out of the kernel: the F = 1
+kernel at argument qz, free of F's fractions and of b/q, is convolved
+with F's cleared coefficients, and each c_n is divided once.  Over
+one-term denominators a normalized value is fully gcd-reduced, so the
+regrouping changes no byte; with a multi-term denominator anywhere the
+kernel runs on F itself.
 """
 
 from __future__ import annotations
@@ -174,12 +183,51 @@ def _thm25_entry(chain: List[TruncSeries], col: List[RatFun], a: RatFun,
 
 
 def expand_theorem15(f: TruncSeries, a: RatFun, b: RatFun) -> ExpansionResult:
-    """Expansion coefficients by the closed formula (no triangular solve)."""
-    col = b_column1(a, b, f.order)
-    chain = _kernel_chain(f, a, b)
-    return ExpansionResult(
-        [_thm25_entry(chain, col, a, m, 0) for m in range(f.order + 1)], "theorem15"
-    )
+    """Expansion coefficients by the closed formula (no triangular solve).
+
+    The kernel W_n = F (bz;q)_(n-1)/(az;q)_n is linear in F, so where every
+    denominator of f's coefficients, of a and of b is one term, f's part
+    is cleared out of it.  With d the lcm of f's denominators and
+    f'_i = d q^i f_i, a polynomial, the f-free chain
+    K_n = (bqz;q)_(n-1)/(aqz;q)_n is the F = 1 kernel at argument qz, so
+    [z^j] W_n = V_n[j] / (d q^j) for V_n[j] = sum_(i<=j) f'_i K_n[j-i], and
+
+        c_m = (V_m[m] - a sum_(i<m) B[m-i][1] q^((m-i)(i+1)) V_(i+1)[i]) / (d q^m).
+
+    K has no b/q and no fraction of f in it, so over polynomial a and b
+    every sum and product stays a polynomial: only the lcm's steps and the
+    division by d q^m cancel anything.  Over one-term denominators a
+    normalized value is fully gcd-reduced, so it has one representation
+    and this regrouping changes no byte.  A multi-term denominator in f,
+    a or b breaks that, and the kernel then runs on f itself.
+    """
+    n = f.order
+    col = b_column1(a, b, n)
+    if not all(x.den.is_term() for x in (a, b, *f.coeffs)):
+        chain = _kernel_chain(f, a, b)
+        return ExpansionResult([_thm25_entry(chain, col, a, m, 0) for m in range(n + 1)],
+                               "theorem15")
+    table = f.table
+    q = RatFun.sym(table, "q")
+    zero = RatFun.zero(table)
+    d = RatFun.one(table)
+    for c in f.coeffs:
+        e = (c * d).den  # the part of c's denominator that d lacks; d.den is 1
+        if not e == 1:
+            d = d * RatFun(e, d.den)
+    fp = [c * (d * q ** i) for i, c in enumerate(f.coeffs)]
+    kern = [w.coeffs for w in _kernel_chain(TruncSeries.one(table, n), a * q, b * q)]
+
+    def v(m: int, j: int) -> RatFun:
+        return _dot(((fp[i], kern[m][j - i]) for i in range(j + 1)), zero)
+
+    tails = [v(i + 1, i) for i in range(n)]
+    coeffs = []
+    for m in range(n + 1):
+        pairs = ((col[m - i] * q ** ((m - i) * (i + 1)), tails[i])
+                 for i in range(m) if not col[m - i].is_zero())
+        coeffs.append((v(m, m) - a * _dot(pairs, zero)) / (d * q ** m))
+    return ExpansionResult(coeffs, "theorem15")
 
 
 def matrix_thm25(a: RatFun, b: RatFun, n: int) -> LTMatrix:
@@ -191,8 +239,11 @@ def matrix_thm25(a: RatFun, b: RatFun, n: int) -> LTMatrix:
 
 
 def matrix_entry_thm25(n: int, k: int, a: RatFun, b: RatFun) -> RatFun:
-    """Single inverse-matrix entry B[n][k] from the closed formula."""
-    if k > n:
+    """Single inverse-matrix entry B[n][k] from the closed formula: zero off
+    the triangle 0 <= k <= n, as LTMatrix.entry gives it; n < 0 raises."""
+    if n < 0:
+        raise OrderError(f"row {n} out of range")
+    if not 0 <= k <= n:
         return RatFun.zero(a.table)
     col = b_column1(a, b, n)
     chain = _kernel_chain(TruncSeries.one(a.table, n), a, b)

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qexpand import inversion
 from qexpand.errors import OrderError, SingularMatrixError, StructureError
 from qexpand.inversion import (
     LTMatrix,
+    _kernel_chain,
+    _thm25_entry,
     b_column1,
     base_matrix,
     carlitz_coeffs,
@@ -29,7 +32,7 @@ from qexpand.inversion import (
     reconstruct,
     sn_polynomial,
 )
-from qexpand.ring import RatFun, SymbolTable
+from qexpand.ring import MultiPoly, RatFun, SymbolTable, parse_ratfun
 from qexpand.series import TruncSeries
 from reference import poch, qpoch, substitute
 
@@ -131,6 +134,21 @@ def test_entry_formula_matches_inverse(t, syms, pair):
         assert matrix_entry_thm25(n, k, a, b) == inv.entry(n, k)
 
 
+def test_entry_formula_edges_match_ltmatrix(t, syms):
+    # off the triangle both give zero, and a negative row raises in both
+    q, a, b = syms
+    inv = lt_inverse(base_matrix(a, b, 5))
+    for n in (-1, 0, 3, 5):
+        for k in (-1, 0, 3, 5):
+            if n < 0:
+                with pytest.raises(OrderError, match="row -1 out of range"):
+                    inv.entry(n, k)
+                with pytest.raises(OrderError, match="row -1 out of range"):
+                    matrix_entry_thm25(n, k, a, b)
+            else:
+                assert matrix_entry_thm25(n, k, a, b) == inv.entry(n, k), (n, k)
+
+
 # ---------------------------------------------------------------------------
 # expansion routes
 
@@ -162,6 +180,89 @@ def test_expand_order_zero(t, syms):
     q, a, b = syms
     f = TruncSeries.z_power(t, 0, 0, 7)
     assert expand_theorem15(f, a, b).coeffs == [RatFun.from_int(t, 7)]
+
+
+def _kernel_inputs(monkeypatch):
+    """The series each inversion._kernel_chain call runs on, in call order."""
+    seen = []
+    chain = inversion._kernel_chain
+
+    def spy(f, a, b):
+        seen.append(f)
+        return chain(f, a, b)
+
+    monkeypatch.setattr(inversion, "_kernel_chain", spy)
+    return seen
+
+
+# a and b with one-term denominators, 0 among them; f's coefficients with
+# fractions, zeros and monomial denominators in q, a and b
+_ONE_TERM_PARAMS = ("0", "a", "-b", "2/3", "q/5", "q/b", "a*q^2", "3*a/(7*b^2)")
+_ONE_TERM_COEFFS = ("0", "0", "7", "-3/4", "q/7", "a/(9*q^2)", "b/4", "1+q",
+                    "(a-q)/(2*b)", "5/(6*a*q)", "q^3*b/11")
+
+
+def test_cleared_route_renders_as_the_kernel_on_f(t, monkeypatch):
+    # over one-term denominators every normalized value is gcd-reduced, so
+    # clearing f out of the kernel changes no byte of any coefficient
+    seen = _kernel_inputs(monkeypatch)
+    rng = random.Random(29)
+    orders = (0, 1, 3, 6)
+    for i, (at, bt) in enumerate((x, y) for x in _ONE_TERM_PARAMS for y in _ONE_TERM_PARAMS):
+        a, b = parse_ratfun(at, t), parse_ratfun(bt, t)
+        n = orders[i % len(orders)]
+        f = TruncSeries(t, n, [parse_ratfun(rng.choice(_ONE_TERM_COEFFS), t)
+                               for _ in range(n + 1)])
+        seen.clear()
+        got = [str(c) for c in expand_theorem15(f, a, b).coeffs]
+        assert seen and all(s is not f for s in seen)  # the cleared route ran
+        col = b_column1(a, b, n)
+        chain = _kernel_chain(f, a, b)
+        want = [str(_thm25_entry(chain, col, a, m, 0)) for m in range(n + 1)]
+        assert got == want, (str(f), at, bt)
+
+
+@pytest.mark.parametrize("coeffs, at, bt, on_f", [
+    (("1/3", "2/5", "q/7"), "a/(9*q^2)", "b/4", False),
+    (("1/(1-q)", "a*q"), "a", "b", True),
+    (("1", "q"), "1/(1-a)", "b", True),
+    (("1", "q"), "a", "q/(1-a)", True),
+])
+def test_multi_term_denominators_keep_the_kernel_on_f(t, monkeypatch, coeffs, at, bt, on_f):
+    seen = _kernel_inputs(monkeypatch)
+    f = TruncSeries.from_coeffs(t, [parse_ratfun(c, t) for c in coeffs], 4)
+    a, b = parse_ratfun(at, t), parse_ratfun(bt, t)
+    got = expand_theorem15(f, a, b).coeffs
+    assert (seen[0] is f) == on_f and len(seen) == 1
+    assert got == expand_triangular(f, a, b).coeffs
+
+
+def test_cleared_route_normalizes_only_its_lcm_steps(t, syms, monkeypatch):
+    # the kernel on f made 378 normalizations and 1358 MultiPoly products on
+    # this series, and the f-free chain makes 989 products; its only
+    # normalizations are the steps of the lcm of f's denominators, at most
+    # one per coefficient
+    q, a, b = syms
+    n = 12
+    f = _random_series(t, n, random.Random(20261020))
+    calls, products = [], []
+    init, mul = RatFun.__init__, MultiPoly.__mul__
+
+    def counting(self, num, den):
+        calls.append(self)
+        init(self, num, den)
+
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFun, "__init__", counting)
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    got = expand_theorem15(f, a, b).coeffs
+    assert len(calls) <= n + 1
+    assert len(products) <= 989
+    monkeypatch.undo()
+    assert got == expand_triangular(f, a, b).coeffs
 
 
 @settings(max_examples=10)
