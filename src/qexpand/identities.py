@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, PoleError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import MultiPoly, RatFun, _coerce_scalar, _times_binomials, symbols
+from .ring import MultiPoly, RatFun, _coerce_scalar, _dot, _times_binomials, symbols
 from .series import (
     Scalar,
     TruncSeries,
@@ -314,14 +314,17 @@ def _telescoped_sides(
     each term by (1 - az), the one factor coro_tlnew's bracket leaves
     over.  lhs and scale are passed through unchanged.
 
-    Term n is assembled in three steps: the pieces inner[k] q^(nk)
+    Term n is assembled in three steps.  The pieces inner[k] q^(nk)
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
-    list, divided by (1 - az) when `divide` is set, and each coefficient
-    is multiplied by cof[n] as the chain of its binomials 1 - q^k (ring's
-    _times_binomials), in the normal form and the bytes of the product
-    with cof[n], with multi-term denominators too.  That gives X_n, term n
-    without its prefactor P_n = (aq/b;q)_n b^n q^(n(n-1)), so the dense
-    products of the pieces never carry it.
+    list, coefficient m as one ring _dot over k ascending of the pairs
+    (piece coefficient, inner[k] q^(nk)): the order of the fold, and over
+    denominator 1 one run accumulator with no intermediate product or
+    sum.  The list is divided by (1 - az) when `divide` is set.  Each
+    coefficient is multiplied by cof[n] as the chain of its binomials
+    1 - q^k (ring's _times_binomials), in the normal form and the bytes of
+    the product with cof[n], with multi-term denominators too.  That gives
+    X_n, term n without its prefactor P_n = (aq/b;q)_n b^n q^(n(n-1)), so
+    the dense products of the pieces never carry it.
 
     P_(n+1) = P_n r_n with the binomial r_n = (b - aq^(n+1)) q^(2n), so the
     right side sum_n P_n X_n is H_0 of the Horner recursion
@@ -330,8 +333,10 @@ def _telescoped_sides(
     prefactor that grows with n.  Term n has z-valuation >= n, so
     coefficient m of H_(m+1) is zero and each coefficient m runs its own
     recursion from n = m down to 0; only one partial sum is alive at a
-    time.  The terms P_n X_n, with the products of the eager assembly in
-    the same order, are built only when `rhs_terms` is first read, each
+    time.  Each step is the _dot of the one pair (H_(n+1)[m], r_n) seeded
+    with X_n[m], which over denominator 1 adds the product's runs into
+    X_n[m]'s.  The terms P_n X_n, with the products of the eager assembly
+    in the same order, are built only when `rhs_terms` is first read, each
     replacing its X_n.
 
     Regrouping the sum is byte-safe where every coefficient's denominator
@@ -346,15 +351,12 @@ def _telescoped_sides(
     ratios = _ratio_chain(a, b, order, table)
     xs = []
     for n in range(order + 1):
-        coeffs = [zero] * (order + 1)
-        for k in range(order - n + 1):
-            if inner[k].is_zero():
-                continue
-            sc = inner[k] * q ** (n * k)
-            piece = ratios[n + k].mul_linear(a * q ** (2 * n + k))
-            for m, c in enumerate(piece.coeffs, n + k):
-                coeffs[m] = coeffs[m] + c * sc
-        term = TruncSeries(table, order, coeffs)
+        pieces = [(n + k, ratios[n + k].mul_linear(a * q ** (2 * n + k)).coeffs,
+                   inner[k] * q ** (n * k))
+                  for k in range(order - n + 1) if not inner[k].is_zero()]
+        term = TruncSeries(table, order, [
+            _dot(((cs[m - s], sc) for s, cs, sc in pieces if s <= m), zero)
+            for m in range(order + 1)])
         if divide:
             term = term.div_linear(a)
         ks = range(n + 1, order + 1)
@@ -365,8 +367,7 @@ def _telescoped_sides(
         # coefficient m of H_n, from n = m (where H_(m+1) is zero) down to 0
         acc = xs[m].coeffs[m]
         for n in range(m - 1, -1, -1):
-            x = xs[n].coeffs[m]
-            acc = x if acc.is_zero() else x + acc * rs[n]
+            acc = _dot(((acc, rs[n]),), xs[n].coeffs[m])
         h.append(acc)
     return IdentitySides(name, [], lhs, lambda: _prefactored_terms(xs, rs), scale,
                          rhs_sum=TruncSeries(table, order, h))

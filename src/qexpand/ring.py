@@ -40,9 +40,12 @@ multiplies as two ints, so that CPython's big-int multiply does the
 convolution.  A pair product is added to its output run at that run's
 own lowest power, so no int is wider than the run it builds; a one-run
 factor gives each output run one product, with nothing to add (see
-_mul_runs).  The binomials 1 - q^k of a (q;q) quotient take a slot shift
-and a subtract per run each where q is x, else a RatFun product each
-(see _times_binomials).
+_mul_runs).  That run-pair loop is written once (_add_products): a sum
+of products over denominator 1 runs all its pairs through one run
+accumulator, with no intermediate product or sum, and a single product
+is its one-pair case (see _dot and _sum_products).  The binomials
+1 - q^k of a (q;q) quotient take a slot shift and a subtract per run
+each where q is x, else a RatFun product each (see _times_binomials).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -127,6 +130,13 @@ def _check_tables(x, y) -> None:
         raise StructureError(
             f"mixed symbol tables: {x.table.names} vs {y.table.names}"
         )
+
+
+def _check_degree(p, r) -> None:
+    # the total degree bounds every field, and no field of a product key
+    # may overflow
+    if p.deg + r.deg >= _LIMIT and p.total_degree() + r.total_degree() >= _LIMIT:
+        raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
 
 
 # -- runs: the coefficients of x^lo, x^(lo+1), ... in the slots of one int --
@@ -411,15 +421,20 @@ class MultiPoly:
             self.runs = self._at(w)
             self.w = w
 
+    def _term_room(self, c_abs: int) -> tuple:
+        """(w, bound) for self times a term of coefficient +-c_abs: self's
+        slots unless the bound overflows them."""
+        bound = self._bound * c_abs
+        if bound.bit_length() >= self.w:
+            return _make_room(lambda b: b * c_abs, self)
+        return self.w, bound
+
     def _term_mul(self, g1: int, lo1: int, c: int, deg1: int) -> "MultiPoly":
         # times c*g1*x^lo1 of total degree deg1, by a key and lo shift per run
         if c == 1 and not (g1 or lo1):
             return self
         c_abs = abs(c)
-        bound = self._bound * c_abs
-        w = self.w
-        if bound.bit_length() >= w:
-            w, bound = _make_room(lambda b: b * c_abs, self)
+        w, bound = self._term_room(c_abs)
         runs = self._at(w)
         if c == 1:
             out = {g + g1: (lo + lo1, x) for g, (lo, x) in runs.items()}
@@ -494,11 +509,7 @@ class MultiPoly:
         _check_tables(self, other)
         if not self.runs or not other.runs:
             return MultiPoly.zero(self.table)
-        # the total degree bounds every field, and no field of a product
-        # key may overflow
-        if (self.deg + other.deg >= _LIMIT
-                and self.total_degree() + other.total_degree() >= _LIMIT):
-            raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
+        _check_degree(self, other)
         for p, r in ((self, other), (other, self)):
             term = r._one_term()
             if term is not None:
@@ -619,8 +630,8 @@ def _make_room(bound, *polys: MultiPoly) -> tuple:
     return max(_width(b.bit_length()), *[p.w for p in polys]), b
 
 
-def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
-    """Product of two polys, each pair of runs by one int multiply.
+def _runs_room(p: MultiPoly, r: MultiPoly) -> tuple:
+    """(w, bound) for the run-pair product p*r.
 
     An output coefficient sums at most n = min(n1, n2) pair products, n1
     and n2 the slot counts, so it is at most bound1 * bound2 * n.  The
@@ -630,15 +641,6 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     slots began to pay for a scan on one long run, a 32x32-slot product);
     each operand is scanned once.  A smaller product keeps the wider
     operand's slots unless its bound overflows them.
-
-    Each output run is accumulated as (lo, X), X an int holding its slots
-    from x^lo up.  The first pair product for a key sets it; a later one
-    is shifted up to it, or it up to the later one, as __add__ aligns
-    runs, so a run far above the operands' lowest powers never becomes a
-    wide int.  A run is shifted down only when its lowest slot cancelled.
-    When one operand has a single run, the output keys are distinct and
-    each product's lowest slot is c1*c2, nonzero because the bound keeps
-    it inside its slot: each output run is one product as it stands.
     """
     n1 = sum(x.bit_length() // p.w + 1 for _, x in p.runs.values())
     n2 = sum(x.bit_length() // r.w + 1 for _, x in r.runs.values())
@@ -652,26 +654,33 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
     bound = p._bound * r._bound * n
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b1, b2: b1 * b2 * n, p, r)
-    r1, r2 = p._at(w), r._at(w)
-    for one, many in ((r1, r2), (r2, r1)):
-        if len(one) == 1:
-            # distinct output keys, each product's lowest slot c1*c2 nonzero
-            ((g1, (lo1, x1)),) = one.items()
-            out = {g1 + g2: (lo1 + lo2, x1 * x2) for g2, (lo2, x2) in many.items()}
-            return _poly(p.table, out, w, bound, p.deg + r.deg)
-    acc: dict = {}
+    return w, bound
+
+
+def _add_products(acc: dict, pairs: Iterable[Tuple[dict, dict]], w: int) -> dict:
+    """The runs of acc plus every product of runs of each pair, all at width w.
+
+    The one run-pair loop: each pair of runs multiplies as two ints, and
+    the product is added to its output run (lo, X) at that run's own
+    lowest power.  The first product for a key sets it; a later one is
+    shifted up to it, or it up to the later one, as __add__ aligns runs,
+    so a run far above the operands' lowest powers never becomes a wide
+    int.  `acc` is consumed.  The runs whose lowest slots cancelled are
+    shifted down or dropped once, at the end.
+    """
     get = acc.get
-    for g1, (lo1, x1) in r1.items():
-        for g2, (lo2, x2) in r2.items():
-            g = g1 + g2
-            lo = lo1 + lo2
-            run = get(g)
-            if run is None:
-                acc[g] = (lo, x1 * x2)
-            elif run[0] <= lo:
-                acc[g] = (run[0], run[1] + (x1 * x2 << w * (lo - run[0])))
-            else:
-                acc[g] = (lo, x1 * x2 + (run[1] << w * (run[0] - lo)))
+    for r1, r2 in pairs:
+        for g1, (lo1, x1) in r1.items():
+            for g2, (lo2, x2) in r2.items():
+                g = g1 + g2
+                lo = lo1 + lo2
+                run = get(g)
+                if run is None:
+                    acc[g] = (lo, x1 * x2)
+                elif run[0] <= lo:
+                    acc[g] = (run[0], run[1] + (x1 * x2 << w * (lo - run[0])))
+                else:
+                    acc[g] = (lo, x1 * x2 + (run[1] << w * (run[0] - lo)))
     out = {}
     mask = (1 << w) - 1
     for g, (lo, x) in acc.items():
@@ -680,7 +689,77 @@ def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
         elif x:  # the lowest slot cancelled
             s = ((x & -x).bit_length() - 1) // w
             out[g] = (lo + s, x >> w * s)
-    return _poly(p.table, out, w, bound, p.deg + r.deg)
+    return out
+
+
+def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
+    """Product of two polys, each pair of runs by one int multiply, at the
+    width _runs_room picks: the one-pair case of _add_products.
+
+    When one operand has a single run, the output keys are distinct and
+    each product's lowest slot is c1*c2, nonzero because the bound keeps
+    it inside its slot: each output run is one product as it stands.
+    """
+    w, bound = _runs_room(p, r)
+    r1, r2 = p._at(w), r._at(w)
+    for one, many in ((r1, r2), (r2, r1)):
+        if len(one) == 1:
+            # distinct output keys, each product's lowest slot c1*c2 nonzero
+            ((g1, (lo1, x1)),) = one.items()
+            out = {g1 + g2: (lo1 + lo2, x1 * x2) for g2, (lo2, x2) in many.items()}
+            return _poly(p.table, out, w, bound, p.deg + r.deg)
+    return _poly(p.table, _add_products({}, ((r1, r2),), w), w, bound, p.deg + r.deg)
+
+
+def _product_room(p: MultiPoly, r: MultiPoly) -> tuple:
+    """(w, bound) that MultiPoly.__mul__ gives p*r: _term_room's for a
+    one-term factor, else _runs_room's."""
+    for s, t in ((p, r), (r, p)):
+        term = t._one_term()
+        if term is not None:
+            return s._term_room(abs(term[2]))
+    return _runs_room(p, r)
+
+
+def _group_sum(seed: MultiPoly, group: list, w: int, bound: int) -> MultiPoly:
+    """seed plus the products of the group's pairs, at width w in one run accumulator."""
+    if not group:
+        return seed
+    runs = _add_products(dict(seed._at(w)), ((p._at(w), r._at(w)) for p, r in group), w)
+    return _poly(seed.table, runs, w, bound, max(seed.deg, *[p.deg + r.deg for p, r in group]))
+
+
+def _sum_products(acc: MultiPoly, pairs: Sequence[Tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """acc + sum(p*r over the pairs of nonzero polys), each group of
+    consecutive pairs built in one run accumulator.
+
+    Each pair's slots and bound are the ones MultiPoly.__mul__ gives its
+    product (_product_room).  A group takes the widest of its pairs' slots
+    and its seed's, and pairs join it, in order, while the summed bound
+    fits those slots: no add of the left fold acc + p*r + ... would make
+    room there, so the group has the fold's slots, unless a partial sum
+    of the fold cancels to zero and so drops the slots it had.  The first
+    group is seeded with acc.  A pair whose bound would overflow the group
+    starts the next group, and the groups' sums are added as the fold
+    adds, which makes room from exact bounds.  A sum that cancels is the
+    zero poly.
+    """
+    table = acc.table
+    sums = []
+    seed, w, bound, group = acc, acc.w if acc.runs else 32, acc._bound, []
+    for p, r in pairs:
+        wp, bp = _product_room(p, r)
+        if (bound + bp).bit_length() >= max(w, wp):
+            sums.append(_group_sum(seed, group, w, bound))
+            seed, w, bound, group = MultiPoly.zero(table), wp, bp, [(p, r)]
+        else:
+            w, bound = max(w, wp), bound + bp
+            group.append((p, r))
+    sums.append(_group_sum(seed, group, w, bound))
+    total = sums[0]
+    for s in sums[1:]:
+        total = total + s
+    return total if total.runs else MultiPoly.zero(table)
 
 
 _BINOMIAL_NORMS: dict = {}
@@ -1011,15 +1090,35 @@ def _ratfun(num: MultiPoly, den: MultiPoly) -> RatFun:
 
 
 def _dot(pairs: Iterable[Tuple[RatFun, RatFun]], acc: RatFun) -> RatFun:
-    """acc + x*y over the pairs, folded left to right, skipping any pair with a zero factor.
+    """acc + x*y over the pairs, left to right, skipping any pair with a zero factor.
 
-    The fold order is part of the contract: unreduced RatFun sums render
-    differently when regrouped, and the package's exact output prints them.
+    While acc and both factors have denominator 1, the products go into
+    one run accumulator (_sum_products), with no intermediate product or
+    sum: a polynomial has one set of runs at a width, and rendering reads
+    values, so the grouping changes no byte.  Any other pair is folded,
+    acc = acc + x*y, once the pending products are summed into acc.  The
+    fold order binds only there, where a denominator is not 1: unreduced
+    RatFun sums render differently when regrouped, and the package's exact
+    output prints them.  Each pair keeps the fold's guards, checked in the
+    fold's order: mixed symbol tables and the total-degree bound raise the
+    StructureError that RatFun's * and + raise.
     """
+    polys = []
     for x, y in pairs:
         if x.is_zero() or y.is_zero():
             continue
+        if x.den == 1 and y.den == 1 and acc.den == 1:
+            _check_tables(x, y)
+            _check_degree(x.num, y.num)
+            _check_tables(acc, x)
+            polys.append((x.num, y.num))
+            continue
+        if polys:
+            acc = _ratfun(_sum_products(acc.num, polys), acc.den)
+            polys = []
         acc = acc + x * y
+    if polys:
+        acc = _ratfun(_sum_products(acc.num, polys), acc.den)
     return acc
 
 

@@ -403,9 +403,10 @@ def test_binomial_uppers_normalize_no_fraction(monkeypatch):
     # the uppers C/A and C/B go in as the binomials A - Cq^j and B - Cq^j,
     # which made 16 normalizations as fractions; the order-8 build and
     # compare of every check, terms unread, made 120 with them.  The same
-    # pass makes 4290 MultiPoly products
+    # pass makes 4290 MultiPoly products: 3126 by MultiPoly.__mul__ and
+    # 1164 pairs that _dot sums in its run accumulator
     calls, products = [], []
-    init, mul = RatFun.__init__, MultiPoly.__mul__
+    init, mul, fused = RatFun.__init__, MultiPoly.__mul__, ring._sum_products
 
     def counting(self, num, den):
         calls.append(self)
@@ -415,11 +416,16 @@ def test_binomial_uppers_normalize_no_fraction(monkeypatch):
         products.append(self)
         return mul(self, other)
 
+    def counting_fused(acc, pairs):
+        products.extend(p for p, _ in pairs)
+        return fused(acc, pairs)
+
     monkeypatch.setattr(RatFun, "__init__", counting)
     table, (q, A, B, C) = symbols("q A B C")
     inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), 8)
     assert calls == [] and all(c.den == 1 for c in inner)
     monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(ring, "_sum_products", counting_fused)
     for name in check_names():
         assert compare(build_sides(name, 8, 0)).passed
     assert len(calls) <= 104

@@ -296,6 +296,60 @@ def test_scalar_coercion_and_table_checks_live_only_in_ring():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _run_int(target):
+    """The name of the run int where a loop target unpacks a run, g, (lo, x)."""
+    if isinstance(target, ast.Tuple) and len(target.elts) == 2:
+        run = target.elts[1]
+        if isinstance(run, ast.Tuple) and len(run.elts) == 2 and isinstance(run.elts[1], ast.Name):
+            return run.elts[1].id
+    return None
+
+
+def _multiplies(nodes, x1, x2):
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+               and {getattr(n.left, "id", None), getattr(n.right, "id", None)} == {x1, x2}
+               for node in nodes for n in ast.walk(node))
+
+
+def _run_pair_loops(source: str):
+    """Line of each loop over one poly's runs, in a loop or comprehension
+    over another's, that multiplies the two run ints: a run-pair product."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For) and (x1 := _run_int(node.target)):
+            if any(inner is not node and isinstance(inner, ast.For)
+                   and (x2 := _run_int(inner.target)) and _multiplies(inner.body, x1, x2)
+                   for inner in ast.walk(node)):
+                hits.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            xs = [x for x in map(_run_int, (g.target for g in node.generators)) if x]
+            elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            if any(_multiplies(elts, x1, x2) for x1 in xs for x2 in xs if x1 != x2):
+                hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_run_pair_loop_finder_flags_only_pair_products():
+    source = ("for g1, (lo1, x1) in r1.items():\n"
+              "    for g2, (lo2, x2) in r2.items():\n"
+              "        acc[g1 + g2] = (lo1 + lo2, x1 * x2 << s)\n"
+              "out = {g1 + g2: (lo1 + lo2, x1 * x2) for g2, (lo2, x2) in many.items()}\n"
+              "for g1, (lo1, x1) in r1.items():\n"
+              "    for g2, (lo2, x2) in r2.items():\n"
+              "        acc[g1 + g2] = x1 + x2\n"
+              "out = [x1 * x2 for _, (_, x1) in r1.items() for _, (_, x2) in r2.items()]\n")
+    assert _run_pair_loops(source) == [1, 8]
+
+
+def test_the_run_pair_loop_is_written_once():
+    # every product of two polys, and every sum of products, goes through
+    # ring._add_products, so no second copy of the loop can drift from it
+    src = Path(qexpand.__file__).parent
+    found = {path.name: _run_pair_loops(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: len(hits) for name, hits in found.items() if hits} == {"ring.py": 1}
+
+
 def test_readme_python_examples_run():
     # each ```python block of README.md runs in a fresh namespace
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

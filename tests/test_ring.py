@@ -882,6 +882,146 @@ def test_mul_runs_match_pair_loop_reference_at_each_width(td, w):
 
 
 # ---------------------------------------------------------------------------
+# _dot over polynomials: every pair product added in one run accumulator
+
+
+def _poly_ratfun(p):
+    return RatFun(p, MultiPoly.const(p.table, 1))
+
+
+def _assert_dot_is_the_fold(pairs, acc):
+    """_dot equals the left fold in value and text; over denominator 1 its
+    runs are canonical, its slots no wider than the fold's, and its terms
+    the pair-loop reference's."""
+    got = _dot(pairs, acc)
+    fold = reduce(lambda s, xy: s + xy[0] * xy[1], pairs, acc)
+    assert got == fold and str(got) == str(fold)
+    if all(v.den == 1 for xy in pairs for v in xy) and acc.den == 1:
+        p = got.num
+        assert got.den == 1
+        assert all(ring._low(x, p.w) for _, x in p.runs.values())
+        assert all(abs(c) <= p._bound for c in p.terms.values())
+        assert p.w >= ring._width(p._bound.bit_length())
+        assert p.w <= fold.num.w
+        reference = acc.num.terms
+        for x, y in pairs:
+            reference = _add_ref(reference, _mul_terms(x.num.terms, y.num.terms))
+        assert p.terms == reference
+    return got
+
+
+def _scaled_cases(table, w):
+    s = MUL_SCALES[w]
+    return [(_poly_ratfun(p.scaled(s)), _poly_ratfun(r.scaled(s))) for p, r in _mul_cases(table)]
+
+
+@pytest.mark.parametrize("w", sorted(MUL_SCALES))
+@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+def test_dot_of_polynomials_is_the_fold_at_each_width(table, w):
+    pairs = _scaled_cases(table, w)
+    zero = RatFun.zero(table)
+    x = RatFun.sym(table, table.names[0])
+    y = RatFun.sym(table, table.names[-1])
+    _assert_dot_is_the_fold(pairs, zero)
+    # a nonzero acc, a pair in both orders, and the reversed sum
+    _assert_dot_is_the_fold(pairs + [(b, a) for a, b in pairs], pairs[1][0])
+    _assert_dot_is_the_fold(pairs[::-1], pairs[0][1] * pairs[2][0])
+    # one-term operands on either side, and a one-run one
+    three = RatFun.from_int(table, 3 * MUL_SCALES[w])
+    _assert_dot_is_the_fold([(3 * x**2 * y, pairs[0][0]), (pairs[3][1], three),
+                             (x * y, -y), (1 + x, three)], x + 2)
+    _assert_dot_is_the_fold([(pairs[0][0], y * (1 - 2 * x**3))], zero)
+
+
+@pytest.mark.parametrize("w", sorted(MUL_SCALES))
+@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+def test_dot_of_polynomials_that_cancel_is_the_zero_poly(table, w):
+    (p, r), (u, v) = _scaled_cases(table, w)[2:]
+    zero = RatFun.zero(table)
+    for pairs, acc in (([(p, r), (-p, r)], zero),
+                       ([(p, r), (u, v), (-u, v)], -(p * r)),
+                       ([(p, r), (u, v), (v, -u)], -(r * p))):
+        got = _assert_dot_is_the_fold(pairs, acc)
+        assert got.is_zero() and got.den == 1 and str(got) == "0"
+        assert got.num.deg == -1 and got.num.w == 32 and got.num._bound == 0
+    # a zero acc that a cancelled sum left in wide slots widens nothing
+    x = RatFun.sym(table, table.names[0])
+    y = RatFun.sym(table, table.names[-1])
+    wide_zero = u * v - v * u
+    assert wide_zero.is_zero() and wide_zero.num.w == w
+    _assert_dot_is_the_fold([(x, y + 1), (x - 1, x + y)], wide_zero)
+    # the lowest slot of the key y cancels across two pairs' products
+    _assert_dot_is_the_fold([(x + y, y + x * y), (x + y, -x)], zero)
+
+
+def test_dot_of_polynomials_past_the_summed_bound_keeps_the_folds_slots():
+    table, (x,) = symbols("q")
+    zero = RatFun.zero(table)
+    c = 2**28
+    # each product c*x^(4i)*(1 - x^4) is bounded by 2c, so the summed
+    # bound 10c overflows 32-bit slots; the sum telescopes to c*(1 - x^20)
+    quad = c * (1 + x + x**2 + x**3)
+    narrow = _assert_dot_is_the_fold([(quad * x ** (4 * i), 1 - x) for i in range(5)], zero)
+    assert narrow.num.terms == {table.pack((0,)): c, table.pack((20,)): -c}
+    assert narrow.num.w == 32
+    # 3*30000*30000 needs 64-bit slots
+    r = 30000 * (1 + x)
+    wide = _assert_dot_is_the_fold([(RatFun.from_int(table, 30000), r)] * 3, zero)
+    assert wide.num.w == 64
+
+
+def test_dot_folds_from_a_pair_with_a_denominator():
+    table, (q, a, b) = symbols("q a b")
+    u, v = 1 / (1 - q), 1 / (1 + q)
+    polys = [(q + a, b - 1), (2 * a, q * q - b), (q - 1, q + 1)]
+    # a fraction in the middle, first, last, and as acc: the pairs after
+    # it fold, and the ones before it are summed into acc first
+    for pairs, acc in ((polys[:2] + [(u, a)] + polys[2:] + [(v, q)], RatFun.zero(table)),
+                       ([(u, q)] + polys, a),
+                       (polys + [(q, v)], RatFun.zero(table)),
+                       (polys, u)):
+        got = _assert_dot_is_the_fold(pairs, acc)
+        assert got.den != 1
+
+
+def test_dot_of_polynomials_keeps_the_product_guards():
+    table, (q, a, b) = symbols("q a b")
+    other = symbols("q a b c")[1][0]
+    zero = RatFun.zero(table)
+    big = RatFun(MultiPoly.monomial(table, {"q": 2**24 - 1}), MultiPoly.const(table, 1))
+    with pytest.raises(StructureError, match=r"^a product reaches total degree 2\*\*24$"):
+        _dot([(q, a), (big, q + a)], zero)
+    with pytest.raises(StructureError, match=r"^a product reaches total degree 2\*\*24$"):
+        _dot([(a + 1, big + 1)], q)
+    mixed = r"^mixed symbol tables: \('q', 'a', 'b'\) vs \('q', 'a', 'b', 'c'\)$"
+    with pytest.raises(StructureError, match=mixed):
+        _dot([(q, a), (q, other)], zero)
+    # a pair of another table, and a pair whose table is not acc's
+    for pairs, acc in (([(q, other)], zero), ([(other, other)], q)):
+        with pytest.raises(StructureError, match=mixed) as fused:
+            _dot(pairs, acc)
+        with pytest.raises(StructureError) as folded:
+            reduce(lambda s, xy: s + xy[0] * xy[1], pairs, acc)
+        assert str(fused.value) == str(folded.value)
+    # a pair with a zero factor is skipped before any check
+    assert _dot([(zero, other), (big, zero)], q) is q
+    assert _dot([], q) is q
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.sampled_from(RUN_TABLES).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.tuples(small_term_dicts(t), small_term_dicts(t)),
+                                             max_size=4), small_term_dicts(t))),
+    st.sampled_from(sorted(MUL_SCALES)))
+def test_dot_of_polynomials_matches_the_fold_at_each_width(tds, w):
+    table, dicts, acc = tds
+    s = MUL_SCALES[w]
+    pairs = [(_poly_ratfun(MultiPoly(table, d1).scaled(s)), _poly_ratfun(MultiPoly(table, d2)))
+             for d1, d2 in dicts]
+    _assert_dot_is_the_fold(pairs, _poly_ratfun(MultiPoly(table, acc).scaled(s * s)))
+
+
+# ---------------------------------------------------------------------------
 # a product with the binomials 1 - q^k of a (q;q) quotient: a slot shift
 # per run where q is x, the table's first symbol, else a RatFun product
 
