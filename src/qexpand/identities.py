@@ -506,7 +506,6 @@ def check_theorem16(t: Sequence, order: int, a: Scalar = None, b: Scalar = None)
 
 def build_coro_tlnew(
     order: int,
-    r: int = 0,
     uppers: Optional[Sequence[Scalar]] = None,
     lowers: Optional[Sequence[Scalar]] = None,
     carg: Optional[Scalar] = None,
@@ -522,8 +521,8 @@ def build_coro_tlnew(
     the zq^n-shifted Pochhammers, so only the final 1/(1-az) remains as a
     series division.  Without uppers it builds the registered r = 0
     instance with symbolic upper A and argument coefficient c, and takes
-    none of lowers, carg, a, b; with uppers it needs carg, a and b, where
-    a or b is a RatFun and the rest may be ints or Fractions.
+    none of lowers, carg, a, b; with r + 1 uppers it needs r lowers, carg,
+    a and b, where a or b is a RatFun and the rest may be ints or Fractions.
     Scale: (q;q)_N^2 prod_L (L;q)_N.
     """
     if uppers is None:
@@ -538,8 +537,9 @@ def build_coro_tlnew(
         table = a.table
         q = RatFun.sym(table, "q")
         lowers = list(lowers or [])
-    if len(uppers) != r + 1 or len(lowers) != r:
-        raise StructureError(f"need r+1 uppers and r lowers for r={r}")
+    if len(lowers) != len(uppers) - 1:
+        raise StructureError(f"need one lower fewer than uppers, got {len(uppers)} uppers "
+                             f"and {len(lowers)} lowers")
 
     inner = _cleared_hyper([(1, u) for u in uppers], lowers, carg, order)
     euler = _euler_ratio_cleared(a * q, b, order)

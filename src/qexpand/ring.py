@@ -38,12 +38,11 @@ power of a sum multiplies, by binary powering.  Any other product is a
 Kronecker substitution in x that needs no conversion: each pair of runs
 multiplies as two ints, so that CPython's big-int multiply does the
 convolution.  A pair product is added to its output run at that run's
-own lowest power, so no int is wider than the run it builds; a one-run
-factor gives each output run one product, with nothing to add (see
-_mul_runs).  That run-pair loop is written once (_add_products): a sum
-of products over denominator 1 runs all its pairs through one run
-accumulator, with no intermediate product or sum, and a single product
-is its one-pair case (see _dot and _sum_products).  The binomials
+own lowest power, so no int is wider than the run it builds.  That
+run-pair accumulator is written once (_add_products): a single product
+is its one-pair case, and a sum of products over denominator 1 runs all
+its pairs through it, with no intermediate product or sum (see _dot and
+_sum_products).  The binomials
 1 - q^k of a (q;q) quotient take a slot shift and a subtract per run
 each where q is x, else a RatFun product each (see _times_binomials).
 
@@ -515,15 +514,14 @@ class MultiPoly:
             if term is not None:
                 g, lo, c = term
                 return p._term_mul(g, lo, c, (g >> self.table._degshift) + lo)
-        return _mul_runs(self, other)
+        return _add_products(MultiPoly.zero(self.table), ((self, other),),
+                             *_runs_room(self, other))
 
     __rmul__ = __mul__
 
     def scaled(self, c: int) -> "MultiPoly":
         if not c:
             return MultiPoly.zero(self.table)
-        if c == 1:
-            return self
         return self._term_mul(0, 0, c, 0)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -639,8 +637,9 @@ def _runs_room(p: MultiPoly, r: MultiPoly) -> tuple:
     products into 32-bit slots, so they are scanned for when the slot
     pairs outnumber the scanned slots sixteen to one (about where narrow
     slots began to pay for a scan on one long run, a 32x32-slot product);
-    each operand is scanned once.  A smaller product keeps the wider
-    operand's slots unless its bound overflows them.
+    each operand is scanned once.  The product keeps the wider operand's
+    slots unless its bound overflows them; a scanned operand's slots are
+    the narrowest its bound allows.
     """
     n1 = sum(x.bit_length() // p.w + 1 for _, x in p.runs.values())
     n2 = sum(x.bit_length() // r.w + 1 for _, x in r.runs.values())
@@ -648,29 +647,33 @@ def _runs_room(p: MultiPoly, r: MultiPoly) -> tuple:
     if n1 * n2 > 16 * (n1 + n2):
         p._tighten()
         r._tighten()
-        w = 32
-    else:
-        w = max(p.w, r.w)
+    w = max(p.w, r.w)
     bound = p._bound * r._bound * n
     if bound.bit_length() >= w:
         w, bound = _make_room(lambda b1, b2: b1 * b2 * n, p, r)
     return w, bound
 
 
-def _add_products(acc: dict, pairs: Iterable[Tuple[dict, dict]], w: int) -> dict:
-    """The runs of acc plus every product of runs of each pair, all at width w.
+def _add_products(seed: MultiPoly, pairs: Iterable[Tuple[MultiPoly, MultiPoly]],
+                  w: int, bound: int) -> MultiPoly:
+    """seed plus the product of each pair of polys, at slot width w, with
+    `bound` the result's coefficient bound.
 
     The one run-pair loop: each pair of runs multiplies as two ints, and
     the product is added to its output run (lo, X) at that run's own
     lowest power.  The first product for a key sets it; a later one is
     shifted up to it, or it up to the later one, as __add__ aligns runs,
     so a run far above the operands' lowest powers never becomes a wide
-    int.  `acc` is consumed.  The runs whose lowest slots cancelled are
-    shifted down or dropped once, at the end.
+    int.  The runs whose lowest slots cancelled are shifted down or
+    dropped once, at the end.
     """
+    acc = dict(seed._at(w))
     get = acc.get
-    for r1, r2 in pairs:
-        for g1, (lo1, x1) in r1.items():
+    deg = seed.deg
+    for p, r in pairs:
+        deg = max(deg, p.deg + r.deg)
+        r2 = r._at(w)
+        for g1, (lo1, x1) in p._at(w).items():
             for g2, (lo2, x2) in r2.items():
                 g = g1 + g2
                 lo = lo1 + lo2
@@ -689,26 +692,7 @@ def _add_products(acc: dict, pairs: Iterable[Tuple[dict, dict]], w: int) -> dict
         elif x:  # the lowest slot cancelled
             s = ((x & -x).bit_length() - 1) // w
             out[g] = (lo + s, x >> w * s)
-    return out
-
-
-def _mul_runs(p: MultiPoly, r: MultiPoly) -> MultiPoly:
-    """Product of two polys, each pair of runs by one int multiply, at the
-    width _runs_room picks: the one-pair case of _add_products.
-
-    When one operand has a single run, the output keys are distinct and
-    each product's lowest slot is c1*c2, nonzero because the bound keeps
-    it inside its slot: each output run is one product as it stands.
-    """
-    w, bound = _runs_room(p, r)
-    r1, r2 = p._at(w), r._at(w)
-    for one, many in ((r1, r2), (r2, r1)):
-        if len(one) == 1:
-            # distinct output keys, each product's lowest slot c1*c2 nonzero
-            ((g1, (lo1, x1)),) = one.items()
-            out = {g1 + g2: (lo1 + lo2, x1 * x2) for g2, (lo2, x2) in many.items()}
-            return _poly(p.table, out, w, bound, p.deg + r.deg)
-    return _poly(p.table, _add_products({}, ((r1, r2),), w), w, bound, p.deg + r.deg)
+    return _poly(seed.table, out, w, bound, deg)
 
 
 def _product_room(p: MultiPoly, r: MultiPoly) -> tuple:
@@ -719,14 +703,6 @@ def _product_room(p: MultiPoly, r: MultiPoly) -> tuple:
         if term is not None:
             return s._term_room(abs(term[2]))
     return _runs_room(p, r)
-
-
-def _group_sum(seed: MultiPoly, group: list, w: int, bound: int) -> MultiPoly:
-    """seed plus the products of the group's pairs, at width w in one run accumulator."""
-    if not group:
-        return seed
-    runs = _add_products(dict(seed._at(w)), ((p._at(w), r._at(w)) for p, r in group), w)
-    return _poly(seed.table, runs, w, bound, max(seed.deg, *[p.deg + r.deg for p, r in group]))
 
 
 def _sum_products(acc: MultiPoly, pairs: Sequence[Tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
@@ -750,12 +726,12 @@ def _sum_products(acc: MultiPoly, pairs: Sequence[Tuple[MultiPoly, MultiPoly]]) 
     for p, r in pairs:
         wp, bp = _product_room(p, r)
         if (bound + bp).bit_length() >= max(w, wp):
-            sums.append(_group_sum(seed, group, w, bound))
+            sums.append(_add_products(seed, group, w, bound) if group else seed)
             seed, w, bound, group = MultiPoly.zero(table), wp, bp, [(p, r)]
         else:
             w, bound = max(w, wp), bound + bp
             group.append((p, r))
-    sums.append(_group_sum(seed, group, w, bound))
+    sums.append(_add_products(seed, group, w, bound))
     total = sums[0]
     for s in sums[1:]:
         total = total + s
@@ -804,11 +780,7 @@ def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
     s = sum(ks)
     if p.deg + s >= _LIMIT and p.total_degree() + s >= _LIMIT:
         raise StructureError(f"a product reaches total degree 2**{_WIDTH}")
-    norm = _binomials_norm(ks)
-    bound = p._bound * norm
-    w = p.w
-    if bound.bit_length() >= w:
-        w, bound = _make_room(lambda b: b * norm, p)
+    w, bound = p._term_room(_binomials_norm(ks))
     shifts = [w * k for k in ks]
     out = {}
     for g, (lo, x) in p._at(w).items():

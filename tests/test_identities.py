@@ -14,6 +14,7 @@ from qexpand.errors import OrderError, PoleError, StructureError
 from qexpand.identities import (
     IdentitySides,
     _cleared_hyper,
+    _euler_ratio_cleared,
     _telescoped_sides,
     _theorem16_sides,
     build_2phi1_to_4phi3,
@@ -547,6 +548,32 @@ def test_theorem16_needs_both_or_neither_of_a_b():
         check_theorem16([1, 2], 3, a=2, b=Fraction(1, 2))
 
 
+UNIVERSAL_N = 10
+
+
+def test_theorem16_holds_for_every_g_at_order_10():
+    # both sides are linear in t, so passing for the N + 1 unit vectors
+    # e_0..e_N proves the transformation for every G at order N, with a
+    # and b symbolic
+    for k in range(UNIVERSAL_N + 1):
+        assert check_theorem16([0] * k + [1], UNIVERSAL_N).passed, k
+
+
+def test_corollary_holds_for_every_g_at_order_10():
+    # (azq;q)_inf/(bz;q)_inf G(z) against the telescoped sum divided by
+    # (1 - az), the form coro_tlnew instantiates: both sides are linear in
+    # G's coefficients, so the N + 1 unit vectors prove it for every G at
+    # order N
+    table, (q, a, b) = symbols("q a b")
+    euler = _euler_ratio_cleared(a * q, b, UNIVERSAL_N)
+    for k in range(UNIVERSAL_N + 1):
+        e = [RatFun.from_int(table, int(j == k)) for j in range(UNIVERSAL_N + 1)]
+        lhs = euler * TruncSeries(table, UNIVERSAL_N, e)
+        sides = _telescoped_sides("corollary", lhs, e, a, b, UNIVERSAL_N, euler.coeffs[0],
+                                  divide=True)
+        assert compare(sides).passed, k
+
+
 def test_theorem16_random_is_seed_deterministic():
     assert theorem16_random_t(8, 7) == theorem16_random_t(8, 7)
     assert theorem16_random_t(8, 7) != theorem16_random_t(8, 8)
@@ -561,11 +588,12 @@ def test_coro_tlnew_general_shape():
     half = RatFun.from_fraction(table, Fraction(1, 2))
     third = RatFun.from_fraction(table, Fraction(1, 3))
     report = compare(build_coro_tlnew(
-        5, r=1, uppers=[q, half], lowers=[third], carg=half, a=a, b=b
+        5, uppers=[q, half], lowers=[third], carg=half, a=a, b=b
     ))
     assert report.passed
-    with pytest.raises(StructureError, match="uppers and r lowers"):
-        build_coro_tlnew(4, r=1, uppers=[q], lowers=[], carg=half, a=a, b=b)
+    with pytest.raises(StructureError, match="^need one lower fewer than uppers, "
+                                             "got 1 uppers and 1 lowers$"):
+        build_coro_tlnew(4, uppers=[q], lowers=[third], carg=half, a=a, b=b)
 
 
 # (a, b, carg), a string naming a symbol; each id names the plain scalar
@@ -582,7 +610,7 @@ def test_plain_scalar_parameters_build_their_binomials(a, b, carg):
     named = dict(zip("abc", syms))
     a, b, carg = (named.get(x, x) for x in (a, b, carg))
     assert check_theorem16([1, q, q**2], 5, a=a, b=b).passed
-    sides = build_coro_tlnew(4, r=1, uppers=[2, q], lowers=[3], carg=carg, a=a, b=b)
+    sides = build_coro_tlnew(4, uppers=[2, q], lowers=[3], carg=carg, a=a, b=b)
     assert compare(sides).passed
 
 
@@ -594,7 +622,7 @@ def test_coro_tlnew_lower_that_zeroes_its_pochhammer_raises(lower, term):
     low = parse_ratfun(lower, table)
     message = f"lower parameter 0 makes term {term} undefined"
     with pytest.raises(PoleError, match=message):
-        build_coro_tlnew(4, r=1, uppers=[A, B], lowers=[low], carg=c, a=a, b=b)
+        build_coro_tlnew(4, uppers=[A, B], lowers=[low], carg=c, a=a, b=b)
     with pytest.raises(PoleError, match=message):
         qhyper([A, B], [low], c, 4, table)
 

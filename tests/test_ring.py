@@ -864,6 +864,25 @@ def test_mul_runs_accumulate_at_each_runs_own_base(table, w):
         _assert_product_matches_reference(table, p.terms, r.terms, w)
 
 
+@pytest.mark.parametrize("w", sorted(MUL_SCALES))
+@pytest.mark.parametrize("table", RUN_TABLES, ids=lambda t: "_".join(t.names))
+def test_a_product_is_the_one_pair_dot(table, w):
+    # MultiPoly.__mul__ and _dot's accumulator build through one routine,
+    # so a product and the one-pair sum have equal runs, slots and bound
+    # (not _exact: a product with a unit term keeps it)
+    x = MultiPoly.symbol(table, table.names[0])
+    y = MultiPoly.symbol(table, table.names[-1])
+    s = MUL_SCALES[w]
+    zero = RatFun.zero(table)
+    cases = _mul_cases(table)
+    # one-term operands, and two one-run ones
+    cases += [(-3 * x * y**2, cases[0][1]), (cases[3][0], x), (cases[0][0], x**2 * (1 - x))]
+    for p, r in cases + [(r, p) for p, r in cases]:
+        prod = p.scaled(s) * r.scaled(s)
+        fused = _dot(((_poly_ratfun(p.scaled(s)), _poly_ratfun(r.scaled(s))),), zero).num
+        assert (fused.runs, fused.w, fused._bound) == (prod.runs, prod.w, prod._bound)
+
+
 @st.composite
 def small_term_dicts(draw, table):
     # coefficients of +-1 on few exponents make pair products cancel often
@@ -968,6 +987,25 @@ def test_dot_of_polynomials_past_the_summed_bound_keeps_the_folds_slots():
     r = 30000 * (1 + x)
     wide = _assert_dot_is_the_fold([(RatFun.from_int(table, 30000), r)] * 3, zero)
     assert wide.num.w == 64
+
+
+def test_dot_past_a_cancelled_partial_sum_is_the_fold_in_canonical_runs():
+    # the fold's partial sum p*p - p*p cancels to zero, so its add returns
+    # the next product in that product's own 32-bit slots; the fused group
+    # keeps the slots of its wide pairs (_sum_products names the
+    # exception), so the width is not pinned, only the value, the text and
+    # canonical runs
+    table, (q, a) = symbols("q a")
+    p = 2**40 * (1 + q + a)
+    pairs = [(p, p), (-p, p), (q, a + 1)]
+    got = _dot(pairs, RatFun.zero(table))
+    fold = reduce(lambda s, xy: s + xy[0] * xy[1], pairs, RatFun.zero(table))
+    assert got == fold and str(got) == str(fold) == "q*a + q"
+    n = got.num
+    assert got.den == 1
+    assert all(ring._low(x, n.w) for _, x in n.runs.values())
+    assert all(abs(c) <= n._bound for c in n.terms.values())
+    assert n.w >= ring._width(n._bound.bit_length())
 
 
 def test_dot_folds_from_a_pair_with_a_denominator():
