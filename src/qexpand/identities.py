@@ -15,7 +15,8 @@ re-sum gives.  Where every right-side denominator is one term, as in
 every registered check, RatFun normalization is a full gcd reduction, so
 the value also fixes the failure text; with multi-term denominators the
 unreduced text may be grouped differently.  The failure keeps the two
-scaled coefficients and divides out and renders their text on first read.
+compared coefficients and divides out, maps and renders their text on
+first read.
 
 Both sides of a check may be multiplied by one common nonzero scale -- a
 product of z-free Pochhammer factors such as (q;q)_N -- chosen so that
@@ -24,7 +25,10 @@ blow-up is the one thing the unreduced RatFun representation cannot
 absorb).  The verdict is unaffected and reported failure values are
 divided back out.  Checks whose coefficients carry one-term denominators
 go further: they are built where every coefficient is a polynomial and
-divided back once per coefficient (_divided_sides).
+divided back once per coefficient (_divided_sides).  A check whose
+factors are all symmetric in two of its parameters A and B is built and
+compared over E = A + B and F = AB, and each value a caller reads is
+mapped back on first read (_SymmetricSides).
 
 Every sum over expansion-like terms truncates soundly at N because term n
 always carries z-valuation >= n.
@@ -36,12 +40,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, PoleError, StructureError
 from .inversion import b_column1, base_matrix, lt_inverse, _kernel_chain
-from .ring import MultiPoly, RatFun, _coerce_scalar, _dot, _times_binomials, symbols
+from .ring import (MultiPoly, RatFun, SymbolTable, _coerce_scalar, _dot, _from_symmetric,
+                   _times_binomials, symbols)
 from .series import (
     Scalar,
     TruncSeries,
@@ -59,25 +64,27 @@ def _unscaled(c: RatFun, scale: RatFun) -> RatFun:
 
 
 class FirstFailure:
-    """The first index where the sides differ, with both values unscaled.
+    """The first index where the sides differ, with both values as read.
 
-    It keeps the two scaled coefficients and the scale; `lhs` and `rhs`
-    divide the scale out and render on first read, once each, so a
-    caller that reads only `index` pays for no division or text.
+    It keeps the two compared coefficients and `show`, which gives a
+    compared value as a caller reads it (unscaled, and over the caller's
+    table); `lhs` and `rhs` show and render on first read, once each, so
+    a caller that reads only `index` pays for no division or text.
     """
 
-    def __init__(self, index: int, lhs: RatFun, rhs: RatFun, scale: RatFun):
+    def __init__(self, index: int, lhs: RatFun, rhs: RatFun,
+                 show: Callable[[RatFun], RatFun]):
         self.index = index
-        self._scaled = (lhs, rhs)
-        self._scale = scale
+        self._compared = (lhs, rhs)
+        self._show = show
 
     @cached_property
     def lhs(self) -> str:
-        return str(_unscaled(self._scaled[0], self._scale))
+        return str(self._show(self._compared[0]))
 
     @cached_property
     def rhs(self) -> str:
-        return str(_unscaled(self._scaled[1], self._scale))
+        return str(self._show(self._compared[1]))
 
     def to_json_dict(self) -> dict:
         return {"index": self.index, "lhs": self.lhs, "rhs": self.rhs}
@@ -162,19 +169,96 @@ class IdentitySides:
     def unscaled_rhs(self) -> List[RatFun]:
         return [self.unscaled_coeff(c) for c in self.rhs().coeffs]
 
+    def _compared(self) -> Tuple["IdentitySides", Callable[[RatFun], RatFun]]:
+        """The sides `compare` reads, and how one of their values is shown;
+        a failure keeps the latter, which holds the scale and not the sides."""
+        return self, partial(_unscaled, scale=self.scale)
+
+
+class _SymmetricSides(IdentitySides):
+    """Sides built and compared over (q, E, F, ...), read over `table` =
+    (q, A, B, ...) at E = A + B, F = AB (ring's _from_symmetric).
+
+    Each value a caller reads -- `lhs`, `rhs()`, `rhs_terms`, `scale` and
+    a failure's text -- is mapped on its first read, so a compare that
+    passes maps nothing.  `compare` reads the built sides while
+    `rhs_terms` holds the terms it first showed; once the list is
+    assigned, or an entry replaced, it compares over `table` the sides
+    the caller now reads, with the list re-summed as IdentitySides does.
+    """
+
+    def __init__(self, built: IdentitySides, table: SymbolTable):
+        self.name, self.parameters, self.order = built.name, built.parameters, built.order
+        self.table = table
+        self._built = built
+        self._terms = self._shown = self._plain = None
+
+    def _map(self, c: RatFun) -> RatFun:
+        return _from_symmetric(c, self.table)
+
+    def _series(self, s: TruncSeries) -> TruncSeries:
+        return TruncSeries(self.table, s.order, [self._map(c) for c in s.coeffs])
+
+    @cached_property
+    def lhs(self) -> TruncSeries:
+        return self._series(self._built.lhs)
+
+    @cached_property
+    def scale(self) -> RatFun:
+        return self._map(self._built.scale)
+
+    @cached_property
+    def _rhs(self) -> TruncSeries:
+        return self._series(self._built.rhs())
+
+    @property
+    def rhs_terms(self) -> List[TruncSeries]:
+        if self._terms is None:
+            self._terms = [self._series(t) for t in self._built.rhs_terms]
+            self._shown = tuple(self._terms)
+        return self._terms
+
+    @rhs_terms.setter
+    def rhs_terms(self, terms: List[TruncSeries]) -> None:
+        self._terms = terms
+
+    def _edited(self) -> Optional[IdentitySides]:
+        """Sides over `table` with the caller's list, or None while the
+        list holds the terms first shown."""
+        terms, shown = self._terms, self._shown
+        if terms is None or (shown is not None and len(terms) == len(shown)
+                             and all(x is y for x, y in zip(terms, shown))):
+            return None
+        if self._plain is None or self._plain._terms is not terms:
+            self._plain = IdentitySides(self.name, self.parameters, self.lhs, terms, self.scale)
+        return self._plain
+
+    def rhs(self) -> TruncSeries:
+        edited = self._edited()
+        return self._rhs if edited is None else edited.rhs()
+
+    def _compared(self) -> Tuple[IdentitySides, Callable[[RatFun], RatFun]]:
+        edited = self._edited()
+        if edited is not None:
+            return edited._compared()
+        table, scale = self.table, self._built.scale
+        return self._built, lambda c: _unscaled(_from_symmetric(c, table),
+                                                _from_symmetric(scale, table))
+
 
 def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityReport:
     """Compare the two sides; optionally scale RHS term `perturb` by (1+q)."""
-    if perturb is not None and not 0 <= perturb < len(sides.rhs_terms):
-        raise OrderError(f"no RHS term {perturb} (have {len(sides.rhs_terms)})")
-    lhs, rhs = sides.lhs.coeffs, sides.rhs().coeffs
-    term = None if perturb is None else sides.rhs_terms[perturb].coeffs
+    at, show = sides._compared()
+    if perturb is not None and not 0 <= perturb < len(at.rhs_terms):
+        raise OrderError(f"no RHS term {perturb} (have {len(at.rhs_terms)})")
+    lhs, rhs = at.lhs.coeffs, at.rhs().coeffs
+    term = None if perturb is None else at.rhs_terms[perturb].coeffs
     for m in range(sides.order + 1):
         r = rhs[m]
         if term is not None and not term[m].is_zero():
-            r = r + term[m] * RatFun.sym(sides.table, "q")
+            r = r + term[m] * RatFun.sym(at.table, "q")
         if not lhs[m] == r:
-            failure = FirstFailure(m, lhs[m], r, sides.scale)
+            failure = FirstFailure(m, lhs[m], r, show)
             return IdentityReport(sides.name, sides.parameters, sides.order, False, failure)
     return IdentityReport(sides.name, sides.parameters, sides.order, True, None)
 
@@ -277,13 +361,16 @@ def _euler_ratio_cleared(a: RatFun, b: RatFun, order: int) -> TruncSeries:
     """(az;q)_inf/(bz;q)_inf (q;q)_N with polynomial coefficients.
 
     The quotient F satisfies (1-bz) F(z) = (1-az) F(qz), so its m-th
-    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m, the 1phi0 with upper
-    (b, a) of _cleared_hyper; clearing with (q;q)_N/(q;q)_m keeps every
-    coefficient a polynomial (the two Euler sums multiplied term by term
-    would drag unreduced (q;q)_j (q;q)_(m-j) denominators through every
-    addition instead).  Coefficient 0 is (q;q)_N.
+    coefficient is prod_(j<m) (b - aq^j) / (q;q)_m, the 1phi0 of
+    _cleared_hyper whose step j adds b - aq^j; clearing with
+    (q;q)_N/(q;q)_m keeps every coefficient a polynomial (the two Euler
+    sums multiplied term by term would drag unreduced (q;q)_j (q;q)_(m-j)
+    denominators through every addition instead).  Coefficient 0 is
+    (q;q)_N.
     """
-    return TruncSeries(a.table, order, _cleared_hyper([(b, a)], [], RatFun.one(a.table), order))
+    q = RatFun.sym(a.table, "q")
+    return TruncSeries(a.table, order,
+                       _cleared_hyper(lambda j: b - a * q**j, RatFun.one(a.table), order))
 
 
 def _telescoped_sides(
@@ -385,24 +472,11 @@ def _prefactored_terms(xs: List[TruncSeries], rs: List[RatFun]) -> List[TruncSer
     return xs
 
 
-def _cleared_hyper(
-    uppers: Sequence[Tuple[Scalar, Scalar]], lowers: Sequence[RatFun], carg: RatFun, order: int
-) -> List[RatFun]:
-    """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
-
-    Each upper is a pair (v, u) standing for u/v with v^k, as
-    (u/v;q)_k v^k = prod_(j<k) (v - uq^j): an upper C/A at argument AB is
-    (A, C) at argument B.  coeffs[k] = prod_U (u/v;q)_k v^k c^k
-    (q;q)_N/(q;q)_k prod_L (Lq^k;q)_(N-k), each Pochhammer a running
-    product of binomials but (q;q)_N/(q;q)_k, ring's _times_binomials;
-    coefficient 0 is the scale.  In the telescoped assembly these are
-    also the z-free parts of the inner series' summands, whose only
-    remaining n-dependence is q^(nk).  A lower with 1 - Lq^j = 0, j < N,
-    raises PoleError as qhyper does.
-    """
-    table = carg.table
+def _lower_tails(lowers: Sequence[Scalar], table: SymbolTable, order: int) -> List[RatFun]:
+    """prod_L (Lq^k;q)_(N-k) for k = 0..N, built from k = N down.  A lower
+    with 1 - Lq^j = 0, j < N, raises PoleError as qhyper does."""
     q = RatFun.sym(table, "q")
-    tails = [RatFun.one(table)]  # prod_L (Lq^k;q)_(N-k), built from k = N down
+    tails = [RatFun.one(table)]
     for k in range(order - 1, -1, -1):
         tails.insert(0, tails[0])
         for l in lowers:
@@ -411,14 +485,33 @@ def _cleared_hyper(
         k, i = next((k, i) for k in range(order) for i, l in enumerate(lowers)
                     if (1 - l * q**k).is_zero())
         raise PoleError(f"lower parameter {i} makes term {k + 1} undefined")
+    return tails
+
+
+def _cleared_hyper(
+    upper: Callable[[int], RatFun], carg: RatFun, order: int,
+    tails: Optional[List[RatFun]] = None,
+) -> List[RatFun]:
+    """Coefficients of r+1_phi_r(U;L;q,cz) cleared by (q;q)_N prod (L;q)_N.
+
+    upper(j) is the factor prod_U (v - uq^j) that step j adds, each upper
+    in the form (u/v;q)_k v^k = prod_(j<k) (v - uq^j): an upper C/A at
+    argument AB is A - Cq^j at argument B.  coeffs[k] = prod_(j<k)
+    upper(j) c^k (q;q)_N/(q;q)_k tails[k], with tails the lowers'
+    prod_L (Lq^k;q)_(N-k) from _lower_tails (none: no lowers), each
+    Pochhammer a running product but (q;q)_N/(q;q)_k, ring's
+    _times_binomials; coefficient 0 is the scale.  In the telescoped
+    assembly these are also the z-free parts of the inner series'
+    summands, whose only remaining n-dependence is q^(nk).
+    """
+    table = carg.table
     coeffs = []
-    p = RatFun.one(table)  # prod_U (u/v;q)_k v^k c^k
+    p = RatFun.one(table)  # prod_(j<k) upper(j) c^k
     for k in range(order + 1):
         sc = _times_binomials(p, range(k + 1, order + 1))
-        coeffs.append(sc * tails[k] if lowers else sc)
+        coeffs.append(sc if tails is None else sc * tails[k])
         if k < order:
-            for v, u in uppers:
-                p = p * (v - u * q**k)
+            p = p * upper(k)
             p = p if carg.is_one() else p * carg
     return coeffs
 
@@ -453,7 +546,7 @@ def build_theorem16_3phi2(order: int) -> IdentitySides:
     Scale: (q;q)_N^2.
     """
     table, (q, a, b, A, B) = symbols("q a b A B")
-    t = _cleared_hyper([(1, A)], [], B, order)
+    t = _cleared_hyper(lambda j: 1 - A * q**j, B, order)
     return _theorem16_sides("theorem16_3phi2", t, a, b, order, t[0])
 
 
@@ -541,7 +634,9 @@ def build_coro_tlnew(
         raise StructureError(f"need one lower fewer than uppers, got {len(uppers)} uppers "
                              f"and {len(lowers)} lowers")
 
-    inner = _cleared_hyper([(1, u) for u in uppers], lowers, carg, order)
+    inner = _cleared_hyper(
+        lambda j: math.prod((1 - u * q**j for u in uppers[1:]), start=1 - uppers[0] * q**j),
+        carg, order, _lower_tails(lowers, table, order) if lowers else None)
     euler = _euler_ratio_cleared(a * q, b, order)
     lhs = euler * TruncSeries(table, order, inner)
     return _telescoped_sides(
@@ -559,19 +654,36 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     trailing geometric division.  Scale: (q;q)_N^2 (C;q)_N.
 
     Both sides are built at argument Cz, where every coefficient is a
-    polynomial: the 2phi1 at argument C, the inner one at AB (uppers (A, C)
-    and (B, C) at 1), the telescoped sum at a = AB, b = C, and the base at
-    a = AB/C, b = 1 taken at Cz.  _divided_sides divides coefficient m by C^m.
+    polynomial: the 2phi1 at argument C, the inner one at AB (uppers C/A
+    and C/B as A - Cq^j and B - Cq^j at 1), the telescoped sum at a = AB,
+    b = C, and the base at a = AB/C, b = 1 taken at Cz.  _divided_sides
+    divides coefficient m by C^m.
+
+    Every factor is symmetric in A and B, so the sides are built and
+    compared over (q, E, F, C), E = A + B and F = AB:
+    (A;q)_k (B;q)_k = prod_(j<k) (1 - Eq^j + Fq^(2j)) and (A - Cq^j)(B -
+    Cq^j) = F - ECq^j + C^2 q^(2j).  E and F are algebraically independent
+    (B. Sturmfels, Algorithms in Invariant Theory, 1.1), so E -> A + B,
+    F -> AB is injective and the verdict is the one over (q, A, B, C);
+    every value a caller reads is mapped there on first read
+    (_SymmetricSides).  Each coefficient's denominator is an integer times
+    a monomial in q and C, which the map leaves as it is, and over (q, A,
+    B, C) such a value has one normal form, so each mapped value has the
+    bytes of the build over (q, A, B, C).
     """
-    table, (q, A, B, C) = symbols("q A B C")
+    table, (q, E, F, C) = symbols("q E F C")
+    tails = _lower_tails([C], table, order)
     # the 2phi1 cleared like the inner series, then by one more (q;q)_N;
     # its coefficient 0 is the scale
     qq = range(1, order + 1)
     lhs = TruncSeries(table, order, [
-        _times_binomials(c, qq) for c in _cleared_hyper([(1, A), (1, B)], [C], C, order)])
-    inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), order)
-    sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, A * B, C, order, lhs.coeffs[0])
-    return _divided_sides(sides, 1, C)
+        _times_binomials(c, qq)
+        for c in _cleared_hyper(lambda j: 1 - E * q**j + F * q ** (2 * j), C, order, tails)])
+    ec, cc = E * C, C * C
+    inner = _cleared_hyper(lambda j: F - ec * q**j + cc * q ** (2 * j),
+                           RatFun.one(table), order, tails)
+    sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, F, C, order, lhs.coeffs[0])
+    return _SymmetricSides(_divided_sides(sides, 1, C), SymbolTable(("q", "A", "B", "C")))
 
 
 def build_partial_theta(order: int) -> IdentitySides:

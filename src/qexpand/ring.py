@@ -13,8 +13,9 @@ with field width W = 24 bits.  Putting the total degree in the topmost
 field makes plain integer comparison of keys agree with graded
 lexicographic order on the declared symbols, and key addition is
 exponent-vector addition.  Both need every field below 2**24, which is
-enforced, not assumed: `SymbolTable.pack`, `MultiPoly.__mul__` and
-`MultiPoly.__pow__` raise StructureError when an exponent could reach it.
+enforced, not assumed: `SymbolTable.pack`, `MultiPoly.__mul__`,
+`MultiPoly.__pow__` and _poly_from_symmetric raise StructureError when an
+exponent could reach it.
 
 A polynomial groups its terms by the part of the key free of the first
 symbol x (q in every table the package builds), whose coefficients come in
@@ -45,6 +46,8 @@ its pairs through it, with no intermediate product or sum (see _dot and
 _sum_products).  The binomials
 1 - q^k of a (q;q) quotient take a slot shift and a subtract per run
 each where q is x, else a RatFun product each (see _times_binomials).
+A poly in E = A + B and F = AB maps to one in A and B by integer
+multiples of its runs (see _poly_from_symmetric).
 
 Quotients are *not* reduced by multivariate gcd -- that is a deliberate
 trade: normalization is limited to integer content, a common monomial
@@ -684,6 +687,12 @@ def _add_products(seed: MultiPoly, pairs: Iterable[Tuple[MultiPoly, MultiPoly]],
                     acc[g] = (run[0], run[1] + (x1 * x2 << w * (lo - run[0])))
                 else:
                     acc[g] = (lo, x1 * x2 + (run[1] << w * (run[0] - lo)))
+    return _poly(seed.table, _uncancelled(acc, w), w, bound, deg)
+
+
+def _uncancelled(acc: dict, w: int) -> dict:
+    """The runs of `acc` with each cancelled lowest slot shifted out, and
+    each run that cancelled dropped."""
     out = {}
     mask = (1 << w) - 1
     for g, (lo, x) in acc.items():
@@ -692,7 +701,7 @@ def _add_products(seed: MultiPoly, pairs: Iterable[Tuple[MultiPoly, MultiPoly]],
         elif x:  # the lowest slot cancelled
             s = ((x & -x).bit_length() - 1) // w
             out[g] = (lo + s, x >> w * s)
-    return _poly(seed.table, out, w, bound, deg)
+    return out
 
 
 def _product_room(p: MultiPoly, r: MultiPoly) -> tuple:
@@ -788,6 +797,89 @@ def _times_binomials(c: "RatFun", ks: Sequence[int]) -> "RatFun":
             x -= x << sh
         out[g] = (lo, x)
     return _ratfun(_poly(table, out, w, bound, p.deg + s), c.den)
+
+
+def _poly_from_symmetric(p: MultiPoly, table: SymbolTable) -> MultiPoly:
+    """p over (x, E, F, ...) at E = A + B, F = AB, as a poly over `table`
+    = (x, A, B, ...), whose other symbols are p's.
+
+    E^i F^j = sum_(t=0..i) binom(i, t) A^(t+j) B^(i-t+j), so the run X of
+    key E^i F^j g, g free of E and F, adds binom(i, t) X into the run of
+    key A^(t+j) B^(i-t+j) g: no term is decoded and no product taken.  The
+    image is symmetric in A and B, so only the t <= i/2 are added, into
+    the runs with no more A than B, and each of those runs is also the
+    run of its mirror, A and B swapped.  A run lands at its own lowest
+    power, as _add_products lands products, and runs and lowest slots
+    that cancel (E^2 - 2F = A^2 + B^2 loses its AB run) are dropped.  An
+    output coefficient sums binom(i, t) c
+    over the (i, j) of one i + 2j, so it is at most p's bound times
+    binom(I, I//2) + binom(I-2, (I-2)//2) + ..., I the largest power of
+    E; that sets the slots once, as for a term of that coefficient.
+    """
+    src = p.table
+    if len(table) != len(src):
+        raise StructureError(f"cannot map {src.names} to {table.names}")
+    if not p.runs:
+        return MultiPoly.zero(table)
+    ds, s1, s2 = src._degshift, src._shifts[1], src._shifts[2]
+    top = most = 0  # the largest powers of E and of F
+    for g in p.runs:
+        i, j = (g >> s1) & _MASK, (g >> s2) & _MASK
+        if i > top:
+            top = i
+        if j > most:
+            most = j
+    # each term's total degree grows by its power of F
+    deg = p.deg + most
+    if deg >= _LIMIT:
+        v = p.w
+        deg = max((g >> ds) + ((g >> s2) & _MASK) + lo + x.bit_length() // v
+                  for g, (lo, x) in p.runs.items())
+        if deg >= _LIMIT:
+            raise StructureError(f"the image reaches total degree 2**{_WIDTH}")
+    w, bound = p._term_room(sum(math.comb(i, i // 2) for i in range(top, -1, -2)))
+    step = (1 << s1) - (1 << s2)  # one power of A for one of B
+    acc = {}
+    get = acc.get
+    for g, (lo, x) in p._at(w).items():
+        i, j = (g >> s1) & _MASK, (g >> s2) & _MASK
+        key = g + (j << ds) + ((j - i) << s1) + (i << s2)  # A^j B^(i+j) g
+        c = 1
+        for t in range(i // 2 + 1):  # no more A than B: the rest mirror
+            y = x if c == 1 else x * c
+            run = get(key)
+            if run is None:
+                acc[key] = (lo, y)
+            elif run[0] <= lo:
+                acc[key] = (run[0], run[1] + (y << w * (lo - run[0])))
+            else:
+                acc[key] = (lo, y + (run[1] << w * (run[0] - lo)))
+            key += step
+            c = c * (i - t) // (t + 1)
+    runs = _uncancelled(acc, w)
+    for g, run in list(runs.items()):
+        d = ((g >> s2) & _MASK) - ((g >> s1) & _MASK)
+        if d:  # the run of A^a B^b is the one of A^b B^a
+            runs[g + d * step] = run
+    return _poly(table, runs, w, bound, deg)
+
+
+def _from_symmetric(c: "RatFun", table: SymbolTable) -> "RatFun":
+    """c over (x, E, F, ...) at E = A + B, F = AB, over `table` = (x, A,
+    B, ...): num and den each mapped by _poly_from_symmetric.
+
+    The pair is in normal form as it stands, once its denominator's
+    leading coefficient is positive.  E and F are algebraically
+    independent over every prime field, so the map is injective mod every
+    prime and keeps integer content.  It keeps each term's powers of the
+    other symbols, so it keeps their monomial content, and A^k (as B^k)
+    divides the image of a poly exactly when F^k divides the poly.  Where
+    the denominator is free of E and F, it is mapped as it stands.
+    """
+    num, den = _poly_from_symmetric(c.num, table), _poly_from_symmetric(c.den, table)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return _ratfun(num, den)
 
 
 def render_poly(p: MultiPoly) -> str:

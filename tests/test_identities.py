@@ -15,6 +15,7 @@ from qexpand.identities import (
     IdentitySides,
     _cleared_hyper,
     _euler_ratio_cleared,
+    _lower_tails,
     _telescoped_sides,
     _theorem16_sides,
     build_2phi1_to_4phi3,
@@ -33,7 +34,14 @@ from qexpand.identities import (
     run_check,
     theorem16_random_t,
 )
-from qexpand.ring import MultiPoly, RatFun, _times_binomials, parse_ratfun, symbols
+from qexpand.ring import (
+    MultiPoly,
+    RatFun,
+    _times_binomials,
+    expression_symbols,
+    parse_ratfun,
+    symbols,
+)
 from qexpand.series import (
     TruncSeries,
     _element,
@@ -402,10 +410,11 @@ def _ref_rogers_fine(order):
 
 def test_binomial_uppers_normalize_no_fraction(monkeypatch):
     # the uppers C/A and C/B go in as the binomials A - Cq^j and B - Cq^j,
-    # which made 16 normalizations as fractions; the order-8 build and
+    # whose product is F - ECq^j + C^2 q^(2j) over (q, E, F, C); as
+    # fractions they made 16 normalizations, and the order-8 build and
     # compare of every check, terms unread, made 120 with them.  The same
-    # pass makes 4290 MultiPoly products: 3126 by MultiPoly.__mul__ and
-    # 1164 pairs that _dot sums in its run accumulator
+    # pass makes 4259 MultiPoly products: by MultiPoly.__mul__, and the
+    # pairs that _dot sums in its run accumulator
     calls, products = [], []
     init, mul, fused = RatFun.__init__, MultiPoly.__mul__, ring._sum_products
 
@@ -422,15 +431,16 @@ def test_binomial_uppers_normalize_no_fraction(monkeypatch):
         return fused(acc, pairs)
 
     monkeypatch.setattr(RatFun, "__init__", counting)
-    table, (q, A, B, C) = symbols("q A B C")
-    inner = _cleared_hyper([(A, C), (B, C)], [C], RatFun.one(table), 8)
+    table, (q, E, F, C) = symbols("q E F C")
+    inner = _cleared_hyper(lambda j: F - E * C * q**j + C**2 * q ** (2 * j),
+                           RatFun.one(table), 8, _lower_tails([C], table, 8))
     assert calls == [] and all(c.den == 1 for c in inner)
     monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
     monkeypatch.setattr(ring, "_sum_products", counting_fused)
     for name in check_names():
         assert compare(build_sides(name, 8, 0)).passed
     assert len(calls) <= 104
-    assert len(products) <= 4290
+    assert len(products) <= 4259
 
 
 def _ref_theorem16_random(order, seed):
@@ -809,6 +819,62 @@ def test_reassigned_lazy_rhs_terms_rebuild_the_kept_sums():
 
 def test_in_place_edits_of_lazy_rhs_terms_rebuild_the_sum():
     _in_place_edits_of_rhs_terms_rebuild_the_sum("theorem16_const")
+
+
+# the same for the check built over (q, E, F, C) and read over (q, A, B, C)
+
+
+def test_reassigned_symmetric_rhs_terms_rebuild_the_kept_sums():
+    _reassigned_rhs_terms_rebuild_the_kept_sums("2phi1_to_4phi3")
+    # a compare of edited terms is the one over (q, A, B, C), text and all
+    sides = build_sides("2phi1_to_4phi3", 4)
+    q = RatFun.sym(sides.table, "q")
+    sides.rhs_terms = [sides.rhs_terms[0].scale(1 + q)] + sides.rhs_terms[1:]
+    assert compare(sides).to_json_dict() == _eager_report(build_sides("2phi1_to_4phi3", 4), 0)
+
+
+def test_in_place_edits_of_symmetric_rhs_terms_rebuild_the_sum():
+    _in_place_edits_of_rhs_terms_rebuild_the_sum("2phi1_to_4phi3")
+
+
+def test_symmetric_sides_map_only_what_is_read(monkeypatch):
+    # a passing compare, and a failing one whose index alone is read, map
+    # nothing back from (q, E, F, C)
+    calls = []
+    mapping = ring._poly_from_symmetric
+
+    def counting(p, table):
+        calls.append(p)
+        return mapping(p, table)
+
+    monkeypatch.setattr(ring, "_poly_from_symmetric", counting)
+    sides = build_sides("2phi1_to_4phi3", 8)
+    assert compare(sides).passed
+    assert calls == []
+    report = compare(sides, perturb=3)
+    index = report.first_failure.index
+    assert calls == []
+    assert index == _first_nonzero_index(sides.rhs_terms[3])
+    del calls[:]
+    # the text maps each of the two values once, with the scale it is
+    # divided by, num and den each
+    report.first_failure.to_json_dict()
+    report.first_failure.to_json_dict()
+    assert len(calls) == 8
+
+
+def test_symmetric_sides_are_read_over_the_roots():
+    roots = ("q", "A", "B", "C")
+    sides = build_sides("2phi1_to_4phi3", 5)
+    assert sides.table.names == roots
+    series = [sides.lhs, sides.rhs(), *sides.rhs_terms]
+    assert all(s.table.names == roots for s in series)
+    values = [sides.scale, *sides.unscaled_lhs(), *sides.unscaled_rhs()]
+    values += [c for s in series for c in s.coeffs]
+    assert all(v.table.names == roots for v in values)
+    fail = compare(sides, perturb=2).first_failure
+    for text in (fail.lhs, fail.rhs):
+        assert set(expression_symbols(text)) <= set(roots)
 
 
 def _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, builder, at_build, builds):

@@ -24,6 +24,8 @@ from qexpand.ring import (
     SymbolTable,
     _cancel,
     _dot,
+    _from_symmetric,
+    _poly_from_symmetric,
     expression_symbols,
     parse_ratfun,
     symbols,
@@ -1195,3 +1197,101 @@ def test_terms_is_read_only():
     with pytest.raises(TypeError):
         p.terms[0] = 2
     assert p.terms == {0: 1, TABLE.pack((2, 1, 0)): -4}
+
+
+# ---------------------------------------------------------------------------
+# the map from (q, E, F, C) to (q, A, B, C) at E = A + B, F = AB
+
+SYMMETRIC = SymbolTable(("q", "E", "F", "C"))
+ROOTS = SymbolTable(("q", "A", "B", "C"))
+# both tables' symbols, so that reference.substitute can put in A + B and AB
+BOTH = SymbolTable(("q", "E", "F", "C", "A", "B"))
+
+# coefficients at and across the 32-, 64- and 128-bit slot boundaries: the
+# binomials binom(i, t) push each of them past its slots
+SLOT_EDGES = [2**31 - 1, -(2**31), 2**31, 2**63 - 1, -(2**63), 2**63 + 5, 2**127 - 1]
+
+
+def _symmetric_reference(f):
+    """f's image by reference.substitute over BOTH, read back over ROOTS."""
+    A, B = RatFun.sym(BOTH, "A"), RatFun.sym(BOTH, "B")
+    image = substitute(parse_ratfun(str(f), BOTH), {"E": A + B, "F": A * B}, RatFun.one(BOTH))
+    return parse_ratfun(str(image), ROOTS)
+
+
+def _assert_maps_as_substitution(p):
+    got = _poly_from_symmetric(p, ROOTS)
+    want = _symmetric_reference(RatFun(p, MultiPoly.const(SYMMETRIC, 1)))
+    assert got.table is ROOTS
+    # equal polys have equal runs at one width, so == also checks that no
+    # run or lowest slot that cancelled was kept
+    assert got == want.num and want.den == 1
+    assert str(got) == str(want.num)
+    assert max(map(abs, got.terms.values()), default=0) <= got._bound
+
+
+@pytest.mark.parametrize("max_coeff", [9, 2**31 - 1, 2**63 + 5])
+def test_symmetric_map_matches_substitution(max_coeff):
+    import random
+
+    rng = random.Random(32)
+    for nterms, max_exp in ((0, 1), (1, 4), (6, 3), (40, 5), (120, 7)):
+        _assert_maps_as_substitution(_random_poly(rng, SYMMETRIC, nterms, max_exp, max_coeff))
+
+
+@settings(max_examples=120)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 4),
+                          st.one_of(st.integers(-9, 9), st.sampled_from(SLOT_EDGES))),
+                max_size=10))
+def test_symmetric_map_matches_substitution_random(terms):
+    acc = {}
+    for exps, c in terms:
+        key = SYMMETRIC.pack(exps)
+        acc[key] = acc.get(key, 0) + c
+    _assert_maps_as_substitution(MultiPoly(SYMMETRIC, acc))
+
+
+@pytest.mark.parametrize("c", SLOT_EDGES)
+def test_symmetric_map_widens_slots_past_the_binomials(c):
+    # c E^4 has the coefficient 6c at A^2 B^2, past c's slots
+    p = MultiPoly.monomial(SYMMETRIC, {"E": 4, "q": 1}, c) + MultiPoly.const(SYMMETRIC, c)
+    _assert_maps_as_substitution(p)
+    got = _poly_from_symmetric(p, ROOTS)
+    assert got == MultiPoly(ROOTS, {ROOTS.pack(e): c * k for e, k in (
+        ((1, 4, 0, 0), 1), ((1, 3, 1, 0), 4), ((1, 2, 2, 0), 6), ((1, 1, 3, 0), 4),
+        ((1, 0, 4, 0), 1), ((0, 0, 0, 0), 1))})
+
+
+def test_symmetric_map_drops_what_cancels():
+    t, (q, E, F, C) = symbols("q E F C")
+    assert _poly_from_symmetric(MultiPoly.zero(SYMMETRIC), ROOTS) == MultiPoly.zero(ROOTS)
+    # E^2 - 2F = A^2 + B^2: the AB run cancels and is dropped
+    squares = _poly_from_symmetric((E**2 - 2 * F).num, ROOTS)
+    assert str(squares) == "A^2 + B^2" and len(squares.runs) == 2
+    # ... and where it cancels at q^0 only, its lowest slot moves up to q
+    p = _poly_from_symmetric((E**2 - 2 * F + q * F + C * q**2 * E).num, ROOTS)
+    assert p.runs[ROOTS.pack((0, 1, 1, 0))] == (1, 1)
+    _assert_maps_as_substitution((E**2 - 2 * F + q * F + C * q**2 * E).num)
+
+
+def test_symmetric_map_keeps_the_degree_guard():
+    # F^(2^24 - 1) has degree below the field bound, its image (AB)^(2^24 - 1) not
+    p = MultiPoly.monomial(SYMMETRIC, {"F": 2**24 - 1})
+    with pytest.raises(StructureError):
+        _poly_from_symmetric(p, ROOTS)
+    q = MultiPoly.monomial(SYMMETRIC, {"F": 2**23 - 2, "E": 3})
+    assert _poly_from_symmetric(q, ROOTS).total_degree() == 2**24 - 1
+
+
+def test_symmetric_map_of_a_quotient_is_normal():
+    t, (q, E, F, C) = symbols("q E F C")
+    for f in [(E**2 - 2 * F) / (q * C**2), 3 * F**2 * q / (6 * C), (E - q) / (F * C),
+              1 / (E - F), (E * q - 1) / (2 * E * F - F**3), RatFun.zero(t)]:
+        got, want = _from_symmetric(f, ROOTS), _symmetric_reference(f)
+        assert got == want
+        # the normal form as the constructor gives it: no content or
+        # monomial left to cancel, and a positive leading coefficient
+        renormal = RatFun(got.num, got.den)
+        assert (got.num, got.den) == (renormal.num, renormal.den), str(f)
+        if got.den.is_term():
+            assert str(got) == str(want)
