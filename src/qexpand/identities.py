@@ -15,7 +15,7 @@ re-sum gives.  Where every right-side denominator is one term, as in
 every registered check, RatFun normalization is a full gcd reduction, so
 the value also fixes the failure text; with multi-term denominators the
 unreduced text may be grouped differently.  The failure keeps the two
-compared coefficients and divides out, maps and renders their text on
+compared coefficients and maps, divides out and renders their text on
 first read.
 
 Both sides of a check may be multiplied by one common nonzero scale -- a
@@ -24,11 +24,16 @@ every coefficient that enters an addition is a polynomial (denominator
 blow-up is the one thing the unreduced RatFun representation cannot
 absorb).  The verdict is unaffected and reported failure values are
 divided back out.  Checks whose coefficients carry one-term denominators
-go further: they are built where every coefficient is a polynomial and
-divided back once per coefficient (_divided_sides).  A check whose
-factors are all symmetric in two of its parameters A and B is built and
-compared over E = A + B and F = AB, and each value a caller reads is
-mapped back on first read (_SymmetricSides).
+go further: they are built where every coefficient is a polynomial, and
+one whose factors are all symmetric in two of its parameters A and B is
+built over E = A + B and F = AB.  IdentitySides keeps the sides as built
+and is the one place where built values become read values: each
+coefficient a caller reads goes through the builder's map (divided back,
+and mapped to A and B) on first read, and compare runs over the built
+polynomials, so a compare that passes divides and maps nothing.  Where a
+read value's denominator is one term, as in every registered check, it
+has one normal form, so it has the bytes of the build at the caller's
+point.
 
 Every sum over expansion-like terms truncates soundly at N because term n
 always carries z-valuation >= n.
@@ -40,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import OrderError, PoleError, StructureError
@@ -58,33 +63,52 @@ from .series import (
     sum_series,
 )
 
+# read(c, m): built coefficient m as a caller reads it (see IdentitySides)
+_ReadMap = Callable[[RatFun, int], RatFun]
+
 
 def _unscaled(c: RatFun, scale: RatFun) -> RatFun:
     return c if scale.is_one() else c / scale
 
 
+def _over(c: RatFun, v: Union[MultiPoly, int]) -> RatFun:
+    """c / v, v a one-term poly or a positive int, normalized once."""
+    return c if c.is_zero() else RatFun(c.num, c.den * v)
+
+
+def _same(terms: List[TruncSeries], kept: Optional[Tuple[TruncSeries, ...]]) -> bool:
+    """Whether `terms` holds exactly the objects of `kept`, in order."""
+    return kept is not None and len(terms) == len(kept) and all(
+        x is y for x, y in zip(terms, kept))
+
+
 class FirstFailure:
     """The first index where the sides differ, with both values as read.
 
-    It keeps the two compared coefficients and `show`, which gives a
-    compared value as a caller reads it (unscaled, and over the caller's
-    table); `lhs` and `rhs` show and render on first read, once each, so
-    a caller that reads only `index` pays for no division or text.
+    It keeps the two compared coefficients, the sides' map `read` (None
+    where they are compared as read) and the scale; `lhs` and `rhs` map,
+    unscale and render on first read, once each, so a caller that reads
+    only `index` pays for no map, division or text.
     """
 
     def __init__(self, index: int, lhs: RatFun, rhs: RatFun,
-                 show: Callable[[RatFun], RatFun]):
+                 read: Optional[_ReadMap], scale: RatFun):
         self.index = index
         self._compared = (lhs, rhs)
-        self._show = show
+        self._read, self._scale = read, scale
+
+    def _text(self, c: RatFun) -> str:
+        if self._read is not None:
+            c = self._read(c, self.index)
+        return str(_unscaled(c, self._scale))
 
     @cached_property
     def lhs(self) -> str:
-        return str(self._show(self._compared[0]))
+        return self._text(self._compared[0])
 
     @cached_property
     def rhs(self) -> str:
-        return str(self._show(self._compared[1]))
+        return self._text(self._compared[1])
 
     def to_json_dict(self) -> dict:
         return {"index": self.index, "lhs": self.lhs, "rhs": self.rhs}
@@ -109,55 +133,87 @@ class IdentityReport:
 
 
 class IdentitySides:
-    """Both sides of an identity, scaled by a common nonzero factor.
+    """Both sides of an identity as built, scaled by a common nonzero
+    factor, and the values a caller reads.
 
-    `rhs()` is the sum of `rhs_terms`.  A builder either gives the terms
-    as a list, whose balanced sum `rhs()` takes on first call, or gives
-    their sum as `rhs_sum` with `rhs_terms` a function that builds the
-    list; that function runs on the first read of `rhs_terms`, so an
-    unperturbed compare builds no term.  The sum is kept together with the
-    term objects it stands for (the built list, once read) and re-summed
-    with `sum_series` whenever the list's length or any entry's identity
-    differs, so both assigning a new list and replacing entries in place
-    take effect.
+    A builder gives the left side and either the right side's terms as a
+    list, summed here with `sum_series`, or their sum as `rhs_sum` with
+    `rhs_terms` a function that builds the list; that function runs on
+    the first read of `rhs_terms`, so an unperturbed compare builds no
+    term.  `scale` is given as the caller reads it, over the caller's
+    `table`.  `read(c, m)`, where given, maps built coefficient m to the
+    value the caller reads, over `table`; `lhs`, `rhs()` and `rhs_terms`
+    are mapped on first read, so a compare that passes maps nothing.
+
+    `compare` reads the built sides while `rhs_terms` holds the terms it
+    first showed.  Once the list is assigned, or an entry replaced, it
+    compares the read `lhs` against that list, re-summed with
+    `sum_series` whenever its length or any entry's identity changes.
     """
 
     def __init__(self, name: str, parameters: List[Tuple[str, str]], lhs: TruncSeries,
                  rhs_terms: Union[List[TruncSeries], Callable[[], List[TruncSeries]]],
-                 scale: RatFun, rhs_sum: Optional[TruncSeries] = None):
+                 scale: RatFun, rhs_sum: Optional[TruncSeries] = None,
+                 read: Optional[_ReadMap] = None):
         self.name = name
         self.parameters = parameters
         self.order = lhs.order
-        self.table = lhs.table
-        self.lhs = lhs
+        self.table = scale.table
         self.scale = scale
-        # _kept is (the term objects the sum stands for, the sum); the
-        # objects are None while a lazy list is unbuilt
+        self._lhs, self._read = lhs, read
         if rhs_sum is None:
-            self._terms, self._build, self._kept = rhs_terms, None, None
+            self._built, self._build = rhs_terms, None
+            rhs_sum = sum_series(rhs_terms, lhs.table, lhs.order)
         else:
-            self._terms, self._build, self._kept = None, rhs_terms, (None, rhs_sum)
+            self._built, self._build = None, rhs_terms
+        self._sum = rhs_sum
+        # the caller's list, the terms it first showed, and (the terms the
+        # caller's list held when summed, that sum)
+        self._terms = self._shown = self._resummed = None
+
+    def _mapped(self, s: TruncSeries) -> TruncSeries:
+        read = self._read
+        if read is None:
+            return s
+        return TruncSeries(self.table, s.order, [read(c, m) for m, c in enumerate(s.coeffs)])
+
+    @cached_property
+    def lhs(self) -> TruncSeries:
+        return self._mapped(self._lhs)
+
+    @cached_property
+    def _rhs(self) -> TruncSeries:
+        return self._mapped(self._sum)
+
+    def _built_terms(self) -> List[TruncSeries]:
+        if self._built is None:
+            # taken first: the build replaces its inputs in place, so one
+            # that fails part way must never run again
+            build, self._build = self._build, None
+            self._built = build()
+        return self._built
 
     @property
     def rhs_terms(self) -> List[TruncSeries]:
         if self._terms is None:
-            # taken first: the build replaces its inputs in place, so one
-            # that fails part way must never run again
-            build, self._build = self._build, None
-            self._terms = build()
-            self._kept = (tuple(self._terms), self._kept[1])
+            self._terms = [self._mapped(t) for t in self._built_terms()]
+            self._shown = tuple(self._terms)
         return self._terms
 
     @rhs_terms.setter
     def rhs_terms(self, terms: List[TruncSeries]) -> None:
-        self._terms, self._build, self._kept = terms, None, None
+        self._terms = terms
+
+    def _edited(self) -> bool:
+        """Whether `rhs_terms` is other than the terms it first showed."""
+        return self._terms is not None and not _same(self._terms, self._shown)
 
     def rhs(self) -> TruncSeries:
-        terms, kept = self._terms, self._kept
-        if terms is not None and (
-                kept is None or len(kept[0]) != len(terms)
-                or any(x is not y for x, y in zip(kept[0], terms))):
-            kept = self._kept = (tuple(terms), sum_series(terms, self.table, self.order))
+        if not self._edited():
+            return self._rhs
+        terms, kept = self._terms, self._resummed
+        if kept is None or not _same(terms, kept[0]):
+            kept = self._resummed = (tuple(terms), sum_series(terms, self.table, self.order))
         return kept[1]
 
     def unscaled_coeff(self, c: RatFun) -> RatFun:
@@ -169,133 +225,34 @@ class IdentitySides:
     def unscaled_rhs(self) -> List[RatFun]:
         return [self.unscaled_coeff(c) for c in self.rhs().coeffs]
 
-    def _compared(self) -> Tuple["IdentitySides", Callable[[RatFun], RatFun]]:
-        """The sides `compare` reads, and how one of their values is shown;
-        a failure keeps the latter, which holds the scale and not the sides."""
-        return self, partial(_unscaled, scale=self.scale)
-
-
-class _SymmetricSides(IdentitySides):
-    """Sides built and compared over (q, E, F, ...), read over `table` =
-    (q, A, B, ...) at E = A + B, F = AB (ring's _from_symmetric).
-
-    Each value a caller reads -- `lhs`, `rhs()`, `rhs_terms`, `scale` and
-    a failure's text -- is mapped on its first read, so a compare that
-    passes maps nothing.  `compare` reads the built sides while
-    `rhs_terms` holds the terms it first showed; once the list is
-    assigned, or an entry replaced, it compares over `table` the sides
-    the caller now reads, with the list re-summed as IdentitySides does.
-    """
-
-    def __init__(self, built: IdentitySides, table: SymbolTable):
-        self.name, self.parameters, self.order = built.name, built.parameters, built.order
-        self.table = table
-        self._built = built
-        self._terms = self._shown = self._plain = None
-
-    def _map(self, c: RatFun) -> RatFun:
-        return _from_symmetric(c, self.table)
-
-    def _series(self, s: TruncSeries) -> TruncSeries:
-        return TruncSeries(self.table, s.order, [self._map(c) for c in s.coeffs])
-
-    @cached_property
-    def lhs(self) -> TruncSeries:
-        return self._series(self._built.lhs)
-
-    @cached_property
-    def scale(self) -> RatFun:
-        return self._map(self._built.scale)
-
-    @cached_property
-    def _rhs(self) -> TruncSeries:
-        return self._series(self._built.rhs())
-
-    @property
-    def rhs_terms(self) -> List[TruncSeries]:
-        if self._terms is None:
-            self._terms = [self._series(t) for t in self._built.rhs_terms]
-            self._shown = tuple(self._terms)
-        return self._terms
-
-    @rhs_terms.setter
-    def rhs_terms(self, terms: List[TruncSeries]) -> None:
-        self._terms = terms
-
-    def _edited(self) -> Optional[IdentitySides]:
-        """Sides over `table` with the caller's list, or None while the
-        list holds the terms first shown."""
-        terms, shown = self._terms, self._shown
-        if terms is None or (shown is not None and len(terms) == len(shown)
-                             and all(x is y for x, y in zip(terms, shown))):
-            return None
-        if self._plain is None or self._plain._terms is not terms:
-            self._plain = IdentitySides(self.name, self.parameters, self.lhs, terms, self.scale)
-        return self._plain
-
-    def rhs(self) -> TruncSeries:
-        edited = self._edited()
-        return self._rhs if edited is None else edited.rhs()
-
-    def _compared(self) -> Tuple[IdentitySides, Callable[[RatFun], RatFun]]:
-        edited = self._edited()
-        if edited is not None:
-            return edited._compared()
-        table, scale = self.table, self._built.scale
-        return self._built, lambda c: _unscaled(_from_symmetric(c, table),
-                                                _from_symmetric(scale, table))
-
 
 def compare(sides: IdentitySides, perturb: Optional[int] = None) -> IdentityReport:
-    """Compare the two sides; optionally scale RHS term `perturb` by (1+q)."""
-    at, show = sides._compared()
-    if perturb is not None and not 0 <= perturb < len(at.rhs_terms):
-        raise OrderError(f"no RHS term {perturb} (have {len(at.rhs_terms)})")
-    lhs, rhs = at.lhs.coeffs, at.rhs().coeffs
-    term = None if perturb is None else at.rhs_terms[perturb].coeffs
+    """Compare the two sides; optionally scale RHS term `perturb` by (1+q).
+
+    The built sides are compared, and a failure reads its two values
+    through the sides' map, unless `rhs_terms` has been edited: then the
+    read left side is compared against the caller's list.
+    """
+    edited = sides._edited()
+    if edited:
+        lhs, rhs, read = sides.lhs, sides.rhs(), None
+    else:
+        lhs, rhs, read = sides._lhs, sides._sum, sides._read
+    term = None
+    if perturb is not None:
+        terms = sides.rhs_terms if edited else sides._built_terms()
+        if not 0 <= perturb < len(terms):
+            raise OrderError(f"no RHS term {perturb} (have {len(terms)})")
+        term = terms[perturb].coeffs
+    table, lhs, rhs = lhs.table, lhs.coeffs, rhs.coeffs
     for m in range(sides.order + 1):
         r = rhs[m]
         if term is not None and not term[m].is_zero():
-            r = r + term[m] * RatFun.sym(at.table, "q")
+            r = r + term[m] * RatFun.sym(table, "q")
         if not lhs[m] == r:
-            failure = FirstFailure(m, lhs[m], r, show)
+            failure = FirstFailure(m, lhs[m], r, read, sides.scale)
             return IdentityReport(sides.name, sides.parameters, sides.order, False, failure)
     return IdentityReport(sides.name, sides.parameters, sides.order, True, None)
-
-
-def _divided(s: TruncSeries, dens: List[MultiPoly]) -> TruncSeries:
-    """s with coefficient m over dens[m], each normalized once."""
-    return TruncSeries(s.table, s.order, [
-        c if c.is_zero() else RatFun(c.num, c.den * v) for c, v in zip(s.coeffs, dens)
-    ])
-
-
-def _divided_sides(sides: IdentitySides, d: int, u: RatFun) -> IdentitySides:
-    """`sides` with coefficient m of every series divided by d u^m, u one term.
-
-    The expansion base is homogeneous in its argument: at uz it is u^n z^n
-    (uaz;q)_n/(ubz;q)_n.  So a check built at argument uz, with its free
-    coefficients times the integer d > 0, has coefficient m equal to d u^m
-    times the one at z, and is chosen where every coefficient is a
-    polynomial, so no operation of the build normalizes a fraction.  Each
-    coefficient is divided once: the left side's and the sum's here, each
-    term's on the first read of `rhs_terms` (in place of the list `sides`
-    builds), so an unperturbed compare divides no term.  Where the values
-    at z have one-term denominators, as in every caller, RatFun's
-    normalization is a full gcd reduction and a value has one
-    representation, so each quotient has the bytes the build at z gave.
-    """
-    dens = [u.num ** m * d for m in range(sides.order + 1)]
-    terms, build = sides._terms, sides._build
-
-    def divided_terms() -> List[TruncSeries]:
-        ts = build() if terms is None else terms
-        for j, t in enumerate(ts):
-            ts[j] = _divided(t, dens)
-        return ts
-
-    return IdentitySides(sides.name, sides.parameters, _divided(sides.lhs, dens), divided_terms,
-                         sides.scale, rhs_sum=_divided(sides.rhs(), dens))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +289,10 @@ def build_rogers_fine(order: int) -> IdentitySides:
 
     Both sides scaled by (bq;q)_N, and built at argument bz, where term n
     is (1-abzq^(2n+1)) b^(2n) z^n q^(n^2) (aq;q)_n (azq;q)_n / ((bq;q)_n
-    (bzq;q)_n) and every coefficient is a polynomial.  The terms are
-    summed once here; _divided_sides divides coefficient m by b^m.
+    (bzq;q)_n) and every coefficient is a polynomial (the expansion base
+    is homogeneous in its argument: at uz it is u^n z^n (uaz;q)_n/(ubz;q)_n).
+    Each coefficient m a caller reads is divided by b^m on its first
+    read; compare runs over the built polynomials.
     """
     table, (q, a, b) = symbols("q a b")
     cof = [RatFun.one(table)]  # (bq;q)_N/(bq;q)_n, built from n = N down
@@ -348,7 +307,8 @@ def build_rogers_fine(order: int) -> IdentitySides:
         rhs_terms.append(_element(piece, n, order).scale(scalar))
         pa = pa * (1 - a * q ** (n + 1))
     lhs = TruncSeries(table, order, lhs_coeffs).mul_linear(b)
-    return _divided_sides(IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0]), 1, b)
+    return IdentitySides("rogers_fine", [], lhs, rhs_terms, cof[0],
+                         read=lambda c, m: _over(c, b.num ** m))
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +342,7 @@ def _telescoped_sides(
     order: int,
     scale: RatFun,
     divide: bool = False,
+    read: Optional[_ReadMap] = None,
 ) -> IdentitySides:
     """The transformation's right side for inner coefficients `inner`.
 
@@ -399,7 +360,7 @@ def _telescoped_sides(
     factors in every term; cof[n] = (q;q)_order/(q;q)_n
     = prod_(k=n+1)^order (1 - q^k) clears 1/(q;q)_n.  `divide` divides
     each term by (1 - az), the one factor coro_tlnew's bracket leaves
-    over.  lhs and scale are passed through unchanged.
+    over.  lhs, scale and read are passed through to IdentitySides.
 
     Term n is assembled in three steps.  The pieces inner[k] q^(nk)
     z^(n+k) ratios[n+k] (1 - azq^(2n+k)) are summed into one coefficient
@@ -457,7 +418,7 @@ def _telescoped_sides(
             acc = _dot(((acc, rs[n]),), xs[n].coeffs[m])
         h.append(acc)
     return IdentitySides(name, [], lhs, lambda: _prefactored_terms(xs, rs), scale,
-                         rhs_sum=TruncSeries(table, order, h))
+                         rhs_sum=TruncSeries(table, order, h), read=read)
 
 
 def _prefactored_terms(xs: List[TruncSeries], rs: List[RatFun]) -> List[TruncSeries]:
@@ -517,7 +478,8 @@ def _cleared_hyper(
 
 
 def _theorem16_sides(
-    name: str, t: List[RatFun], a: RatFun, b: RatFun, order: int, t_scale: Union[RatFun, int] = 1
+    name: str, t: List[RatFun], a: RatFun, b: RatFun, order: int, t_scale: Union[RatFun, int] = 1,
+    read: Optional[_ReadMap] = None,
 ) -> IdentitySides:
     """(az;q)_inf/(bz;q)_inf G(z) = sum_n (aq/b;q)_n (az;q)_n / ((q;q)_n (bz;q)_n)
     (bz)^n q^(n(n-1)) (Gt(zq^n;a,b) - azq^(2n) Gt(zq^(n+1);a/q,b/q))
@@ -526,11 +488,11 @@ def _theorem16_sides(
     two Gt evaluations pair up k-by-k into the telescoped shape with
     inner = t (the a/q, b/q arguments at zq^(n+1) reproduce the same
     Pochhammers as the first evaluation).  Scale: (q;q)_N times t_scale,
-    the factor t is cleared by.
+    the factor t is cleared by; `read` as for IdentitySides.
     """
     euler = _euler_ratio_cleared(a, b, order)
     lhs = euler * TruncSeries(a.table, order, t)
-    return _telescoped_sides(name, lhs, t, a, b, order, euler.coeffs[0] * t_scale)
+    return _telescoped_sides(name, lhs, t, a, b, order, euler.coeffs[0] * t_scale, read=read)
 
 
 def build_theorem16_const(order: int) -> IdentitySides:
@@ -562,15 +524,17 @@ def build_theorem16_random(order: int, seed: int = 0) -> IdentitySides:
     """G with seed-derived rational coefficients.
 
     Both sides are linear in t, so they are built from the integers D t, D
-    the lcm of t's denominators, where every coefficient is a polynomial;
-    _divided_sides divides each coefficient by D (u = 1).
+    the lcm of t's denominators, where every coefficient is a polynomial.
+    Each coefficient a caller reads is divided by D on its first read (D
+    stays out of the scale, which is (q;q)_N as the caller reads it);
+    compare runs over the built polynomials.
     """
     table, (q, a, b) = symbols("q a b")
     t = theorem16_random_t(order, seed)
     d = math.lcm(*(f.denominator for f in t))
     cleared = [RatFun.from_int(table, int(f * d)) for f in t]
-    return _divided_sides(_theorem16_sides("theorem16_random", cleared, a, b, order),
-                          d, RatFun.one(table))
+    return _theorem16_sides("theorem16_random", cleared, a, b, order,
+                            read=lambda c, m: _over(c, d))
 
 
 def _over_table_of(a: Scalar, b: Scalar, *rest: Scalar) -> List[RatFun]:
@@ -656,20 +620,21 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     Both sides are built at argument Cz, where every coefficient is a
     polynomial: the 2phi1 at argument C, the inner one at AB (uppers C/A
     and C/B as A - Cq^j and B - Cq^j at 1), the telescoped sum at a = AB,
-    b = C, and the base at a = AB/C, b = 1 taken at Cz.  _divided_sides
-    divides coefficient m by C^m.
+    b = C, and the base at a = AB/C, b = 1 taken at Cz.  Each coefficient
+    m a caller reads is divided by C^m on its first read.
 
     Every factor is symmetric in A and B, so the sides are built and
     compared over (q, E, F, C), E = A + B and F = AB:
     (A;q)_k (B;q)_k = prod_(j<k) (1 - Eq^j + Fq^(2j)) and (A - Cq^j)(B -
     Cq^j) = F - ECq^j + C^2 q^(2j).  E and F are algebraically independent
     (B. Sturmfels, Algorithms in Invariant Theory, 1.1), so E -> A + B,
-    F -> AB is injective and the verdict is the one over (q, A, B, C);
-    every value a caller reads is mapped there on first read
-    (_SymmetricSides).  Each coefficient's denominator is an integer times
-    a monomial in q and C, which the map leaves as it is, and over (q, A,
-    B, C) such a value has one normal form, so each mapped value has the
-    bytes of the build over (q, A, B, C).
+    F -> AB is injective and the verdict is the one over (q, A, B, C), so
+    compare runs over the built polynomials.  Each value a caller reads,
+    once divided, is mapped there on its first read (ring's
+    _from_symmetric), the scale here.  Each coefficient's denominator is
+    an integer times a monomial in q and C, which the map leaves as it
+    is, and over (q, A, B, C) such a value has one normal form, so each
+    mapped value has the bytes of the build over (q, A, B, C).
     """
     table, (q, E, F, C) = symbols("q E F C")
     tails = _lower_tails([C], table, order)
@@ -682,8 +647,10 @@ def build_2phi1_to_4phi3(order: int) -> IdentitySides:
     ec, cc = E * C, C * C
     inner = _cleared_hyper(lambda j: F - ec * q**j + cc * q ** (2 * j),
                            RatFun.one(table), order, tails)
-    sides = _telescoped_sides("2phi1_to_4phi3", lhs, inner, F, C, order, lhs.coeffs[0])
-    return _SymmetricSides(_divided_sides(sides, 1, C), SymbolTable(("q", "A", "B", "C")))
+    roots = SymbolTable(("q", "A", "B", "C"))
+    return _telescoped_sides(
+        "2phi1_to_4phi3", lhs, inner, F, C, order, _from_symmetric(lhs.coeffs[0], roots),
+        read=lambda c, m: _from_symmetric(_over(c, C.num ** m), roots))
 
 
 def build_partial_theta(order: int) -> IdentitySides:

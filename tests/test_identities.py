@@ -281,7 +281,7 @@ def test_theorem16_terms_match_displayed_form():
     assert [sides.unscaled_coeff(c) for c in sides.lhs.coeffs] == naive_lhs.coeffs
 
 
-def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False):
+def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False, read=None):
     """_telescoped_sides with the whole prefactor of term n folded into
     every piece before the pieces are summed: the reference assembly."""
     table = a.table
@@ -303,7 +303,7 @@ def _per_piece_sides(name, lhs, inner, a, b, order, scale, divide=False):
         rhs_terms.append(term.div_linear(a) if divide else term)
         if n < order:
             paqb = paqb * (b - a * q ** (n + 1))
-    return IdentitySides(name, [], lhs, rhs_terms, scale)
+    return IdentitySides(name, [], lhs, rhs_terms, scale, read=read)
 
 
 def test_telescoped_coefficients_have_one_term_denominators():
@@ -313,8 +313,8 @@ def test_telescoped_coefficients_have_one_term_denominators():
     # byte alone only because these denominators are one term each, where
     # normalization is a full gcd reduction and a value has one
     # representation.  The same holds for rogers_fine's sides and
-    # summed right side, which _divided_sides divides out as it does two
-    # of the telescoped checks'
+    # summed right side, which its read map divides as it does two of the
+    # telescoped checks'
     for name in [*TELESCOPED, "rogers_fine"]:
         sides = build_sides(name, 6, 5)
         for series in [sides.lhs, sides.rhs(), *sides.rhs_terms]:
@@ -328,37 +328,35 @@ def test_telescoped_coefficients_have_one_term_denominators():
 
 
 # the checks built at a point where every coefficient is a polynomial and
-# divided back by _divided_sides
+# divided back by their read maps
 DIVIDED = ["2phi1_to_4phi3", "rogers_fine", "theorem16_random"]
 
 
 @pytest.mark.parametrize("order", [6, 8])
 @pytest.mark.parametrize("name", DIVIDED)
-def test_divided_sides_receive_polynomial_coefficients(monkeypatch, name, order):
-    # the byte argument of _divided_sides: every coefficient it divides,
-    # of the left side, the right side's sum and every term, has
-    # denominator 1, so no operation of the build normalized a fraction
-    seen = []
-    divide = identities._divided_sides
-
-    def checking(sides, d, u):
-        # rhs() before rhs_terms, so the sum checked is the builder's own
-        for series in [sides.lhs, sides.rhs(), *sides.rhs_terms]:
-            for m, c in enumerate(series.coeffs):
-                assert c.den == 1, (name, m, str(c))
-        seen.append((sides.name, d, str(u)))
-        return divide(sides, d, u)
-
-    monkeypatch.setattr(identities, "_divided_sides", checking)
-    for seed in (0, 5, 11):
-        assert compare(build_sides(name, order, seed)).passed
+def test_divided_sides_receive_polynomial_coefficients(name, order):
+    # the byte argument of the read maps: every built coefficient, of the
+    # left side, the right side's sum and every term, has denominator 1,
+    # so no operation of the build normalized a fraction; and the read map
+    # divides coefficient m by d u^m
     divisor = {
         "2phi1_to_4phi3": lambda seed: (1, "C"),
         "rogers_fine": lambda seed: (1, "b"),
         "theorem16_random": lambda seed: (
-            math.lcm(*(f.denominator for f in theorem16_random_t(order, seed))), "1"),
+            math.lcm(*(f.denominator for f in theorem16_random_t(order, seed))), None),
     }[name]
-    assert seen == [(name, *divisor(seed)) for seed in (0, 5, 11)]
+    for seed in (0, 5, 11):
+        sides = build_sides(name, order, seed)
+        assert compare(sides).passed
+        built = [sides._lhs, sides._sum, *sides._built_terms()]
+        for series in built:
+            for m, c in enumerate(series.coeffs):
+                assert c.den == 1, (name, m, str(c))
+        d, u = divisor(seed)
+        one, read = RatFun.one(sides.table), RatFun.one(built[0].table)
+        u = one if u is None else RatFun.sym(sides.table, u)
+        for m in range(order + 1):
+            assert sides._read(read, m) == one / (u**m * d), (name, seed, m)
 
 
 def _ref_cleared_hyper(uppers, lowers, carg, order):
@@ -412,9 +410,11 @@ def test_binomial_uppers_normalize_no_fraction(monkeypatch):
     # the uppers C/A and C/B go in as the binomials A - Cq^j and B - Cq^j,
     # whose product is F - ECq^j + C^2 q^(2j) over (q, E, F, C); as
     # fractions they made 16 normalizations, and the order-8 build and
-    # compare of every check, terms unread, made 120 with them.  The same
-    # pass makes 4259 MultiPoly products: by MultiPoly.__mul__, and the
-    # pairs that _dot sums in its run accumulator
+    # compare of every check, terms unread, made 120 with them.  It makes
+    # 52, all of them partial_theta's: the checks built over polynomials
+    # divide nothing while they pass.  The same pass makes 4180 MultiPoly
+    # products: by MultiPoly.__mul__, and the pairs that _dot sums in its
+    # run accumulator
     calls, products = [], []
     init, mul, fused = RatFun.__init__, MultiPoly.__mul__, ring._sum_products
 
@@ -439,8 +439,8 @@ def test_binomial_uppers_normalize_no_fraction(monkeypatch):
     monkeypatch.setattr(ring, "_sum_products", counting_fused)
     for name in check_names():
         assert compare(build_sides(name, 8, 0)).passed
-    assert len(calls) <= 104
-    assert len(products) <= 4259
+    assert len(calls) <= 52
+    assert len(products) <= 4180
 
 
 def _ref_theorem16_random(order, seed):
@@ -838,8 +838,9 @@ def test_in_place_edits_of_symmetric_rhs_terms_rebuild_the_sum():
 
 
 def test_symmetric_sides_map_only_what_is_read(monkeypatch):
-    # a passing compare, and a failing one whose index alone is read, map
-    # nothing back from (q, E, F, C)
+    # the build maps the scale, num and den; a passing compare, and a
+    # failing one whose index alone is read, map nothing back from
+    # (q, E, F, C)
     calls = []
     mapping = ring._poly_from_symmetric
 
@@ -849,18 +850,38 @@ def test_symmetric_sides_map_only_what_is_read(monkeypatch):
 
     monkeypatch.setattr(ring, "_poly_from_symmetric", counting)
     sides = build_sides("2phi1_to_4phi3", 8)
+    assert len(calls) == 2
     assert compare(sides).passed
-    assert calls == []
     report = compare(sides, perturb=3)
     index = report.first_failure.index
-    assert calls == []
+    assert len(calls) == 2
     assert index == _first_nonzero_index(sides.rhs_terms[3])
     del calls[:]
-    # the text maps each of the two values once, with the scale it is
-    # divided by, num and den each
+    # the text maps each of the two values once, num and den each
     report.first_failure.to_json_dict()
     report.first_failure.to_json_dict()
-    assert len(calls) == 8
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", DIVIDED)
+def test_read_mapped_compares_normalize_nothing(monkeypatch, name):
+    # compare runs over the built polynomials: a passing compare, and a
+    # perturbed one whose index alone is read, divide and map nothing
+    order = 8
+    sides = build_sides(name, order, 5)
+    calls = []
+    init = RatFun.__init__
+
+    def counting(self, num, den):
+        calls.append(self)
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFun, "__init__", counting)
+    assert compare(sides).passed
+    indices = [compare(sides, perturb=j).first_failure.index for j in range(order + 1)]
+    assert calls == []
+    assert indices == [_first_nonzero_index(t) for t in sides.rhs_terms]
+    assert calls
 
 
 def test_symmetric_sides_are_read_over_the_roots():
@@ -914,11 +935,11 @@ def test_telescoped_terms_are_built_once_and_only_when_read(monkeypatch):
         monkeypatch, "theorem16_const", "_prefactored_terms", 0, 1)
 
 
-@pytest.mark.parametrize("name", ["rogers_fine", "2phi1_to_4phi3"])
+@pytest.mark.parametrize("name", DIVIDED)
 def test_divided_terms_are_built_once_and_only_when_read(monkeypatch, name):
-    # the build divides the left side and the sum; each of the six terms
-    # is divided once, on the first read of rhs_terms
-    _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, "_divided", 2, 6)
+    # the build divides nothing; each coefficient of the six terms is
+    # divided once, on the first read of rhs_terms
+    _lazy_terms_are_built_once_and_only_when_read(monkeypatch, name, "_over", 0, 36)
 
 
 @pytest.mark.parametrize("order", [5, 6, 7, 8])

@@ -3,7 +3,8 @@ submodule defines, dir() lists them, unknown names raise AttributeError,
 submodules still import through the package, no module imports a name it
 never uses, no private helper goes unused, only listed public functions go
 unread, only ring.py builds normal forms, coerces scalars and checks
-symbol tables, and README's Python examples run."""
+symbol tables, IdentitySides is the one sides class and the only writer of
+its private state, and README's Python examples run."""
 
 import ast
 import importlib
@@ -348,6 +349,77 @@ def test_the_run_pair_loop_is_written_once():
     found = {path.name: _run_pair_loops(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     assert {name: len(hits) for name, hits in found.items() if hits} == {"ring.py": 1}
+
+
+def _sides_privates(source: str):
+    """The private names IdentitySides defines or sets on self."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "IdentitySides":
+            for n in ast.walk(node):
+                if isinstance(n, ast.FunctionDef):
+                    names.add(n.name)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) \
+                        and getattr(n.value, "id", None) == "self":
+                    names.add(n.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _sides_bypasses(source: str, privates):
+    """(line, what) of each subclass of IdentitySides, and of each write,
+    outside IdentitySides, of one of its private names to anything but
+    `self` (another class's own attribute)."""
+    hits = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any("IdentitySides" in (getattr(b, "id", None), getattr(b, "attr", None))
+                       for b in child.bases):
+                    hits.append((child.lineno, f"subclass {child.name}"))
+                if child.name == "IdentitySides":
+                    continue
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store) \
+                    and child.attr in privates and getattr(child.value, "id", None) != "self":
+                hits.append((child.lineno, ast.unparse(child)))
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(hits)
+
+
+def test_sides_bypass_finder_flags_only_bypasses():
+    source = ("class IdentitySides:\n"
+              "    def __init__(self, read):\n"
+              "        self._read, self._terms = read, None\n"
+              "    def _edited(self, other):\n"
+              "        other._terms = []\n"
+              "class Mapped(IdentitySides):\n"
+              "    pass\n"
+              "class Failure:\n"
+              "    def __init__(self, read):\n"
+              "        self._read = read\n"
+              "sides._read = None\n"
+              "sides.rhs_terms, sides._edited = [], None\n"
+              "x._other = 1\n"
+              "def build():\n"
+              "    class Deep(identities.IdentitySides): pass\n")
+    privates = _sides_privates(source)
+    assert privates == {"_read", "_terms", "_edited"}
+    assert _sides_bypasses(source, privates) == [
+        (6, "subclass Mapped"), (11, "sides._read"), (12, "sides._edited"), (15, "subclass Deep")]
+
+
+def test_identity_sides_are_the_one_read_boundary():
+    # IdentitySides alone turns built values into read values: no second
+    # sides class, and no builder sets a sides object's state after the
+    # fact, so every read map goes through its constructor
+    src = Path(qexpand.__file__).parent
+    privates = _sides_privates((src / "identities.py").read_text(encoding="utf-8"))
+    assert {"_read", "_terms"} <= privates
+    found = {path.name: _sides_bypasses(path.read_text(encoding="utf-8"), privates)
+             for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_readme_python_examples_run():
